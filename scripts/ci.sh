@@ -16,7 +16,10 @@
 #      improvement vs the committed BENCH_fleet.json, and the group
 #      bench, which guards the parallel-group dump speedup vs the
 #      committed BENCH_group.json
-#      (CI_FAST runs all four at reduced scale, no guard);
+#      (CI_FAST runs all four at reduced scale, no guard); then the
+#      benchmark's own smoke test (bench/test_bench.py), so a datapath
+#      change that breaks a workload's bit-exact restore or its
+#      repeatability check fails here, not only in the benchmark run;
 #   3. trace smoke: a traced benchmark run must emit loadable Chrome
 #      trace_event JSON + a metrics snapshot at zero simulated-time
 #      cost (the observability layer's contract);
@@ -91,6 +94,9 @@ PYTHONPATH=src python -m pytest \
 step "group bench (dump-speedup regression guard vs BENCH_group.json)"
 PYTHONPATH=src python -m pytest \
     "benchmarks/bench_group.py::test_group_dump_speedup" -q
+
+step "benchmark workloads smoke (bench/: bit-exact + repeatable)"
+PYTHONPATH=src python -m pytest bench -q
 
 step "traced-run smoke (Chrome trace + metrics, zero-cost)"
 TRACE_DIR="$(mktemp -d)"

@@ -50,15 +50,12 @@ import logging
 from typing import Dict, Generator, List, Optional
 
 from repro.core import protocol
-from repro.core.consistency import (abort_checkpoint, begin_checkpoint,
-                                    checkpoint_at_step, commit_checkpoint,
-                                    valid_checkpoint)
-from repro.core.dedup import chunk_spans
+from repro.core.consistency import checkpoint_at_step, valid_checkpoint
 from repro.core.engine import (ENGINE_CHUNK_BYTES, IngestLimiter,
-                               LocalCopyEngine, TransferEngine, WorkItem)
+                               LocalCopyEngine, MrCache, RemoteRun,
+                               TransferEngine, plan_items)
 from repro.core.group import GroupStore
-from repro.core.index import (FLAG_DONE, ModelMeta, ModelTable,
-                              region_extent)
+from repro.core.index import ModelMeta, ModelTable
 from repro.core.modelmap import ModelMap
 from repro.dnn.layout import ShardedLayout
 from repro.dnn.tensor import TensorSpec
@@ -99,15 +96,13 @@ class ModelEntry:
         #: The stripe set: every QP the client registered for this model
         #: (``num_qps`` is negotiated at REGISTER time).
         self.qps: List = []
-        self.client_tensors: Optional[List[Dict]] = None
+        #: The attached client's tensors as remote runs of the region.
+        self.client_runs: Optional[List[RemoteRun]] = None
         self.version_mrs: List = [None, None]
         #: Owning tenant (fleet accounting); None for legacy sessions.
         #: Re-learned at attach time after a daemon restart.
         self.tenant: Optional[str] = None
         self.busy = False  # the compare-and-swap guard
-        #: Dedup models: the region's chunk spans (derived once from the
-        #: persisted MIndex — the same cut the client hashes over).
-        self.chunk_spans = None
         self.last_seen_ns = 0
         #: The worker process currently holding the CAS guard, if any —
         #: the interrupt target for lease expiry and daemon death.
@@ -123,7 +118,7 @@ class ModelEntry:
 
     @property
     def attached(self) -> bool:
-        return bool(self.qps) and self.client_tensors is not None
+        return bool(self.qps) and self.client_runs is not None
 
 
 class PortusDaemon:
@@ -193,11 +188,6 @@ class PortusDaemon:
         self.checkpoints_completed = 0
         self.restores_completed = 0
         self.bytes_pulled = 0
-        #: Bytes the completed checkpoints *represent* — for dedup models
-        #: the full region per checkpoint, however few chunk bytes
-        #: actually moved.  ``bytes_pulled / bytes_logical`` is the
-        #: dedup transfer ratio.
-        self.bytes_logical = 0
         self.bytes_pushed = 0
         self.dropped_replies = 0
         self.reaped_sessions = 0
@@ -458,7 +448,7 @@ class PortusDaemon:
             self._count("reaped_sessions")
             qps = entry.qps
             entry.qps = []
-            entry.client_tensors = None
+            entry.client_runs = None
             if entry.inflight is not None and entry.inflight.is_alive:
                 entry.inflight.interrupt(f"{name}: session lease expired")
             for qp in qps:
@@ -522,18 +512,12 @@ class PortusDaemon:
                     tenant, name,
                     2 * sum(spec.size_bytes for spec in specs))
             try:
-                if dedup is not None:
-                    from repro.pmem.chunks import ChunkStore
-
-                    chunk_bytes = int(dedup["chunk_bytes"])
-                    # The chunk store is pool-wide; first dedup model
-                    # formats it and later ones must agree on the chunk
-                    # size.
-                    ChunkStore.ensure(self.pool, chunk_bytes=chunk_bytes)
-                    meta = ModelMeta.create_dedup(self.pool, name, specs,
-                                                  chunk_bytes)
-                else:
-                    meta = ModelMeta.create(self.pool, name, specs)
+                # The chunk store is pool-wide: the first dedup model
+                # formats it and later ones must agree on the chunk size.
+                meta = ModelMeta.create(
+                    self.pool, name, specs,
+                    chunk_bytes=(None if dedup is None
+                                 else int(dedup["chunk_bytes"])))
             except ReproError:
                 if tenant is not None and self.tenants is not None:
                     self.tenants.release_bytes(tenant, name)
@@ -549,14 +533,14 @@ class PortusDaemon:
         # (Re-)register the server-side MRs over both TensorData versions
         # (dedup models have none: their bytes live in per-chunk extents
         # whose MRs are registered per operation).
-        if not entry.meta.dedup:
-            for version in (0, 1):
-                if entry.version_mrs[version] is None:
-                    entry.version_mrs[version] = yield from \
-                        self.node.nic.register_mr(
-                            entry.meta.data_region(version))
+        for version, region in enumerate(entry.meta.data_regions):
+            if region is not None and entry.version_mrs[version] is None:
+                entry.version_mrs[version] = yield from \
+                    self.node.nic.register_mr(region)
         entry.qps = list(qps)
-        entry.client_tensors = tensors
+        entry.client_runs = [
+            RemoteRun(d.name, d.offset, d.size, t["addr"], t["rkey"])
+            for d, t in zip(entry.meta.mindex.descriptors, tensors)]
         if tenant is not None:
             entry.tenant = tenant
         entry.last_seen_ns = self.env.now
@@ -594,17 +578,7 @@ class PortusDaemon:
                 f"{int(dedup['chunk_bytes'])}, persisted model uses "
                 f"{entry.meta.chunk_bytes}")
 
-    def _dedup_spans(self, entry: ModelEntry):
-        """The region's chunk spans (cached per entry; the MIndex is
-        immutable for the life of the model)."""
-        if entry.chunk_spans is None:
-            descriptors = entry.meta.mindex.descriptors
-            entry.chunk_spans = chunk_spans(descriptors,
-                                            region_extent(descriptors),
-                                            entry.meta.chunk_bytes)
-        return entry.chunk_spans
-
-    # -- the datapath engine -------------------------------------------------------
+    # -- the datapath -------------------------------------------------------------
 
     def _engine(self, qps: List, ingest: bool,
                 trace_id: Optional[int] = None) -> TransferEngine:
@@ -617,7 +591,6 @@ class PortusDaemon:
         """
         return TransferEngine(
             self.env, qps, depth=QP_DEPTH,
-            chunk_bytes=self.engine_chunk_bytes,
             pipelined=self.engine_pipelined,
             largest_first=self.engine_largest_first,
             stream_limit=self._pmem_streams if ingest else None,
@@ -644,66 +617,46 @@ class PortusDaemon:
 
     def _checkpoint_gated(self, message: Dict,
                           entry: ModelEntry) -> Generator:
+        """Pull a new version into the free slot, whatever the layout:
+        the layout's write reserves the target runs, the engine pulls
+        every overlap of them with the client's tensors, and the write
+        persists, commits — or, on any failure, aborts."""
         name = message["model"]
         step = message["step"]
-        dirty = message.get("dirty")
-        if entry.meta.dedup:
-            return (yield from self._handle_checkpoint_dedup(message, entry))
+        write = entry.meta.layout.new_version(
+            manifest=message.get("manifest"), dirty=message.get("dirty"))
         if not entry.attached:
             raise NotAttached(f"{name}: no attached client to pull from")
         self._claim(entry)
-        # Pin the stripe set: a re-attach mid-pull must not redirect us.
-        qps = list(entry.qps)
+        # Pin the stripe set and the client's tensors: a re-attach
+        # mid-pull must not redirect us.
+        qps, runs = list(entry.qps), entry.client_runs
         trace_id = protocol.trace_of(message)
         started = self.env.now
+        mrs = MrCache(self.node.nic, entry.version_mrs)
+        engine = None
+        prefilled = 0
         try:
-            flags_before = entry.meta.read_flags()
-            previous = flags_before.newest_done()
             with self.obs.tracer.span(self.env, "ckpt.begin", cat="ckpt",
                                       trace_id=trace_id, track="daemon",
                                       model=name):
-                target = begin_checkpoint(entry.meta)
-            region_mr = entry.version_mrs[target]
-            pairs = list(zip(entry.meta.mindex.descriptors,
-                             entry.client_tensors))
-            prefilled = 0
-            if dirty is not None and previous is not None:
-                dirty_set = set(dirty)
-                clean = [d for d, _c in pairs if d.name not in dirty_set]
-                pairs = [(d, c) for d, c in pairs if d.name in dirty_set]
+                target = write.begin()
+            if write.kept is not None:
                 with self.obs.tracer.span(self.env, "ckpt.local_copy",
                                           cat="ckpt", trace_id=trace_id,
                                           track="daemon", model=name,
-                                          tensors=len(clean)):
-                    prefilled = yield from self._copy_clean_tensors(
-                        entry, previous, target, clean)
+                                          tensors=len(write.kept)):
+                    prefilled = yield from self._carry_forward(write)
+            items = yield from plan_items(write.targets, runs, mrs,
+                                          self.engine_chunk_bytes)
             # The engine charges PER_WQE_CPU_NS per WR actually posted —
-            # an incremental pull pays for its dirty subset (and its
-            # segmentation), not the whole layer count.
+            # an incremental or dedup pull pays for what it moves (and
+            # its segmentation), not the whole layer count.  On a WR
+            # error or an interrupt it flushes the whole stripe set
+            # before raising, so no in-flight read can land stale bytes
+            # in a slot the next checkpoint may claim.
             engine = self._engine(qps, ingest=True, trace_id=trace_id)
-            try:
-                pulled = yield from engine.pull(region_mr, pairs,
-                                                f"pull:{name}")
-            except ReproError:
-                # The engine aborted the stripe set (every QP flushed —
-                # in-flight reads must not land their now-stale bytes in
-                # a slot the next checkpoint may claim); abort() again
-                # is a no-op, kept for the non-engine error paths.
-                engine.abort()
-                self._count("checkpoints_aborted")
-                if not self.pool.closed:
-                    # Any byte already landed in the target slot — the
-                    # incremental prefill or a completed pull WR — makes
-                    # the slot torn at its old step: invalidate it
-                    # rather than roll back to DONE (the torn-slot bug).
-                    data_dirty = (prefilled > 0
-                                  or engine.bytes_landed > 0)
-                    if data_dirty:
-                        self.obs.metrics.counter(
-                            "daemon.checkpoints_aborted_dirty").inc()
-                    abort_checkpoint(entry.meta, target,
-                                     data_dirty=data_dirty)
-                raise
+            pulled = yield from engine.pull(items, f"pull:{name}")
             if self.pool.closed:
                 # The server lost power mid-pull: this daemon instance is
                 # gone; the target slot stays ACTIVE on the (recovered)
@@ -713,10 +666,24 @@ class PortusDaemon:
             with self.obs.tracer.span(self.env, "ckpt.persist_commit",
                                       cat="ckpt", trace_id=trace_id,
                                       track="daemon", model=name):
-                entry.meta.data_region(target).persist()
+                write.persist()
                 yield self.env.timeout(FLUSH_BARRIER_NS)
-                commit_checkpoint(entry.meta, target, step)
+                write.commit(step)
+        except ReproError:
+            self._count("checkpoints_aborted")
+            if not self.pool.closed:
+                # Any byte already landed in the target — the incremental
+                # prefill or a completed pull WR — makes a slot torn at
+                # its old step: the write invalidates it rather than
+                # roll back to DONE (the torn-slot bug).
+                landed = prefilled > 0 or (engine is not None
+                                           and engine.bytes_landed > 0)
+                if write.abort(landed):
+                    self.obs.metrics.counter(
+                        "daemon.checkpoints_aborted_dirty").inc()
+            raise
         finally:
+            mrs.release()
             self._release(entry)
         duration = self.env.now - started
         self.ledger.add("rdma_pull", duration)
@@ -724,190 +691,28 @@ class PortusDaemon:
         self.bytes_pulled += pulled
         self._count("checkpoints_completed")
         self.obs.metrics.counter("daemon.bytes_pulled").inc(pulled)
-        self.obs.metrics.histogram(
-            "daemon.checkpoint_latency_ns").record(duration)
-        return protocol.reply(protocol.OP_CHECKPOINT_DONE, model=name,
-                              step=step, version=target,
-                              duration_ns=duration, bytes_pulled=pulled)
-
-    def _handle_checkpoint_dedup(self, message: Dict,
-                                 entry: ModelEntry) -> Generator:
-        """Dedup checkpoint: pull only the chunks absent from the store.
-
-        Crash-safe ordering (every window leak-only, verified by the
-        crash-point sweep):
-
-        1. begin_checkpoint stamps the target slot ACTIVE;
-        2. missing chunks are pulled into freshly reserved extents and
-           persisted — committed-but-unindexed extents, reclaimed by
-           fsck's leak scan on a crash;
-        3. ``ChunkStore.apply`` commits the whole reference delta (new
-           entries + shared-chunk increments) in ONE record write;
-        4. the target manifest record is written, the slot committed
-           DONE;
-        5. only then is the overwritten version's old manifest
-           unreferenced — and only if the slot was DONE *before* the
-           begin (a non-DONE slot's references were never certainly
-           counted; dropping them could over-free a shared chunk).
-        """
-        from repro.pmem.chunks import ChunkStore
-
-        name = message["model"]
-        step = message["step"]
-        manifest = message.get("manifest")
-        if manifest is None:
-            raise ProtocolError(
-                f"{name}: dedup model checkpoints need a chunk manifest")
-        if not entry.attached:
-            raise NotAttached(f"{name}: no attached client to pull from")
-        self._claim(entry)
-        qps = list(entry.qps)
-        trace_id = protocol.trace_of(message)
-        started = self.env.now
-        new_extents = []  # (digest, extent, mr) reserved this checkpoint
-        applied = False
-        try:
-            store = ChunkStore.ensure(self.pool,
-                                      chunk_bytes=entry.meta.chunk_bytes)
-            spans = self._dedup_spans(entry)
-            if len(manifest) != len(spans):
-                raise ProtocolError(
-                    f"{name}: manifest carries {len(manifest)} digests, "
-                    f"the region has {len(spans)} chunks")
-            clients = {c["name"]: c for c in entry.client_tensors}
-            flags_before = entry.meta.read_flags()
-            was_done = None
-            target = None
-            try:
-                with self.obs.tracer.span(self.env, "ckpt.begin",
-                                          cat="ckpt", trace_id=trace_id,
-                                          track="daemon", model=name):
-                    target = begin_checkpoint(entry.meta)
-                was_done = flags_before.states[target] == FLAG_DONE
-                old_manifest = (entry.meta.read_manifest(target)
-                                if was_done else [])
-                counts: Dict[bytes, int] = {}
-                for digest in manifest:
-                    counts[digest] = counts.get(digest, 0) + 1
-                missing = []  # (digest, span), region order, unique
-                seen = set()
-                for digest, span in zip(manifest, spans):
-                    if digest in seen:
-                        continue
-                    seen.add(digest)
-                    if store.lookup(digest) is None:
-                        missing.append((digest, span))
-                new_set = {digest for digest, _span in missing}
-                items = []
-                for digest, span in missing:
-                    extent = store.alloc_chunk(digest, span.size)
-                    mr = yield from self.node.nic.register_mr(extent)
-                    new_extents.append((digest, extent, mr))
-                    label = digest.hex()[:8]
-                    for piece in span.pieces:
-                        client = clients[piece.tensor]
-                        done = 0
-                        while done < piece.length:
-                            length = piece.length - done
-                            if self.engine_chunk_bytes is not None:
-                                length = min(length, self.engine_chunk_bytes)
-                            items.append(WorkItem(
-                                f"{label}:{piece.tensor}",
-                                piece.span_offset + done,
-                                client["addr"] + piece.tensor_offset + done,
-                                client["rkey"], length, mr=mr))
-                            done += length
-                pulled = 0
-                if items:
-                    engine = self._engine(qps, ingest=True,
-                                          trace_id=trace_id)
-                    try:
-                        pulled = yield from engine.pull_items(
-                            items, f"pull:{name}")
-                    except ReproError:
-                        engine.abort()
-                        raise
-                if self.pool.closed:
-                    raise PortusError(
-                        f"{name}: server crashed during checkpoint")
-                with self.obs.tracer.span(self.env, "ckpt.persist_commit",
-                                          cat="ckpt", trace_id=trace_id,
-                                          track="daemon", model=name):
-                    for _digest, extent, _mr in new_extents:
-                        extent.persist()
-                    yield self.env.timeout(FLUSH_BARRIER_NS)
-                    store.apply(
-                        [(digest, extent, counts[digest])
-                         for digest, extent, _mr in new_extents],
-                        {digest: count for digest, count in counts.items()
-                         if digest not in new_set})
-                    applied = True
-                    entry.meta.write_manifest(target, manifest)
-                    commit_checkpoint(entry.meta, target, step)
-                if was_done and old_manifest:
-                    store.unref(old_manifest)
-            except ReproError:
-                self._count("checkpoints_aborted")
-                if not self.pool.closed and target is not None \
-                        and not applied:
-                    # The target slot's manifest is untouched and the new
-                    # chunks are still private (no ChunkTable entry), so
-                    # the slot rolls back clean and the reserved extents
-                    # are simply released.
-                    abort_checkpoint(entry.meta, target, data_dirty=False)
-                    for _digest, extent, mr in new_extents:
-                        if mr.valid:
-                            self.node.nic.deregister_mr(mr)
-                        self.pool.free(extent)
-                    new_extents = []
-                raise
-        finally:
-            for _digest, _extent, mr in new_extents:
-                if mr.valid:
-                    self.node.nic.deregister_mr(mr)
-            self._release(entry)
-        duration = self.env.now - started
-        self.ledger.add("rdma_pull", duration)
-        logical = entry.meta.mindex.total_bytes
-        chunks_new = len(new_extents)
-        chunks_shared = len(manifest) - sum(
-            counts[digest] for digest, _e, _m in new_extents)
-        self.checkpoints_completed += 1
-        self.bytes_pulled += pulled
-        self.bytes_logical += logical
-        self._count("checkpoints_completed")
-        self.obs.metrics.counter("daemon.bytes_pulled").inc(pulled)
-        self.obs.metrics.counter("daemon.bytes_logical").inc(logical)
-        self.obs.metrics.counter("daemon.chunks_new").inc(chunks_new)
-        self.obs.metrics.counter("daemon.chunks_shared").inc(chunks_shared)
+        report = write.report()
+        for key, value in report.items():
+            self.obs.metrics.counter(f"daemon.{key}").inc(value)
         self.obs.metrics.histogram(
             "daemon.checkpoint_latency_ns").record(duration)
         return protocol.reply(protocol.OP_CHECKPOINT_DONE, model=name,
                               step=step, version=target,
                               duration_ns=duration, bytes_pulled=pulled,
-                              bytes_logical=logical, chunks_new=chunks_new,
-                              chunks_shared=chunks_shared)
+                              **report)
 
-    def _copy_clean_tensors(self, entry: ModelEntry, source: int,
-                            target: int, descriptors) -> Generator:
+    def _carry_forward(self, write) -> Generator:
         """Incremental mode: complete the new version by copying the
         unchanged tensors from the previous DONE version — a local
         PMem-to-PMem move, no network involved.  Returns the bytes
         actually written into the target region (the abort path's
         data-dirty signal: an interrupt during the simulated move lands
         nothing, so the slot is still clean)."""
-        total = sum(d.size for d in descriptors)
-        if total == 0:
-            return 0
+        total = sum(d.size for d in write.kept)
         copier = LocalCopyEngine(self.env, self.pool.device,
                                  chunk_bytes=self.engine_chunk_bytes)
         yield from copier.move(total, label="incremental-local-copy")
-        source_region = entry.meta.data_region(source)
-        target_region = entry.meta.data_region(target)
-        for descriptor in descriptors:
-            content = source_region.read(descriptor.offset,
-                                         descriptor.size)
-            target_region.write(descriptor.offset, content)
+        write.carry_forward()
         return total
 
     # -- DO_RESTORE -----------------------------------------------------------------------
@@ -923,123 +728,37 @@ class PortusDaemon:
         return checkpoint_at_step(entry.meta, pinned), pinned
 
     def _handle_restore(self, message: Dict) -> Generator:
+        """Push a version back, whatever the layout: the engine writes
+        every overlap of the version's extents with the client's
+        tensors, straight from PMem (bit-exact, one stripe set)."""
         name = message["model"]
         entry = self._entry(name)
-        if entry.meta.dedup:
-            return (yield from self._handle_restore_dedup(message, entry))
         if not entry.attached:
             raise NotAttached(f"{name}: no attached client to push to")
         self._claim(entry)
         qps = list(entry.qps)
         trace_id = protocol.trace_of(message)
         started = self.env.now
+        mrs = MrCache(self.node.nic, entry.version_mrs)
         try:
             version, step = self._restore_version(entry, message)
-            region_mr = entry.version_mrs[version]
-            pairs = list(zip(entry.meta.mindex.descriptors,
-                             entry.client_tensors))
+            items = yield from plan_items(entry.meta.layout.extents(version),
+                                          entry.client_runs, mrs,
+                                          self.engine_chunk_bytes)
             engine = self._engine(qps, ingest=False, trace_id=trace_id)
             try:
-                pushed = yield from engine.push(region_mr, pairs,
-                                                f"push:{name}")
+                pushed = yield from engine.push(items, f"push:{name}")
             except ReproError:
                 # A restore mutates nothing on PMem; the engine already
                 # retired the in-flight WRs on every QP of the stripe
                 # set so they cannot write stale bytes into the client
                 # after it re-attaches and retries.
-                engine.abort()
                 self._count("restores_aborted")
                 raise
             if self.pool.closed:
                 raise PortusError(f"{name}: server crashed during restore")
         finally:
-            self._release(entry)
-        duration = self.env.now - started
-        self.ledger.add("rdma_push", duration)
-        self.restores_completed += 1
-        self.bytes_pushed += pushed
-        self._count("restores_completed")
-        self.obs.metrics.counter("daemon.bytes_pushed").inc(pushed)
-        self.obs.metrics.histogram(
-            "daemon.restore_latency_ns").record(duration)
-        return protocol.reply(protocol.OP_RESTORE_DONE, model=name,
-                              step=step, version=version,
-                              duration_ns=duration, bytes_pushed=pushed)
-
-    def _handle_restore_dedup(self, message: Dict,
-                              entry: ModelEntry) -> Generator:
-        """Dedup restore: reassemble the newest DONE version from the
-        chunk store and push it back — bit-exact, straight from the
-        shared extents (ephemeral per-chunk MRs, one stripe set)."""
-        from repro.pmem.chunks import ChunkStore
-
-        name = message["model"]
-        if not entry.attached:
-            raise NotAttached(f"{name}: no attached client to push to")
-        self._claim(entry)
-        qps = list(entry.qps)
-        trace_id = protocol.trace_of(message)
-        started = self.env.now
-        mrs = []
-        try:
-            store = ChunkStore.attach(self.pool)
-            if store is None:
-                raise PortusError(
-                    f"{name}: dedup model but the pool has no chunk store")
-            version, step = self._restore_version(entry, message)
-            manifest = entry.meta.read_manifest(version)
-            spans = self._dedup_spans(entry)
-            if len(manifest) != len(spans):
-                raise PortusError(
-                    f"{name}: version {version} manifest carries "
-                    f"{len(manifest)} digests, the region has "
-                    f"{len(spans)} chunks")
-            clients = {c["name"]: c for c in entry.client_tensors}
-            mr_by_digest: Dict[bytes, object] = {}
-            items = []
-            for digest, span in zip(manifest, spans):
-                if not span.pieces:
-                    continue
-                mr = mr_by_digest.get(digest)
-                if mr is None:
-                    chunk_entry = store.lookup(digest)
-                    if chunk_entry is None:
-                        raise PortusError(
-                            f"{name}: chunk {digest.hex()[:12]} missing "
-                            f"from the store")
-                    allocation = store.allocation_of(chunk_entry)
-                    mr = yield from self.node.nic.register_mr(allocation)
-                    mr_by_digest[digest] = mr
-                    mrs.append(mr)
-                label = digest.hex()[:8]
-                for piece in span.pieces:
-                    client = clients[piece.tensor]
-                    done = 0
-                    while done < piece.length:
-                        length = piece.length - done
-                        if self.engine_chunk_bytes is not None:
-                            length = min(length, self.engine_chunk_bytes)
-                        items.append(WorkItem(
-                            f"{label}:{piece.tensor}",
-                            piece.span_offset + done,
-                            client["addr"] + piece.tensor_offset + done,
-                            client["rkey"], length, mr=mr))
-                        done += length
-            engine = self._engine(qps, ingest=False, trace_id=trace_id)
-            try:
-                pushed = yield from engine.push_items(items, f"push:{name}")
-            except ReproError:
-                # A restore mutates nothing on PMem; flush the stripe set
-                # so late WRs cannot land stale bytes post-reattach.
-                engine.abort()
-                self._count("restores_aborted")
-                raise
-            if self.pool.closed:
-                raise PortusError(f"{name}: server crashed during restore")
-        finally:
-            for mr in mrs:
-                if mr.valid:
-                    self.node.nic.deregister_mr(mr)
+            mrs.release()
             self._release(entry)
         duration = self.env.now - started
         self.ledger.add("rdma_push", duration)
@@ -1057,26 +776,35 @@ class PortusDaemon:
 
     def _handle_unregister(self, message: Dict) -> Generator:
         name = message["model"]
+        entry = self.drop_model(name)
+        if self.tenants is not None and entry.tenant is not None:
+            self.tenants.release_bytes(entry.tenant, name)
+        return protocol.reply(protocol.OP_UNREGISTERED, model=name)
+        yield  # pragma: no cover - keeps this a generator
+
+    def drop_model(self, name: str) -> ModelEntry:
+        """Delete *name* from this daemon (UNREGISTER, or a migration's
+        source evict); returns its entry.
+
+        Deregisters the version MRs, then removes the ModelTable entry
+        (committed) BEFORE releasing the extents: a crash mid-drop then
+        only leaks GC-able extents, instead of leaving a table entry
+        that points at freed metadata and wedges the next recovery.  A
+        chunk-layout model drops only its own chunk references.
+        """
         entry = self._entry(name)
         self._claim(entry)
         try:
-            for version in (0, 1):
-                mr = entry.version_mrs[version]
-                if mr is not None:
+            for version, mr in enumerate(entry.version_mrs):
+                if mr is not None and mr.valid:
                     self.node.nic.deregister_mr(mr)
-            # Remove the ModelTable entry (committed) BEFORE releasing
-            # the extents: a crash mid-unregister then only leaks
-            # GC-able extents, instead of leaving a table entry that
-            # points at freed metadata and wedges the next recovery.
+                entry.version_mrs[version] = None
             self.table.remove(name)
             entry.meta.free()
             self.model_map.delete(name)
-            if self.tenants is not None and entry.tenant is not None:
-                self.tenants.release_bytes(entry.tenant, name)
         finally:
             self._release(entry)
-        return protocol.reply(protocol.OP_UNREGISTERED, model=name)
-        yield  # pragma: no cover - keeps this a generator
+        return entry
 
     # -- GROUPS ------------------------------------------------------------------------------
 

@@ -9,10 +9,13 @@ restore pushes, and repacking's local moves:
   WRs in flight; the moment a completion returns a credit the next WR is
   posted.  No barrier: a straggler tensor no longer idles the other
   slots of its window.
-* **Multi-QP striping** — the tensor list is sharded across the QPs the
-  client registered (``num_qps`` is negotiated at REGISTER time), and
-  tensors larger than ``chunk_bytes`` are segmented so one huge GPT
-  tensor parallelizes across lanes instead of serializing on one WR.
+* **Multi-QP striping** — the work items are sharded across the QPs the
+  client registered (``num_qps`` is negotiated at REGISTER time).  Items
+  come from :func:`plan_items`, which intersects the local extents a
+  layout names with the peer's runs; every item carries its own local
+  MR, and runs larger than ``chunk_bytes`` are segmented so one huge
+  GPT tensor parallelizes across lanes instead of serializing on one
+  WR.
 * **Largest-first scheduling** — items are posted in decreasing size
   (LPT order) and striped onto the least-loaded lane, so the long tail
   of a skewed tensor-size distribution cannot become the straggler.
@@ -37,6 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
+from repro.core.index import overlaps
 from repro.errors import ReproError
 from repro.obs import NULL_SPAN, Observability
 from repro.sim import AllOf, AnyOf, Environment, Event, Transfer
@@ -51,18 +55,14 @@ ENGINE_CHUNK_BYTES = mib(4)
 
 
 class WorkItem:
-    """One WR to post: a whole tensor or a segment of one.
-
-    *mr* optionally overrides the operation-wide local MR: the dedup
-    datapath pulls each missing chunk into its own extent's MR while
-    sibling items target other extents, all within one stripe set.
-    """
+    """One WR to post: a run of bytes between a local MR (at
+    *local_offset*) and a remote address under *rkey*."""
 
     __slots__ = ("name", "local_offset", "remote_addr", "rkey", "size",
                  "mr")
 
     def __init__(self, name: str, local_offset: int, remote_addr: int,
-                 rkey: int, size: int, mr=None) -> None:
+                 rkey: int, size: int, mr) -> None:
         self.name = name
         self.local_offset = local_offset
         self.remote_addr = remote_addr
@@ -75,30 +75,93 @@ class WorkItem:
                f"{self.size}B>"
 
 
-def build_items(pairs, chunk_bytes: Optional[int]) -> List[WorkItem]:
-    """Expand (descriptor, client) pairs into WR-sized work items.
+class RemoteRun:
+    """Region bytes ``[offset, offset + size)`` a peer exposes at *addr*
+    under *rkey*: a client's tensor, or a piece of another server's
+    version during a migration."""
 
-    Tensors larger than *chunk_bytes* are segmented; ``None`` disables
-    segmentation (one WR per tensor, the seed behaviour).
+    __slots__ = ("name", "offset", "size", "addr", "rkey")
+
+    def __init__(self, name: str, offset: int, size: int, addr: int,
+                 rkey: int) -> None:
+        self.name = name
+        self.offset = offset
+        self.size = size
+        self.addr = addr
+        self.rkey = rkey
+
+
+class MrCache:
+    """The local MRs of one operation.
+
+    *pinned* MRs (registered once per attach) are reused; any other
+    allocation is registered on first use and deregistered again by
+    :meth:`release`.
+    """
+
+    def __init__(self, nic, pinned: Sequence = ()) -> None:
+        self.nic = nic
+        self._mrs: Dict[int, object] = {
+            mr.allocation.addr: mr for mr in pinned
+            if mr is not None and mr.valid}
+        self._owned: List = []
+
+    def get(self, allocation) -> Generator:
+        """Process: the MR covering *allocation*."""
+        mr = self._mrs.get(allocation.addr)
+        if mr is None or not mr.valid:
+            mr = yield from self.nic.register_mr(allocation)
+            self._mrs[allocation.addr] = mr
+            self._owned.append(mr)
+        return mr
+
+    def release(self) -> None:
+        for mr in self._owned:
+            if mr.valid:
+                self.nic.deregister_mr(mr)
+
+
+def build_items(runs: List[WorkItem],
+                chunk_bytes: Optional[int]) -> List[WorkItem]:
+    """Segment whole-run work items into WR-sized ones.
+
+    A run larger than *chunk_bytes* becomes ``name#0``, ``name#1``, ...
+    tiling it contiguously on both sides; ``None`` disables segmentation
+    (one WR per run, the seed behaviour).
     """
     items = []
-    for descriptor, client in pairs:
-        size = descriptor.size
-        if chunk_bytes is None or size <= chunk_bytes:
-            items.append(WorkItem(descriptor.name, descriptor.offset,
-                                  client["addr"], client["rkey"], size))
+    for run in runs:
+        if chunk_bytes is None or run.size <= chunk_bytes:
+            items.append(run)
             continue
         done = 0
         part = 0
-        while done < size:
-            length = min(chunk_bytes, size - done)
-            items.append(WorkItem(f"{descriptor.name}#{part}",
-                                  descriptor.offset + done,
-                                  client["addr"] + done,
-                                  client["rkey"], length))
+        while done < run.size:
+            length = min(chunk_bytes, run.size - done)
+            items.append(WorkItem(f"{run.name}#{part}",
+                                  run.local_offset + done,
+                                  run.remote_addr + done, run.rkey,
+                                  length, run.mr))
             done += length
             part += 1
     return items
+
+
+def plan_items(targets, runs: List[RemoteRun], mrs: MrCache,
+               chunk_bytes: Optional[int]) -> Generator:
+    """Process: the work items moving every overlap of the local
+    *targets* (:class:`~repro.core.index.Extent` runs) with the remote
+    *runs*, target-major in region order.  Each target's MR comes from
+    *mrs* on first use; an extent's label prefixes its items' names."""
+    whole = []
+    for extent, run, lo, hi in overlaps(targets, runs):
+        mr = yield from mrs.get(extent.allocation)
+        name = (run.name if extent.label is None
+                else f"{extent.label}:{run.name}")
+        whole.append(WorkItem(name, extent.base + lo - extent.offset,
+                              run.addr + lo - run.offset, run.rkey,
+                              hi - lo, mr))
+    return build_items(whole, chunk_bytes)
 
 
 def stripe_items(items: List[WorkItem], lanes: int,
@@ -211,9 +274,10 @@ class TransferEngine:
     """Drives one pull or push across a stripe set of QPs.
 
     One instance per operation: construct, call :meth:`pull` or
-    :meth:`push` (process generators), read the counters.  ``depth`` is
-    the per-QP credit count; ``pipelined=False`` reproduces the seed's
-    barrier-window posting (kept for the engine ablation benchmarks).
+    :meth:`push` on prebuilt work items (each carrying its local MR),
+    read the counters.  ``depth`` is the per-QP credit count;
+    ``pipelined=False`` reproduces the seed's barrier-window posting
+    (kept for the engine ablation benchmarks).
     ``stream_limit`` is a shared :class:`repro.sim.Resource` bounding
     total in-flight WRs across every concurrent operation (the PMem
     ingest cap); ``wqe_cost`` is charged once per posted WR (a generator
@@ -221,7 +285,6 @@ class TransferEngine:
     """
 
     def __init__(self, env: Environment, qps: Sequence, depth: int,
-                 chunk_bytes: Optional[int] = ENGINE_CHUNK_BYTES,
                  pipelined: bool = True, largest_first: bool = True,
                  stream_limit=None,
                  wqe_cost: Optional[Callable[[], Generator]] = None,
@@ -234,7 +297,6 @@ class TransferEngine:
         self.env = env
         self.qps = list(qps)
         self.depth = depth
-        self.chunk_bytes = chunk_bytes
         self.pipelined = pipelined
         self.largest_first = largest_first
         self.stream_limit = stream_limit
@@ -258,31 +320,15 @@ class TransferEngine:
 
     # -- public operations -------------------------------------------------------
 
-    def pull(self, region_mr, pairs, label_prefix: str) -> Generator:
-        """Process: RDMA-READ every (descriptor, client) pair into
-        *region_mr*; returns the bytes pulled."""
-        return (yield from self._run("read", region_mr, pairs,
-                                     label_prefix))
+    def pull(self, items: List[WorkItem], label_prefix: str) -> Generator:
+        """Process: RDMA-READ every item into its local MR; returns the
+        bytes pulled."""
+        return (yield from self._run("read", items, label_prefix))
 
-    def push(self, region_mr, pairs, label_prefix: str) -> Generator:
-        """Process: RDMA-WRITE every pair from *region_mr* to the
-        client; returns the bytes pushed."""
-        return (yield from self._run("write", region_mr, pairs,
-                                     label_prefix))
-
-    def pull_items(self, items: List[WorkItem],
-                   label_prefix: str) -> Generator:
-        """Process: RDMA-READ pre-built work items (each carrying its
-        own local MR); returns the bytes pulled."""
-        return (yield from self._run("read", None, None, label_prefix,
-                                     items=items))
-
-    def push_items(self, items: List[WorkItem],
-                   label_prefix: str) -> Generator:
-        """Process: RDMA-WRITE pre-built work items (each carrying its
-        own local MR); returns the bytes pushed."""
-        return (yield from self._run("write", None, None, label_prefix,
-                                     items=items))
+    def push(self, items: List[WorkItem], label_prefix: str) -> Generator:
+        """Process: RDMA-WRITE every item from its local MR to the
+        peer; returns the bytes pushed."""
+        return (yield from self._run("write", items, label_prefix))
 
     def abort(self) -> None:
         """Stop posting and flush every QP of the stripe set.
@@ -298,10 +344,8 @@ class TransferEngine:
 
     # -- core --------------------------------------------------------------------
 
-    def _run(self, kind: str, region_mr, pairs, label_prefix: str,
-             items: Optional[List[WorkItem]] = None) -> Generator:
-        if items is None:
-            items = build_items(pairs, self.chunk_bytes)
+    def _run(self, kind: str, items: List[WorkItem],
+             label_prefix: str) -> Generator:
         if not items:
             return 0
         queues = stripe_items(items, len(self.qps), self.largest_first)
@@ -312,8 +356,8 @@ class TransferEngine:
             items=len(items), lanes=sum(1 for q in queues if q),
             op=label_prefix)
         lanes = [
-            self.env.process(lane_fn(kind, qp, deque(queue), region_mr,
-                                     label_prefix, index, span),
+            self.env.process(lane_fn(kind, qp, deque(queue), label_prefix,
+                                     index, span),
                              name=f"engine-{kind}-lane{index}")
             for index, (qp, queue) in enumerate(zip(self.qps, queues))
             if queue
@@ -336,12 +380,10 @@ class TransferEngine:
             raise self._first_error
         return self.bytes_moved
 
-    def _post(self, kind: str, qp, item: WorkItem, region_mr,
-              label_prefix: str):
+    def _post(self, kind: str, qp, item: WorkItem, label_prefix: str):
         verb = qp.read if kind == "read" else qp.write
         self.posted_wrs += 1
-        local_mr = item.mr if item.mr is not None else region_mr
-        event = verb(local_mr, item.local_offset, item.rkey,
+        event = verb(item.mr, item.local_offset, item.rkey,
                      item.remote_addr, item.size,
                      label=f"{label_prefix}:{item.name}")
         # The lane may yield (stream token, per-WR CPU) between posting
@@ -351,9 +393,8 @@ class TransferEngine:
         event.defuse()
         return event
 
-    def _lane(self, kind: str, qp, queue, region_mr,
-              label_prefix: str, index: int = 0,
-              parent=None) -> Generator:
+    def _lane(self, kind: str, qp, queue, label_prefix: str,
+              index: int = 0, parent=None) -> Generator:
         """Safe process: sliding-window posting on one QP.
 
         Never fails — the first WR error is recorded, the stripe set
@@ -399,8 +440,7 @@ class TransferEngine:
                             self.stream_limit.release(token)
                         break
                     item = queue.popleft()
-                    event = self._post(kind, qp, item, region_mr,
-                                       label_prefix)
+                    event = self._post(kind, qp, item, label_prefix)
                     wr_span = tracer.span(
                         self.env, wr_name, cat="wr",
                         trace_id=self.trace_id, parent=lane_span,
@@ -435,9 +475,8 @@ class TransferEngine:
             self._drain(inflight)
             lane_span.finish(posted=posted, aborted=self._aborted)
 
-    def _lane_barrier(self, kind: str, qp, queue, region_mr,
-                      label_prefix: str, index: int = 0,
-                      parent=None) -> Generator:
+    def _lane_barrier(self, kind: str, qp, queue, label_prefix: str,
+                      index: int = 0, parent=None) -> Generator:
         """Safe process: the seed's barrier-window posting on one QP.
 
         Completions are retired mid-window only to recycle stream
@@ -485,8 +524,7 @@ class TransferEngine:
                             self.stream_limit.release(token)
                         break
                     item = window.popleft()
-                    event = self._post(kind, qp, item, region_mr,
-                                       label_prefix)
+                    event = self._post(kind, qp, item, label_prefix)
                     wr_span = tracer.span(
                         self.env, wr_name, cat="wr",
                         trace_id=self.trace_id, parent=lane_span,

@@ -15,17 +15,30 @@ checkpoint version), inside which every tensor has a fixed 64-byte-
 aligned offset.  Contiguity is what lets the daemon register a single
 RDMA MR per version and pull every tensor with one-sided reads into its
 final resting place — the zero-copy, serialization-free property.
+
+Where a version's bytes live is the model's *storage layout*
+(:class:`SlotLayout` for the paper's contiguous slots,
+:class:`ChunkLayout` for deduplicated chunk manifests).  A layout
+answers the only two questions the datapath asks: which PMem
+:class:`Extent` runs hold a version's bytes, and what reserves, commits
+and aborts a new version (:class:`VersionWrite`).
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.dedup import chunk_spans
 from repro.dnn.tensor import TensorSpec
 from repro.dnn.dtypes import DType
-from repro.errors import ModelNotFound, PmemError, PortusError
+from repro.errors import (ModelNotFound, NoValidCheckpoint, PmemError,
+                          PortusError, ProtocolError)
+from repro.hw.content import concat
 from repro.hw.device import Allocation
+from repro.pmem.chunks import ChunkStore
 from repro.pmem.layout import CommittedRecord, blob_capacity
 from repro.pmem.pool import PmemPool
 
@@ -150,6 +163,47 @@ def region_extent(descriptors: List[TensorDescriptor]) -> int:
     return max(cursor, _ALIGN)
 
 
+class Extent:
+    """A run of a version's region bytes held in one PMem allocation.
+
+    Region bytes ``[offset, offset + size)`` live at *base* inside
+    *allocation*.  *label*, when set, prefixes the names of the work
+    requests that move the run (the chunk layout labels each chunk with
+    its digest).
+    """
+
+    __slots__ = ("offset", "size", "allocation", "base", "label")
+
+    def __init__(self, offset: int, size: int, allocation: Allocation,
+                 base: int = 0, label: Optional[str] = None) -> None:
+        self.offset = offset
+        self.size = size
+        self.allocation = allocation
+        self.base = base
+        self.label = label
+
+
+def overlaps(extents, runs):
+    """Yield ``(extent, run, lo, hi)`` for every non-empty overlap
+    ``[lo, hi)`` of two region maps, extent-major, runs in order.
+
+    Each map is sorted by region ``offset`` and its runs are disjoint; a
+    run is anything with ``offset`` and ``size`` (a tensor descriptor, a
+    remote run, another extent).
+    """
+    starts = [run.offset for run in runs]
+    for extent in extents:
+        end = extent.offset + extent.size
+        index = max(bisect_right(starts, extent.offset) - 1, 0)
+        while index < len(runs) and starts[index] < end:
+            run = runs[index]
+            lo = max(extent.offset, run.offset)
+            hi = min(end, run.offset + run.size)
+            if lo < hi:
+                yield extent, run, lo, hi
+            index += 1
+
+
 class MIndex:
     """The level-2 record: tensor table + the two TensorData addresses."""
 
@@ -272,6 +326,8 @@ class ModelMeta:
                                 manifest_slot))
         else:
             self._manifest_records = (None, None)
+        self.layout = (ChunkLayout(self) if manifest_slot > 0
+                       else SlotLayout(self))
 
     @property
     def dedup(self) -> bool:
@@ -285,28 +341,6 @@ class ModelMeta:
         """Bytes the metadata region needs for *tensor_count* tensors."""
         return (_META_HEADER_SIZE + 2 * _FLAGS_SLOT
                 + 2 * MIndex.slot_size(tensor_count))
-
-    @classmethod
-    def create(cls, pool: PmemPool, model_name: str,
-               specs: List[TensorSpec]) -> "ModelMeta":
-        """Allocate the metadata region and both TensorData versions."""
-        descriptors, region_size = layout_tensors(specs)
-        meta = pool.alloc(cls.meta_region_size(len(descriptors)),
-                          tag=f"{META_TAG}/{_short(model_name)}")
-        data0 = pool.alloc(region_size,
-                           tag=f"{DATA_TAG}/{_short(model_name)}/v0")
-        data1 = pool.alloc(region_size,
-                           tag=f"{DATA_TAG}/{_short(model_name)}/v1")
-        mindex = MIndex(model_name, descriptors, (data0.addr, data1.addr),
-                        sum(d.size for d in descriptors))
-        instance = cls(pool, meta, mindex, (data0, data1))
-        meta.write_bytes(0, _META_HEADER.pack(
-            _META_MAGIC, _META_LAYOUT_VERSION, instance.flags_slot,
-            instance.mindex_slot))
-        meta.persist(0, _META_HEADER.size)
-        instance._mindex_record.write(mindex.pack())
-        instance.write_flags(VersionFlags())
-        return instance
 
     @staticmethod
     def manifest_slot_size(region_size: int, chunk_bytes: int) -> int:
@@ -325,33 +359,59 @@ class ModelMeta:
                 + 4 * ModelMeta.manifest_slot_size(region_size, chunk_bytes))
 
     @classmethod
-    def create_dedup(cls, pool: PmemPool, model_name: str,
-                     specs: List[TensorSpec],
-                     chunk_bytes: int) -> "ModelMeta":
-        """Allocate a dedup (layout v2) model: metadata region only.
+    def create(cls, pool: PmemPool, model_name: str,
+               specs: List[TensorSpec],
+               chunk_bytes: Optional[int] = None) -> "ModelMeta":
+        """Allocate the metadata region and both TensorData versions.
 
-        Version data lives in the pool-wide chunk store; each version
-        slot's manifest record lists the digests that reassemble it.
+        With *chunk_bytes* the model uses the dedup layout (v2) instead:
+        the metadata region only — version data lives in the pool-wide
+        chunk store (formatted on first use, and validating the chunk
+        size), and each version slot's manifest record lists the digests
+        that reassemble it.
         """
-        if chunk_bytes <= 0:
-            raise PmemError(f"bad chunk size {chunk_bytes}")
         descriptors, region_size = layout_tensors(specs)
-        manifest_slot = cls.manifest_slot_size(region_size, chunk_bytes)
-        meta = pool.alloc(
-            cls.meta_region_size_dedup(len(descriptors), region_size,
-                                       chunk_bytes),
-            tag=f"{META_TAG}/{_short(model_name)}")
-        mindex = MIndex(model_name, descriptors, (0, 0),
+        tag = _short(model_name)
+        mindex_slot = MIndex.slot_size(len(descriptors))
+        if chunk_bytes is None:
+            manifest_slot = 0
+            meta = pool.alloc(cls.meta_region_size(len(descriptors)),
+                              tag=f"{META_TAG}/{tag}")
+            regions = tuple(pool.alloc(region_size,
+                                       tag=f"{DATA_TAG}/{tag}/v{version}")
+                            for version in (0, 1))
+            header = _META_HEADER.pack(_META_MAGIC, _META_LAYOUT_VERSION,
+                                       _FLAGS_SLOT, mindex_slot)
+        else:
+            ChunkStore.ensure(pool, chunk_bytes=chunk_bytes)
+            manifest_slot = cls.manifest_slot_size(region_size, chunk_bytes)
+            meta = pool.alloc(
+                cls.meta_region_size_dedup(len(descriptors), region_size,
+                                           chunk_bytes),
+                tag=f"{META_TAG}/{tag}")
+            regions = (None, None)
+            header = _META_HEADER_V2.pack(
+                _META_MAGIC, _META_LAYOUT_VERSION_DEDUP, _FLAGS_SLOT,
+                mindex_slot, manifest_slot, chunk_bytes)
+        mindex = MIndex(model_name, descriptors,
+                        tuple(region.addr if region is not None else 0
+                              for region in regions),
                         sum(d.size for d in descriptors))
-        instance = cls(pool, meta, mindex, (None, None),
-                       manifest_slot=manifest_slot, chunk_bytes=chunk_bytes)
-        meta.write_bytes(0, _META_HEADER_V2.pack(
-            _META_MAGIC, _META_LAYOUT_VERSION_DEDUP, instance.flags_slot,
-            instance.mindex_slot, manifest_slot, chunk_bytes))
-        meta.persist(0, _META_HEADER_V2.size)
+        instance = cls(pool, meta, mindex, regions,
+                       manifest_slot=manifest_slot,
+                       chunk_bytes=chunk_bytes or 0)
+        meta.write_bytes(0, header)
+        meta.persist(0, len(header))
         instance._mindex_record.write(mindex.pack())
         instance.write_flags(VersionFlags())
         return instance
+
+    def replicate(self, pool: PmemPool) -> "ModelMeta":
+        """An empty model with this model's tensors and layout on *pool*
+        (a migration's destination index)."""
+        return self.create(pool, self.mindex.model_name,
+                           [d.to_spec() for d in self.mindex.descriptors],
+                           chunk_bytes=self.chunk_bytes or None)
 
     @staticmethod
     def read_geometry(meta: Allocation) -> Tuple[int, int, int, int]:
@@ -501,8 +561,6 @@ class ModelMeta:
         return reclaimed
 
     def _drop_version_dedup(self, version: int) -> int:
-        from repro.pmem.chunks import ChunkStore
-
         digests = self.read_manifest(version)
         flags = self.read_flags()
         was_done = flags.states[version] == FLAG_DONE
@@ -566,46 +624,13 @@ class ModelMeta:
         return self.data_regions[version]
 
     def read_tensor(self, descriptor: TensorDescriptor, version: int):
-        if self.dedup:
-            return self._read_tensor_dedup(descriptor, version)
-        return self.data_regions[version].read(descriptor.offset,
-                                               descriptor.size)
-
-    def _read_tensor_dedup(self, descriptor: TensorDescriptor, version: int):
-        from repro.hw.content import concat
-        from repro.pmem.chunks import ChunkStore
-
-        store = ChunkStore.attach(self.pool)
-        if store is None:
-            raise PmemError(
-                f"{self.mindex.model_name}: dedup model but the pool "
-                f"has no chunk store")
-        digests = self.read_manifest(version)
-        if not digests:
-            raise PmemError(
-                f"{self.mindex.model_name}: version {version} has no "
-                f"manifest")
-        parts = []
-        start = descriptor.offset
-        end = descriptor.offset + descriptor.size
-        first = start // self.chunk_bytes
-        last = (end - 1) // self.chunk_bytes
-        for index in range(first, last + 1):
-            if index >= len(digests):
-                raise PmemError(
-                    f"{self.mindex.model_name}: manifest too short for "
-                    f"tensor {descriptor.name!r}")
-            entry = store.lookup(digests[index])
-            if entry is None:
-                raise PmemError(
-                    f"{self.mindex.model_name}: chunk "
-                    f"{digests[index].hex()[:12]} missing from the store")
-            chunk_start = index * self.chunk_bytes
-            lo = max(start, chunk_start)
-            hi = min(end, chunk_start + entry.size)
-            allocation = store.allocation_of(entry)
-            parts.append(allocation.read(lo - chunk_start, hi - lo))
-        return concat(parts)
+        """A tensor's bytes in *version*, gathered from the layout's
+        extents (raises when the version holds no bytes)."""
+        return concat([
+            extent.allocation.read(extent.base + lo - extent.offset,
+                                   hi - lo)
+            for extent, _run, lo, hi in overlaps(
+                self.layout.extents(version), [descriptor])])
 
     def free(self) -> None:
         """Release every extent (unregister / repack).
@@ -630,6 +655,259 @@ class ModelMeta:
 def _short(name: str) -> str:
     """Fit model names into AllocTable tags."""
     return name[-40:]
+
+
+# -- storage layouts --------------------------------------------------------------
+
+
+class SlotLayout:
+    """The paper's layout: each version is one contiguous TensorData
+    region, pinned for RDMA once per attach (§III-D2)."""
+
+    def __init__(self, meta: ModelMeta) -> None:
+        self.meta = meta
+
+    def extents(self, version: int) -> List[Extent]:
+        """The runs holding *version*'s bytes: its whole data region."""
+        region = self.meta.data_region(version)
+        if region is None:
+            raise NoValidCheckpoint(
+                f"{self.meta.mindex.model_name}: version {version} was "
+                f"repacked away")
+        return [Extent(0, region.size, region)]
+
+    def new_version(self, manifest=None, dirty=None) -> "SlotWrite":
+        return SlotWrite(self.meta, dirty)
+
+
+class ChunkLayout:
+    """The deduplicated layout: each version is a chunk manifest over
+    the pool-wide refcounted :class:`~repro.pmem.chunks.ChunkStore`;
+    chunk extents are registered per operation, never pinned."""
+
+    def __init__(self, meta: ModelMeta) -> None:
+        self.meta = meta
+        self._spans = None
+
+    def spans(self):
+        """The region's chunk spans — the same cut the client hashes
+        over (derived once: the MIndex is immutable)."""
+        if self._spans is None:
+            descriptors = self.meta.mindex.descriptors
+            self._spans = chunk_spans(descriptors,
+                                      region_extent(descriptors),
+                                      self.meta.chunk_bytes)
+        return self._spans
+
+    def extents(self, version: int) -> List[Extent]:
+        """One run per chunk of *version*'s manifest, in region order."""
+        name = self.meta.mindex.model_name
+        store = ChunkStore.attach(self.meta.pool)
+        if store is None:
+            raise PmemError(f"{name}: dedup model but the pool has no "
+                            f"chunk store")
+        manifest = self.meta.read_manifest(version)
+        spans = self.spans()
+        if len(manifest) != len(spans):
+            raise PmemError(
+                f"{name}: version {version} manifest carries "
+                f"{len(manifest)} digests, the region has {len(spans)} "
+                f"chunks")
+        extents = []
+        for digest, span in zip(manifest, spans):
+            entry = store.lookup(digest)
+            if entry is None:
+                raise PmemError(f"{name}: chunk {digest.hex()[:12]} "
+                                f"missing from the store")
+            extents.append(Extent(span.start, span.size,
+                                  store.allocation_of(entry),
+                                  label=digest.hex()[:8]))
+        return extents
+
+    def new_version(self, manifest=None, dirty=None) -> "ChunkWrite":
+        """A write of the version *manifest* describes; *dirty* is moot
+        (unchanged chunks are shared by reference)."""
+        name = self.meta.mindex.model_name
+        if manifest is None:
+            raise ProtocolError(
+                f"{name}: dedup model checkpoints need a chunk manifest")
+        spans = self.spans()
+        if len(manifest) != len(spans):
+            raise ProtocolError(
+                f"{name}: manifest carries {len(manifest)} digests, "
+                f"the region has {len(spans)} chunks")
+        store = ChunkStore.ensure(self.meta.pool,
+                                  chunk_bytes=self.meta.chunk_bytes)
+        return ChunkWrite(self.meta, store, spans, manifest)
+
+
+class VersionWrite:
+    """One new version being written into a model's free slot.
+
+    The datapath drives every layout through the same steps:
+    :meth:`begin` (stamp the slot ACTIVE and reserve the runs the pull
+    fills — :attr:`targets`), land the bytes, ``persist``, the flush
+    barrier, :meth:`commit`; on any failure :meth:`abort`, which is safe
+    at every stage and a no-op once the version is committed.
+    """
+
+    def __init__(self, meta: ModelMeta) -> None:
+        self.meta = meta
+        #: The version slot being written (None until :meth:`begin`).
+        self.target: Optional[int] = None
+        #: Where the pulled bytes land, region-ordered.
+        self.targets: List[Extent] = []
+        #: Incremental slot writes: the tensors carried over from the
+        #: previous version by a local copy (None: nothing is carried).
+        self.kept: Optional[List[TensorDescriptor]] = None
+
+    def begin(self) -> int:
+        """Stamp the free slot ACTIVE; returns its version index."""
+        from repro.core.consistency import begin_checkpoint
+
+        self.target = begin_checkpoint(self.meta)
+        return self.target
+
+    def commit(self, step: int) -> None:
+        """Stamp the slot DONE at *step*: the version is restorable."""
+        from repro.core.consistency import commit_checkpoint
+
+        commit_checkpoint(self.meta, self.target, step)
+
+    def abort(self, landed: bool) -> bool:
+        """Roll the slot back after a failure.  Once any byte *landed*
+        the slot is torn, so it is invalidated instead of returning to
+        DONE at its old step; returns whether it was."""
+        from repro.core.consistency import abort_checkpoint
+
+        if self.target is None:
+            return False
+        abort_checkpoint(self.meta, self.target, data_dirty=landed)
+        return landed
+
+    def report(self) -> Dict[str, int]:
+        """Layout-specific reply fields of a committed write."""
+        return {}
+
+
+class SlotWrite(VersionWrite):
+    """A new version of a :class:`SlotLayout` model: the pull lands in
+    the free slot's region; with *dirty* (incremental mode) only those
+    tensors are pulled and the rest are carried over from the previous
+    version by a local PMem copy."""
+
+    def __init__(self, meta: ModelMeta, dirty) -> None:
+        super().__init__(meta)
+        self.dirty = dirty
+        self.previous: Optional[int] = None
+
+    def begin(self) -> int:
+        self.previous = self.meta.read_flags().newest_done()
+        target = super().begin()
+        region = self.meta.data_region(target)
+        if self.dirty is None or self.previous is None:
+            self.targets = [Extent(0, region.size, region)]
+            return target
+        wanted = set(self.dirty)
+        descriptors = self.meta.mindex.descriptors
+        self.kept = [d for d in descriptors if d.name not in wanted]
+        self.targets = [Extent(d.offset, d.size, region, d.offset)
+                        for d in descriptors if d.name in wanted]
+        return target
+
+    def carry_forward(self) -> None:
+        """Copy the kept tensors' bytes from the previous version (the
+        content move that follows the timed local copy)."""
+        source = self.meta.data_region(self.previous)
+        target = self.meta.data_region(self.target)
+        for descriptor in self.kept:
+            target.write(descriptor.offset,
+                         source.read(descriptor.offset, descriptor.size))
+
+    def persist(self) -> None:
+        self.meta.data_region(self.target).persist()
+
+
+class ChunkWrite(VersionWrite):
+    """A new version of a :class:`ChunkLayout` model: pull only the
+    chunks absent from the store, reference the rest.
+
+    Crash-safe ordering (every window leak-only):
+
+    1. :meth:`begin` stamps the slot ACTIVE and reserves an extent per
+       missing chunk — committed-but-unindexed extents until step 3, so
+       fsck's leak scan reclaims them after a crash;
+    2. the chunks are pulled and persisted;
+    3. ``ChunkStore.apply`` commits the whole reference delta (new
+       entries + shared-chunk increments) in ONE record write;
+    4. the manifest record is written, the slot committed DONE;
+    5. only then is the overwritten version's old manifest unreferenced
+       — and only if the slot was DONE *before* the begin (a non-DONE
+       slot's references were never certainly counted; dropping them
+       could over-free a shared chunk).
+    """
+
+    def __init__(self, meta: ModelMeta, store: ChunkStore, spans,
+                 manifest: List[bytes]) -> None:
+        super().__init__(meta)
+        self.store = store
+        self.spans = spans
+        self.manifest = manifest
+        self.counts = Counter(manifest)
+        #: (digest, extent) reserved for the chunks the store lacks.
+        self.new: List[Tuple[bytes, Allocation]] = []
+        self.old_manifest: List[bytes] = []
+        self.applied = False
+
+    def begin(self) -> int:
+        flags = self.meta.read_flags()
+        target = super().begin()
+        if flags.states[target] == FLAG_DONE:
+            self.old_manifest = self.meta.read_manifest(target)
+        seen = set()
+        for digest, span in zip(self.manifest, self.spans):
+            if digest in seen or self.store.lookup(digest) is not None:
+                continue
+            seen.add(digest)
+            extent = self.store.alloc_chunk(digest, span.size)
+            self.new.append((digest, extent))
+            self.targets.append(Extent(span.start, span.size, extent,
+                                       label=digest.hex()[:8]))
+        return target
+
+    def persist(self) -> None:
+        for _digest, extent in self.new:
+            extent.persist()
+
+    def commit(self, step: int) -> None:
+        fresh = {digest for digest, _extent in self.new}
+        self.store.apply(
+            [(digest, extent, self.counts[digest])
+             for digest, extent in self.new],
+            {digest: count for digest, count in self.counts.items()
+             if digest not in fresh})
+        self.applied = True
+        self.meta.write_manifest(self.target, self.manifest)
+        super().commit(step)
+        if self.old_manifest:
+            self.store.unref(self.old_manifest)
+
+    def abort(self, landed: bool) -> bool:
+        """Before the apply the slot's manifest is untouched and the new
+        chunks are private (no ChunkTable entry): the slot rolls back
+        clean and the reserved extents are released."""
+        if self.applied:
+            return False
+        super().abort(landed=False)
+        for _digest, extent in self.new:
+            self.meta.pool.free(extent)
+        return False
+
+    def report(self) -> Dict[str, int]:
+        return {"bytes_logical": self.meta.mindex.total_bytes,
+                "chunks_new": len(self.new),
+                "chunks_shared": len(self.manifest) - sum(
+                    self.counts[digest] for digest, _e in self.new)}
 
 
 class ModelTable:

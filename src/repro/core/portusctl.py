@@ -35,7 +35,7 @@ from repro.core.consistency import checkpoint_states
 from repro.core.index import FLAG_NAMES, ModelMeta, ModelTable
 from repro.core.repack import repack
 from repro.dnn.serialize import serialize_entries
-from repro.errors import NoValidCheckpoint, ReproError
+from repro.errors import ReproError
 from repro.hw.content import Content
 from repro.pmem.fsck import EXIT_CLEAN, EXIT_DIRTY, fsck, repair
 from repro.pmem.pool import PmemPool
@@ -68,9 +68,6 @@ def dump(pool: PmemPool, model_name: str) -> Content:
     table = ModelTable.open(pool)
     meta = ModelMeta.open(pool, table.lookup(model_name))
     version, _step = valid_checkpoint(meta)
-    if not meta.dedup and meta.data_regions[version] is None:
-        raise NoValidCheckpoint(
-            f"{model_name}: version {version} was repacked away")
     entries = [(descriptor.to_spec(),
                 meta.read_tensor(descriptor, version))
                for descriptor in meta.mindex.descriptors]

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.core.consistency import (abort_checkpoint, begin_checkpoint,
-                                    commit_checkpoint, valid_checkpoint)
-from repro.core.engine import LocalCopyEngine
-from repro.core.index import ModelMeta, ModelTable
-from repro.errors import (DedupMigrationUnsupported, ModelAlreadyRegistered,
-                          ModelNotFound, PortusError)
+from repro.core.consistency import valid_checkpoint
+from repro.core.engine import (LocalCopyEngine, MrCache, RemoteRun,
+                               TransferEngine, plan_items)
+from repro.core.index import ModelMeta, ModelTable, overlaps
+from repro.errors import ModelAlreadyRegistered, ModelNotFound, PortusError
 from repro.obs import Observability
 from repro.pmem.pool import PmemPool
 from repro.rdma.verbs import connect
@@ -200,114 +199,102 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
                   obs: Optional[Observability] = None) -> Generator:
     """Process: copy *name*'s newest DONE checkpoint between daemons.
 
-    The live repacker generalized across pools: the destination daemon
-    pulls the source's committed version slot through the transfer
-    engine (one-sided RDMA READ, server-to-server over the fabric) into
-    a freshly created index of its own, then commits it DONE at the
-    same step.  Crash-safe commit ordering (DESIGN.md §13) — every
-    window is leak-only:
+    The live repacker generalized across pools, for every layout: the
+    destination daemon builds a fresh index of the model's layout and
+    pulls the source version into a new version of its own through the
+    transfer engine (one-sided RDMA READ, server-to-server over the
+    fabric), then commits it DONE at the same step.  The destination's
+    write decides what moves — a slot model's whole region, or for a
+    chunk model only the chunks the destination store lacks (the rest
+    of its manifest is shared by reference).  Crash-safe commit ordering
+    (DESIGN.md §13) — every window is leak-only:
 
     1. the source entry's CAS guard is claimed, so no checkpoint can
        flip its slots mid-copy;
-    2. destination index + both version slots are created (a crash here
-       leaks dst extents; the source is untouched);
-    3. the copy lands in the dst target slot, persists, and commits
-       DONE — only now does the dst ModelTable learn the name;
+    2. the destination index is created and a version begun on it (a
+       crash here leaks dst extents; the source is untouched);
+    3. the copy lands, persists, and commits DONE through the layout's
+       own ordering (a chunk model commits its reference delta before
+       its manifest) — only now does the dst ModelTable learn the name;
     4. the caller flips the placement-ring pin, then evicts the source
-       copy (:func:`evict_model`) — a crash between 3 and 4 leaves two
-       committed copies, never zero.
+       copy (:func:`evict_model`, which drops only this model's chunk
+       references) — a crash between 3 and 4 leaves two committed
+       copies, never zero.
 
-    Returns ``(step, bytes_moved)``.  Dedup models are refused with
-    :class:`~repro.errors.DedupMigrationUnsupported`: their bytes live
-    in the pool-local chunk store, and migrating one means re-chunking
-    against the destination's store (future work).  Callers that place
-    groups must check *every* member up front — the same typed error,
-    before any member has moved.
+    Returns ``(step, bytes_moved)``.
     """
-    from repro.core.daemon import (FLUSH_BARRIER_NS, ModelEntry,
-                                   QP_DEPTH)
-    from repro.core.engine import TransferEngine
+    from repro.core.daemon import FLUSH_BARRIER_NS, ModelEntry, QP_DEPTH
 
     obs = obs if obs is not None else Observability()
     entry = src_daemon.model_map.get(name)
     if entry is None:
         raise ModelNotFound(name)
-    if entry.meta.dedup:
-        raise DedupMigrationUnsupported(
-            f"{name}: dedup models cannot migrate (chunk store is "
-            f"pool-local)")
     if dst_daemon.model_map.get(name) is not None:
         raise ModelAlreadyRegistered(
             f"{name}: destination daemon already holds this model")
     src_daemon._claim(entry)
     span = obs.tracer.span(env, "fleet.migrate", cat="fleet",
                            track="fleet", model=name)
-    src_mr = None
-    src_mr_owned = False
-    dst_mr = None
+    src_mrs = MrCache(src_daemon.node.nic, entry.version_mrs)
+    dst_mrs = MrCache(dst_daemon.node.nic)
     qps = []
     try:
         version, step = valid_checkpoint(entry.meta)
-        src_region = entry.meta.data_region(version)
-        src_mr = entry.version_mrs[version]
-        if src_mr is None or not src_mr.valid:
-            src_mr = yield from src_daemon.node.nic.register_mr(src_region)
-            src_mr_owned = True
-        descriptors = entry.meta.mindex.descriptors
-        specs = [d.to_spec() for d in descriptors]
-        meta_dst = ModelMeta.create(dst_daemon.pool, name, specs)
-        target = None
+        source = entry.meta.layout.extents(version)
+        meta_dst = entry.meta.replicate(dst_daemon.pool)
+        write = None
         try:
-            target = begin_checkpoint(meta_dst)
-            dst_mr = yield from dst_daemon.node.nic.register_mr(
-                meta_dst.data_region(target))
+            write = meta_dst.layout.new_version(
+                manifest=entry.meta.read_manifest(version))
+            write.begin()
+            # The source version as remote runs, one per tensor piece —
+            # only of the extents the destination pulls from (no MR is
+            # registered for a chunk it already stores).
+            needed = list(dict.fromkeys(
+                extent for extent, _t, _lo, _hi in overlaps(source,
+                                                             write.targets)))
+            runs = []
+            for extent, descriptor, lo, hi in overlaps(
+                    needed, entry.meta.mindex.descriptors):
+                mr = yield from src_mrs.get(extent.allocation)
+                runs.append(RemoteRun(
+                    descriptor.name, lo, hi - lo,
+                    mr.addr + extent.base + lo - extent.offset, mr.rkey))
+            items = yield from plan_items(write.targets, runs, dst_mrs,
+                                          dst_daemon.engine_chunk_bytes)
             dst_qp, src_qp = yield from connect(
                 env, dst_daemon.node.nic, src_daemon.node.nic)
             qps = [dst_qp, src_qp]
-            # Same layout on both pools, so each descriptor's offset is
-            # valid in either region; the "client" side of each pair is
-            # the source server's MR.
-            pairs = [(d, {"addr": src_mr.addr + d.offset,
-                          "rkey": src_mr.rkey}) for d in descriptors]
             engine = TransferEngine(
                 env, [dst_qp], depth=QP_DEPTH,
-                chunk_bytes=dst_daemon.engine_chunk_bytes,
                 pipelined=dst_daemon.engine_pipelined,
                 largest_first=dst_daemon.engine_largest_first,
                 stream_limit=dst_daemon._pmem_streams,
                 obs=obs)
-            try:
-                moved = yield from engine.pull(dst_mr, pairs,
-                                               f"migrate:{name}")
-            except BaseException:
-                engine.abort()
-                raise
+            moved = yield from engine.pull(items, f"migrate:{name}")
             if dst_daemon.pool.closed or src_daemon.pool.closed:
                 raise PortusError(
                     f"{name}: a pool died during migration")
-            meta_dst.data_region(target).persist()
+            write.persist()
             yield env.timeout(FLUSH_BARRIER_NS)
-            commit_checkpoint(meta_dst, target, step)
+            write.commit(step)
         except BaseException:
             # Nothing was published on the destination; unwind it all
             # (on a live pool) so the only cost of a failed migration
             # is the source staying where it was.
             if not dst_daemon.pool.closed:
-                if target is not None:
-                    abort_checkpoint(meta_dst, target, data_dirty=True)
+                if write is not None:
+                    write.abort(landed=True)
                 meta_dst.free()
             raise
-        dst_entry = ModelEntry(meta_dst)
-        dst_daemon.model_map.insert(name, dst_entry)
+        dst_daemon.model_map.insert(name, ModelEntry(meta_dst))
         dst_daemon.table.insert(name, meta_dst.meta.addr)
     finally:
         for qp in qps:
             if qp.error is None:
                 qp.transition_to_error("migration transport done")
-        if dst_mr is not None and dst_mr.valid:
-            dst_daemon.node.nic.deregister_mr(dst_mr)
-        if src_mr_owned and src_mr is not None and src_mr.valid:
-            src_daemon.node.nic.deregister_mr(src_mr)
+        dst_mrs.release()
+        src_mrs.release()
         src_daemon._release(entry)
         span.finish()
     obs.metrics.counter("fleet.migrations").inc()
@@ -318,24 +305,11 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
 def evict_model(src_daemon, name: str) -> None:
     """Drop *name* from the source daemon after a migration committed.
 
-    Mirrors UNREGISTER's recovery ordering: deregister the version MRs,
-    remove the (committed) ModelTable entry, then free the extents —
+    UNREGISTER's recovery ordering (:meth:`PortusDaemon.drop_model`):
     a crash mid-evict leaks GC-able extents instead of dangling a table
-    entry at freed metadata.  The tenant's byte charge is *not*
-    released: the model still exists, just on another shard.
+    entry at freed metadata, and a chunk-layout model drops only its own
+    references — chunks shared with other models stay.  The tenant's
+    byte charge is *not* released: the model still exists, just on
+    another shard.
     """
-    entry = src_daemon.model_map.get(name)
-    if entry is None:
-        raise ModelNotFound(name)
-    src_daemon._claim(entry)
-    try:
-        for version in (0, 1):
-            mr = entry.version_mrs[version]
-            if mr is not None and mr.valid:
-                src_daemon.node.nic.deregister_mr(mr)
-            entry.version_mrs[version] = None
-        src_daemon.table.remove(name)
-        entry.meta.free()
-        src_daemon.model_map.delete(name)
-    finally:
-        src_daemon._release(entry)
+    src_daemon.drop_model(name)

@@ -227,17 +227,6 @@ class NoValidGroupCheckpoint(GroupError):
     has not yet repaired)."""
 
 
-class DedupMigrationUnsupported(PortusError):
-    """Migration was asked to move a deduplicated model (or a group with
-    any dedup member) across pools.
-
-    Permanent by design, not a transient failure: a dedup model's bytes
-    live in the source pool's shared refcounted chunk store, and moving
-    them would either strand cross-tenant sharing or require a
-    chunk-store merge protocol that does not exist.  Callers must either
-    re-register the model on the destination or keep it where it is."""
-
-
 class MigrationIncomplete(PortusError):
     """A migration failed *after* its commit point (the ring flip).
 

@@ -38,8 +38,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.core.consistency import valid_checkpoint
 from repro.core.group import register_group as bind_group
 from repro.core.repack import evict_model, migrate_model
-from repro.errors import (DedupMigrationUnsupported, GroupError,
-                          MigrationIncomplete, ReproError)
+from repro.errors import GroupError, MigrationIncomplete, ReproError
 from repro.fleet.ring import PlacementRing
 from repro.fleet.workload import TenantSpec, place_on_cluster
 
@@ -227,12 +226,11 @@ class FleetClient:
                       dst_shard_name: str) -> Generator:
         """Process: move a whole group to *dst_shard_name*, live.
 
-        Refusals happen before anything moves: any deduplicated member
-        (including a mixed dedup/non-dedup group) raises
-        :class:`~repro.errors.DedupMigrationUnsupported`, and a torn
-        group (a member whose newest DONE step is not the committed
-        step — fsck has not repaired it yet) raises
-        :class:`~repro.errors.GroupError`.
+        Members of every layout move alike (a chunk-layout member copies
+        its manifest plus the chunks the destination store lacks).  A
+        torn group — any member whose newest DONE step is not the
+        committed step (fsck has not repaired it yet) — is refused with
+        :class:`~repro.errors.GroupError` before anything moves.
 
         Ordering: every member copies and commits on the destination,
         the group record is re-created and committed there at the same
@@ -250,16 +248,13 @@ class FleetClient:
         record = src_shard.daemon.groups.lookup(group_name)
         layout = record.layout()
         members = list(layout.members)
-        dedup_members = []
         for member in members:
             entry = src_shard.daemon.model_map.get(member)
             if entry is None:
                 raise GroupError(
                     f"group {group_name!r}: member {member!r} is not on "
                     f"{src_shard.name}")
-            if entry.meta.dedup:
-                dedup_members.append(member)
-            elif record.committed_step > 0:
+            if record.committed_step > 0:
                 _, newest = valid_checkpoint(entry.meta)
                 if newest != record.committed_step:
                     raise GroupError(
@@ -267,11 +262,6 @@ class FleetClient:
                         f"DONE step {newest} != committed "
                         f"{record.committed_step}; repair the pool "
                         f"before migrating")
-        if dedup_members:
-            raise DedupMigrationUnsupported(
-                f"group {group_name!r}: members "
-                f"{dedup_members[:4]} are deduplicated (chunk store is "
-                f"pool-local); groups migrate all-or-nothing")
         moved_total = 0
         for member in members:
             _, moved = yield from migrate_model(

@@ -9,14 +9,12 @@ fields, REGISTER negotiation) is tested end to end through
 :class:`PaperCluster`.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core import protocol
 from repro.core.engine import (ENGINE_CHUNK_BYTES, IngestLimiter,
-                               LocalCopyEngine, TransferEngine, build_items,
-                               stripe_items)
+                               LocalCopyEngine, TransferEngine, WorkItem,
+                               build_items, stripe_items)
 from repro.errors import ReproError, WorkRequestError
 from repro.harness.cluster import PaperCluster
 from repro.rdma.verbs import connect
@@ -24,16 +22,15 @@ from repro.sim import Transfer
 from repro.units import kib, mib
 
 
-def _pairs(sizes):
-    """Synthetic (descriptor, client) pairs with packed offsets."""
-    pairs = []
+def _runs(sizes, mr=None):
+    """Synthetic whole-tensor work items with packed offsets."""
+    runs = []
     offset = 0
     for index, size in enumerate(sizes):
-        descriptor = SimpleNamespace(name=f"t{index}", offset=offset,
-                                     size=size)
-        pairs.append((descriptor, {"addr": 0x1000 + offset, "rkey": 1}))
+        runs.append(WorkItem(f"t{index}", offset, 0x1000 + offset, 1, size,
+                             mr))
         offset += size
-    return pairs
+    return runs
 
 
 # -- build_items ---------------------------------------------------------------
@@ -41,13 +38,15 @@ def _pairs(sizes):
 
 def test_build_items_segments_large_tensors():
     chunk = kib(64)
-    pairs = _pairs([kib(64) * 3 + 5, kib(64), 17])
-    items = build_items(pairs, chunk)
+    runs = _runs([kib(64) * 3 + 5, kib(64), 17], mr="region")
+    items = build_items(runs, chunk)
     # t0 -> 4 parts (3 full + 5 B tail), t1 and t2 whole.
     assert [item.name for item in items] == \
         ["t0#0", "t0#1", "t0#2", "t0#3", "t1", "t2"]
-    assert sum(item.size for item in items) == sum(d.size
-                                                   for d, _c in pairs)
+    assert sum(item.size for item in items) == sum(run.size
+                                                   for run in runs)
+    # Every segment keeps its run's local MR.
+    assert {item.mr for item in items} == {"region"}
     # Segments tile the tensor contiguously on both sides.
     parts = items[:4]
     for previous, part in zip(parts, parts[1:]):
@@ -57,8 +56,7 @@ def test_build_items_segments_large_tensors():
 
 
 def test_build_items_none_disables_segmentation():
-    pairs = _pairs([mib(64), kib(1)])
-    items = build_items(pairs, None)
+    items = build_items(_runs([mib(64), kib(1)]), None)
     assert [item.size for item in items] == [mib(64), kib(1)]
     assert [item.name for item in items] == ["t0", "t1"]
 
@@ -67,7 +65,7 @@ def test_build_items_none_disables_segmentation():
 
 
 def test_stripe_items_lpt_balances_bytes():
-    items = build_items(_pairs([100, 90, 80, 30, 20, 10, 10]), None)
+    items = _runs([100, 90, 80, 30, 20, 10, 10])
     queues = stripe_items(items, 3)
     loads = [sum(item.size for item in queue) for queue in queues]
     # LPT on this multiset: 100+10+10, 90+20, 80+30.
@@ -79,7 +77,7 @@ def test_stripe_items_lpt_balances_bytes():
 
 
 def test_stripe_items_is_deterministic_on_ties():
-    items = build_items(_pairs([64] * 8), None)
+    items = _runs([64] * 8)
     first = stripe_items(items, 3)
     second = stripe_items(items, 3)
     assert [[i.name for i in q] for q in first] == \
@@ -145,32 +143,30 @@ class _Rig:
             region = cluster.server.pmem_devdax.alloc(total, tag="rig")
             region_mr = yield from cluster.server.nic.register_mr(region)
             gpu = cluster.volta.gpus[0]
-            pairs = []
+            runs = []
             offset = 0
             for index, size in enumerate(sizes):
                 src = gpu.alloc(size, tag=f"rig-t{index}")
                 mr = yield from cluster.volta.nic.register_mr(src)
-                descriptor = SimpleNamespace(name=f"t{index}",
-                                             offset=offset, size=size)
-                pairs.append((descriptor, {"addr": mr.addr,
-                                           "rkey": mr.rkey}))
+                runs.append(WorkItem(f"t{index}", offset, mr.addr, mr.rkey,
+                                     size, region_mr))
                 offset += size
             server_qps = []
             for _lane in range(num_qps):
                 _client_qp, server_qp = yield from connect(
                     env, cluster.volta.nic, cluster.server.nic)
                 server_qps.append(server_qp)
-            return region_mr, pairs, server_qps
+            return runs, server_qps
 
-        self.region_mr, self.pairs, self.qps = cluster.run(setup)
+        self.runs, self.qps = cluster.run(setup)
 
-    def pull(self, **kwargs):
+    def pull(self, chunk_bytes, **kwargs):
         engine = TransferEngine(self.cluster.env, self.qps, **kwargs)
+        items = build_items(self.runs, chunk_bytes)
         holder = {}
 
         def scenario(env):
-            holder["bytes"] = yield from engine.pull(
-                self.region_mr, self.pairs, "rig")
+            holder["bytes"] = yield from engine.pull(items, "rig")
 
         self.cluster.run(scenario)
         return engine, holder["bytes"]

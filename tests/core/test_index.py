@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.consistency import (abort_checkpoint, begin_checkpoint,
                                     commit_checkpoint, valid_checkpoint)
-from repro.core.index import (FLAG_ACTIVE, FLAG_DONE, FLAG_EMPTY, MIndex,
-                              ModelMeta, ModelTable, TensorDescriptor,
-                              VersionFlags, layout_tensors)
+from repro.core.index import (FLAG_ACTIVE, FLAG_DONE, FLAG_EMPTY, Extent,
+                              MIndex, ModelMeta, ModelTable,
+                              TensorDescriptor, VersionFlags,
+                              layout_tensors, overlaps)
 from repro.dnn.models import build_model
 from repro.dnn.tensor import TensorSpec
 from repro.errors import (CheckpointInProgress, ModelNotFound,
@@ -214,3 +215,17 @@ def test_model_table_capacity(pool):
         table.insert("c", 3)
     table.insert("a", 9)  # replacing is always allowed
     assert table.lookup("a") == 9
+
+
+def test_overlaps_intersects_two_sorted_region_maps():
+    extents = [Extent(0, 100, None), Extent(100, 100, None)]
+    runs = [TensorDescriptor("a", "float32", (5,), 20, 10),
+            TensorDescriptor("b", "float32", (5,), 20, 90),
+            TensorDescriptor("empty", "float32", (0,), 0, 150),
+            TensorDescriptor("c", "float32", (20,), 80, 150)]
+    got = [(extents.index(extent), run.name, lo, hi)
+           for extent, run, lo, hi in overlaps(extents, runs)]
+    # A run straddling two extents splits at the boundary, a zero-size
+    # run yields nothing, and a run past the last extent is clipped.
+    assert got == [(0, "a", 10, 30), (0, "b", 90, 100), (1, "b", 100, 110),
+                   (1, "c", 150, 200)]

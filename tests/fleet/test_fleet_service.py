@@ -20,15 +20,18 @@ import pytest
 from repro.dnn.gpt import shard_gpt, tiny_gpt
 from repro.dnn.layout import gpt_layout
 from repro.dnn.tensor import ModelInstance, TensorSpec
-from repro.errors import (AdmissionReject, DedupMigrationUnsupported,
+from repro.core.consistency import valid_checkpoint
+from repro.core.group import register_group as bind_group
+from repro.errors import (AdmissionReject, GroupError,
                           GroupNotFound, MigrationIncomplete, ReproError,
                           TenantQuotaExceeded)
 from repro.core.retry import RetryPolicy
 from repro.fleet import (AdmissionController, FleetClient, PlacementRing,
                          TenantRegistry, generate_tenants)
 from repro.harness.cluster import PaperCluster
+from repro.pmem.chunks import ChunkStore
 from repro.pmem.fsck import fsck
-from repro.units import msecs, secs, usecs
+from repro.units import kib, msecs, secs, usecs
 
 SPECS = [TensorSpec("block.weight", (256, 256)),
          TensorSpec("block.bias", (256,)),
@@ -339,31 +342,114 @@ def test_migrating_to_the_home_shard_is_an_error():
         cluster.run(migrate)
 
 
-def test_migration_refuses_dedup_models():
-    cluster = PaperCluster(seed=41, ampere_nodes=0, storage_nodes=2)
+HEAD = ["fc.weight", "fc.bias"]
+
+
+def _dedup_fleet(seed):
+    cluster = PaperCluster(seed=seed, ampere_nodes=0, storage_nodes=2)
     fleet = FleetClient(cluster)
+    src, dst = cluster.shards
+    return cluster, fleet, src, dst
+
+
+def _register_dedup(cluster, fleet, tenant, name, shard, steps):
+    """Register a dedup resnet18 pinned to *shard* (model seed 7, so
+    same-seed tenants share every unchanged chunk) and checkpoint it
+    through *steps* — ``(step, only)`` pairs."""
+    fleet.ring.assign(tenant, name, shard.name)
 
     def setup(env):
-        session = yield from fleet.register("acme", "resnet18",
-                                            dedup=True)
-        session.model.update_step(1)
-        yield from session.checkpoint(1)
+        instance = cluster.materialize("resnet18", seed=7,
+                                       instance_name=name)
+        session = yield from fleet.register(tenant, instance, dedup=True,
+                                            chunk_bytes=kib(256))
+        for step, only in steps:
+            instance.update_step(step, only=only)
+            yield from session.checkpoint(step)
+        return session
 
-    cluster.run(setup)
-    src = fleet.shard_of("acme", "resnet18")
-    dst = next(s for s in cluster.shards if s.name != src.name)
+    return cluster.run(setup)
+
+
+def _assert_bit_exact(model, head_step, base_step):
+    bad = [t.name for t in model.tensors if not t.content().equals(
+        t.expected_content(head_step if t.name in HEAD else base_step))]
+    assert bad == []
+
+
+def test_dedup_model_migrates_bit_exact_and_releases_source_refs():
+    cluster, fleet, src, dst = _dedup_fleet(41)
+    session = _register_dedup(cluster, fleet, "acme", "resnet18", src,
+                              [(1, None), (2, HEAD)])
 
     def migrate(env):
-        yield from fleet.migrate("acme", "resnet18", dst.name)
+        return (yield from fleet.migrate("acme", "resnet18", dst.name))
 
-    # The refusal is typed: callers can branch on "copy it cold instead"
-    # without string-matching a generic failure.
-    with pytest.raises(DedupMigrationUnsupported, match="pool-local"):
-        cluster.run(migrate)
-    # Nothing moved: the source still owns the model, the ring agrees.
-    assert src.daemon.model_map.get("resnet18") is not None
-    assert dst.daemon.model_map.get("resnet18") is None
-    assert fleet.shard_of("acme", "resnet18").name == src.name
+    step, moved = cluster.run(migrate)
+    assert step == 2
+    # An empty destination store lacks every chunk: the whole region
+    # moves once.
+    assert moved == session.model.total_bytes
+    assert fleet.shard_of("acme", "resnet18").name == dst.name
+    assert src.daemon.model_map.get("resnet18") is None
+    assert dst.daemon.model_map["resnet18"].meta.dedup
+    # Evicting the source dropped this model's references, and it was
+    # the store's only user.
+    assert ChunkStore.attach(src.pool).chunk_count == 0
+
+    def after(env):
+        session.model.update_step(0)
+        restored = yield from session.restore()
+        # The next dump is a delta against the destination's store.
+        session.model.update_step(3, only=HEAD)
+        reply = yield from session.checkpoint(3)
+        return restored, reply
+
+    restored, reply = cluster.run(after)
+    assert restored == 2
+    assert reply["chunks_shared"] > 0
+    assert reply["bytes_pulled"] < session.model.total_bytes
+    _assert_bit_exact(session.model, 3, 1)
+    for shard in cluster.shards:
+        assert fsck(shard.pool).clean
+    assert cluster.obs.metrics.value(
+        f"fleet.migrations.{src.name}->{dst.name}") == 1
+
+
+def test_dedup_migration_moves_only_the_chunks_the_destination_lacks():
+    cluster, fleet, src, dst = _dedup_fleet(42)
+    session = _register_dedup(cluster, fleet, "acme", "a-model", src,
+                              [(1, None), (2, HEAD)])
+    # A tenant fine-tuned from the same base already lives on the
+    # destination: it holds every backbone chunk, none of a-model's
+    # step-2 head chunks.
+    _register_dedup(cluster, fleet, "beta", "b-model", dst, [(1, None)])
+    entry = src.daemon.model_map["a-model"]
+    version, _step = valid_checkpoint(entry.meta)
+    store = ChunkStore.attach(dst.pool)
+    lacking = {}
+    for digest, span in zip(entry.meta.read_manifest(version),
+                            entry.meta.layout.spans()):
+        if store.lookup(digest) is None:
+            lacking.setdefault(digest,
+                               sum(piece.length for piece in span.pieces))
+
+    def migrate(env):
+        return (yield from fleet.migrate("acme", "a-model", dst.name))
+
+    step, moved = cluster.run(migrate)
+    assert step == 2
+    assert lacking and moved == sum(lacking.values())
+    assert moved < session.model.total_bytes
+
+    def recover(env):
+        session.model.update_step(0)
+        return (yield from session.restore())
+
+    assert cluster.run(recover) == 2
+    _assert_bit_exact(session.model, 2, 1)
+    for shard in cluster.shards:
+        assert fsck(shard.pool).clean
 
 
 def test_post_flip_evict_failure_is_leak_only_and_typed(monkeypatch):
@@ -501,43 +587,91 @@ def test_group_migration_moves_the_whole_group():
         f"fleet.group_migrations.{src.name}->{dst.name}") == 1
 
 
-def test_group_migration_refuses_mixed_dedup_groups():
-    """One dedup member poisons the whole group: the refusal is the
-    same typed error as single-model dedup migration, raised before
-    anything moves."""
-    cluster = PaperCluster(seed=59, ampere_nodes=0, storage_nodes=2)
-    fleet = FleetClient(cluster)
+def _mixed_group(cluster, fleet, home):
+    """A tiny-GPT TP2 group on *home* whose first member uses the dedup
+    layout and the second the slot layout, committed at step 1."""
     layout = gpt_layout(GROUP_CONFIG, 2, 1)
     shards = shard_gpt(GROUP_CONFIG, 2, 1)
-    home = cluster.shards[0]
     fleet.ring.assign("acme", GROUP_CONFIG.name, home.name)
     for member in layout.members:
         fleet.ring.assign("acme", member, home.name)
 
     def setup(env):
+        sessions = []
         for index, shard in enumerate(shards):
             instance = ModelInstance.materialize(
                 shard.name, shard.tensors, cluster.volta.gpus[index],
                 model_seed=index)
-            session = yield from fleet.register("acme", instance,
-                                                dedup=(index == 0))
-            instance.update_step(1)
-            yield from session.checkpoint(1)
+            sessions.append((yield from fleet.register(
+                "acme", instance, dedup=(index == 0))))
+        group = yield from bind_group(sessions[0].client,
+                                      GROUP_CONFIG.name, layout, sessions)
+        for session in sessions:
+            session.model.update_step(1)
+        yield from group.dump(1)
+        return group, sessions
 
-    cluster.run(setup)
-    home.daemon.groups.register(GROUP_CONFIG.name, layout.pack())
-    dst = cluster.shards[1]
+    group, sessions = cluster.run(setup)
+    return layout, group, sessions
+
+
+def test_mixed_dedup_group_migrates_and_restores():
+    cluster = PaperCluster(seed=59, ampere_nodes=0, storage_nodes=2)
+    fleet = FleetClient(cluster)
+    home, dst = cluster.shards
+    layout, group, sessions = _mixed_group(cluster, fleet, home)
 
     def migrate(env):
-        yield from fleet.migrate_group("acme", GROUP_CONFIG.name,
-                                       dst.name)
+        return (yield from fleet.migrate_group("acme", GROUP_CONFIG.name,
+                                               dst.name))
 
-    with pytest.raises(DedupMigrationUnsupported,
-                       match="all-or-nothing"):
+    step, moved = cluster.run(migrate)
+    assert step == 1 and moved > 0
+    for member in layout.members:
+        assert home.daemon.model_map.get(member) is None
+        assert dst.daemon.model_map.get(member) is not None
+    assert dst.daemon.model_map[layout.members[0]].meta.dedup
+
+    def recover(env):
+        for session in sessions:
+            session.model.update_step(0)
+        return (yield from group.restore())
+
+    assert cluster.run(recover) == 1
+    for session in sessions:
+        bad = [t.name for t in session.model.tensors
+               if not t.content().equals(t.expected_content(1))]
+        assert bad == []
+    for shard in cluster.shards:
+        assert fsck(shard.pool).clean
+
+
+def test_group_migration_refuses_a_torn_dedup_member():
+    """The torn-group check covers every layout: a dedup member whose
+    newest DONE step is past the committed step refuses the move before
+    anything is copied."""
+    cluster = PaperCluster(seed=59, ampere_nodes=0, storage_nodes=2)
+    fleet = FleetClient(cluster)
+    home, dst = cluster.shards
+    layout, _group, sessions = _mixed_group(cluster, fleet, home)
+
+    def tear(env):
+        # The dedup member alone dumps step 2; no group commit follows.
+        sessions[0].model.update_step(2)
+        yield from sessions[0].checkpoint(2)
+
+    cluster.run(tear)
+
+    def migrate(env):
+        yield from fleet.migrate_group("acme", GROUP_CONFIG.name, dst.name)
+
+    with pytest.raises(GroupError, match="newest DONE step 2"):
         cluster.run(migrate)
     for member in layout.members:
         assert home.daemon.model_map.get(member) is not None
         assert dst.daemon.model_map.get(member) is None
+        assert fleet.shard_of("acme", member).name == home.name
+    assert cluster.obs.metrics.value("fleet.migrations") == 0
 
 
 # -- ring/cluster wiring ------------------------------------------------------
