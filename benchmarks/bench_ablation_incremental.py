@@ -27,12 +27,13 @@ def _run_ablation():
         yield from session.checkpoint(1)
         holder["full_ns"] = env.now - start
         dirty = ["heads.head.weight", "heads.head.bias"]
-        pulled_before = cluster.daemon.bytes_pulled
+        pulled_before = cluster.obs.metrics.value("daemon.bytes_pulled")
         model.update_step(2, only=dirty)
         start = env.now
         yield from session.checkpoint(2, dirty=dirty)
         holder["incremental_ns"] = env.now - start
-        holder["dirty_bytes"] = cluster.daemon.bytes_pulled - pulled_before
+        holder["dirty_bytes"] = (
+            cluster.obs.metrics.value("daemon.bytes_pulled") - pulled_before)
         holder["total_bytes"] = model.total_bytes
 
     cluster.run(scenario)

@@ -58,12 +58,12 @@ def _run_trace(cfg, dedup):
         session = yield from cluster.portus_register(instance, dedup=dedup)
         for step in range(1, cfg["steps"] + 1):
             instance.update_step(step, only=None if step == 1 else head)
-            before = cluster.daemon.bytes_pulled
+            before = cluster.obs.metrics.value("daemon.bytes_pulled")
             start = env.now
             yield from session.checkpoint(step)
             holder["dump_ns"].append(env.now - start)
             holder["bytes_pulled"].append(
-                cluster.daemon.bytes_pulled - before)
+                cluster.obs.metrics.value("daemon.bytes_pulled") - before)
         # Scramble, restore, and verify the mixed-step reassembly.
         instance.update_step(cfg["steps"] + 7)
         restored = yield from session.restore()

@@ -123,7 +123,7 @@ def _run_fleet(cfg, daemons, seed=600, migrate=False):
 
     per_daemon = {
         shard.name: int(cluster.obs.metrics.value(
-            f"daemon.{shard.node.name}.checkpoints_completed"))
+            "daemon.checkpoints_completed", shard=shard.name))
         for shard in cluster.shards
     }
     busiest = max(per_daemon.values())

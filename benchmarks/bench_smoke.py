@@ -123,4 +123,4 @@ def test_smoke_fault_recovery():
         return session.retries
 
     cluster.run(scenario)
-    assert cluster.daemon.checkpoints_completed == 2
+    assert cluster.obs.metrics.value("daemon.checkpoints_completed") == 2

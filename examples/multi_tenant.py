@@ -77,10 +77,13 @@ def main() -> None:
               f"  stall={fmt_time(policy.stall_ns)}  util={util * 100:.1f}%"
               f"  shard={shard.name}")
 
+    metrics = cluster.obs.metrics
     for shard in cluster.shards:
-        print(f"\ndaemon: {shard.name} "
-              f"{shard.daemon.checkpoints_completed} checkpoints, "
-              f"{fmt_bytes(shard.daemon.bytes_pulled)} pulled")
+        completed = metrics.value("daemon.checkpoints_completed",
+                                  shard=shard.name)
+        pulled = metrics.value("daemon.bytes_pulled", shard=shard.name)
+        print(f"\ndaemon: {shard.name} {completed} checkpoints, "
+              f"{fmt_bytes(pulled)} pulled")
         print(f"\nPMem contents ({shard.name}, portusctl view):")
         print(format_view(view(shard.pool)))
 

@@ -6,7 +6,9 @@
 #      sweep at every boundary; then the self-healing operator and
 #      fleet chaos smokes and `portusctl fsck` / `health` smokes —
 #      single-daemon and `--daemons 3` fleet rollup — the demo pools
-#      must verify structurally clean and classify healthy;
+#      must verify structurally clean and classify healthy; and a
+#      `portusctl stats --daemons 3` smoke — per-shard rows must sum to
+#      the fleet totals, and no metric name may embed a shard;
 #   2. bench smoke: every benchmark datapath, tiniest config, one
 #      iteration (scripts/bench_smoke.sh); then the sim hot-path bench,
 #      which guards against a >20% speedup regression vs the committed
@@ -75,6 +77,24 @@ print("OK: fleet fsck clean on %d shards" % len(report["shards"]))
 '
 PYTHONPATH=src python -m repro.core.portusctl health --daemons 3 >/dev/null
 echo "OK: fleet health rollup healthy"
+
+step "portusctl fleet stats smoke (per-shard series sum to the totals)"
+PYTHONPATH=src python -m repro.core.portusctl stats --daemons 3 | \
+    python -c '
+import json, sys
+stats = json.load(sys.stdin)
+rows = stats["fleet"]["per_shard"]
+metrics = stats["metrics"]
+assert sorted(rows) == ["server", "server1", "server2"], rows
+for key in ("checkpoints_completed", "bytes_pulled"):
+    total = metrics["daemon." + key]["value"]
+    assert sum(row[key] for row in rows.values()) == total, (key, rows)
+named = [name for name in metrics
+         if "->" in name or any(shard in name for shard in rows)]
+assert not named, "metric names embed a shard: %s" % named
+print("OK: %d shards sum to the fleet totals, no shard-named metric"
+      % len(rows))
+'
 
 step "benchmark smoke"
 scripts/bench_smoke.sh

@@ -37,7 +37,7 @@ from repro.errors import (PortusError, ProtocolError, ReproError,
                           RequestTimeout)
 from repro.hw.node import Node
 from repro.net.tcp import TcpStack
-from repro.obs import Observability
+from repro.obs import NULL_SPAN, Observability
 from repro.rdma.verbs import connect
 from repro.sim import AnyOf, Environment
 
@@ -181,7 +181,6 @@ class ModelSession:
         tree) stamped onto each attempt's message, so daemon and engine
         child spans across retries group under one trace.
         """
-        policy = self.retry
         env = self.client.env
         obs = self.client.obs
         trace_id = obs.tracer.new_trace()
@@ -191,46 +190,60 @@ class ModelSession:
         op = probe.get("op")
         obs.metrics.counter(f"client.requests.{op}").inc()
         span = obs.tracer.span(env, f"client.{op}", cat="client",
-                               trace_id=trace_id, track=track)
-        attempt = 0
+                               trace_id=trace_id, track=track, attempts=1)
+
+        def attempt() -> Generator:
+            if self.retry is not None:  # else a dead transport surfaces
+                yield from self._ensure_attached()
+            message, size = make_message()
+            protocol.stamp_trace(message, trace_id)
+            reply = yield from self._rpc(message, size)
+            self._check(reply, expected_op)
+            return reply
+
         failed = True
         try:
-            if policy is None:
-                message, size = make_message()
-                protocol.stamp_trace(message, trace_id)
-                reply = yield from self._rpc(message, size)
-                self._check(reply, expected_op)
-                failed = False
-                return reply
-            while True:
-                try:
-                    yield from self._ensure_attached()
-                    message, size = make_message()
-                    protocol.stamp_trace(message, trace_id)
-                    reply = yield from self._rpc(message, size)
-                    self._check(reply, expected_op)
-                    failed = False
-                    return reply
-                except RETRYABLE_FAULTS as exc:
-                    attempt += 1
-                    self.retries += 1
-                    obs.metrics.counter("client.retries").inc()
-                    obs.metrics.counter(
-                        f"client.faults_absorbed.{type(exc).__name__}").inc()
-                    if policy.is_transport_fault(exc):
-                        self._teardown_transport()
-                    if policy.exhausted(attempt, env.now - start):
-                        raise
-                    # Admission rejects carry the daemon's deterministic
-                    # retry-after hint; honor it over our own backoff.
-                    retry_after = getattr(exc, "retry_after_ns", None)
-                    yield env.timeout(retry_after if retry_after
-                                      else policy.backoff_ns(attempt))
+            reply = yield from self._retrying(attempt, span)
+            failed = False
+            return reply
         finally:
-            span.finish(error=failed, attempts=attempt + 1)
+            span.finish(error=failed)
             if not failed:
                 obs.metrics.histogram(
                     f"client.e2e.{op}_ns").record(env.now - start)
+
+    def _retrying(self, attempt: Callable[[], Generator],
+                  span=NULL_SPAN) -> Generator:
+        """Process: run *attempt* until it succeeds, fails for good, or
+        the retry policy gives up; returns its result.  The session's
+        one retry loop — requests and the first attach alike — so each
+        absorbed fault counts once: session tally, registry, *span*."""
+        policy = self.retry
+        env = self.client.env
+        metrics = self.client.obs.metrics
+        start = env.now
+        tries = 0
+        while True:
+            try:
+                return (yield from attempt())
+            except RETRYABLE_FAULTS as exc:
+                if policy is None:
+                    raise
+                tries += 1
+                self.retries += 1
+                metrics.counter("client.retries").inc()
+                metrics.counter(
+                    f"client.faults_absorbed.{type(exc).__name__}").inc()
+                span.annotate(attempts=tries + 1)
+                if policy.is_transport_fault(exc):
+                    self._teardown_transport()
+                if policy.exhausted(tries, env.now - start):
+                    raise
+                # Admission rejects carry the daemon's deterministic
+                # retry-after hint; honor it over our own backoff.
+                retry_after = getattr(exc, "retry_after_ns", None)
+                yield env.timeout(retry_after if retry_after
+                                  else policy.backoff_ns(tries))
 
     # -- transport lifecycle ------------------------------------------------------
 
@@ -257,12 +270,14 @@ class ModelSession:
             self._reattach_gate = self.client.env.event()
             try:
                 yield from self._reattach()
+                self.reattaches += 1
+                self.client.obs.metrics.counter("client.reattaches").inc()
             finally:
                 gate, self._reattach_gate = self._reattach_gate, None
                 gate.succeed(None)
 
     def _reattach(self) -> Generator:
-        """Process: rebuild the transport and re-send REGISTER.
+        """Process: rebuild the transport and (re-)send REGISTER.
 
         The daemon side validates the attach against the persisted index
         and re-arms the entry with the new QP; the client-side tensor MRs
@@ -293,8 +308,6 @@ class ModelSession:
                                               tenant=self.tenant)
             reply = yield from self._rpc(message, size)
             self._check(reply, protocol.OP_REGISTERED)
-        self.reattaches += 1
-        obs.metrics.counter("client.reattaches").inc()
 
     # -- dedup manifest -----------------------------------------------------------
 
@@ -487,24 +500,17 @@ class PortusClient:
                                num_qps=self.num_qps,
                                dedup_chunk_bytes=dedup_chunk_bytes,
                                tenant=tenant)
-        policy = self.retry
-        start = self.env.now
-        attempt = 0
-        while True:
+
+        def attach() -> Generator:
             try:
                 yield from session._reattach()
-                break
-            except RETRYABLE_FAULTS as exc:
-                attempt += 1
-                session.retries += 1
+            except RETRYABLE_FAULTS:
+                # A transport whose REGISTER failed serves nothing: the
+                # next attempt builds a fresh one.
                 session._teardown_transport()
-                if policy is None or policy.exhausted(
-                        attempt, self.env.now - start):
-                    raise
-                retry_after = getattr(exc, "retry_after_ns", None)
-                yield self.env.timeout(retry_after if retry_after
-                                       else policy.backoff_ns(attempt))
-        session.reattaches = 0  # the first attach is not a re-attach
+                raise
+
+        yield from session._retrying(attach)
         self.sessions.append(session)
         return session
 

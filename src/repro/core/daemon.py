@@ -66,7 +66,6 @@ from repro.errors import (CheckpointInProgress, ConnectionClosed,
                           ProcessInterrupted, ProtocolError, ReproError,
                           RequestTimeout)
 from repro.hw.node import CpuSet, StorageNode
-from repro.metrics import CostLedger
 from repro.obs import Observability
 from repro.net.tcp import TcpStack
 from repro.pmem.pool import PmemPool
@@ -167,10 +166,6 @@ class PortusDaemon:
         #: Fleet-wide :class:`repro.fleet.tenants.TenantRegistry`
         #: (shared across shards and daemon restarts), or None.
         self.tenants = tenants
-        #: Counter scope for this shard's health-relevant counters —
-        #: N daemons share one metrics registry, so the health model
-        #: reads ``daemon.<node>.*`` to see only its shard's faults.
-        self._scope = f"daemon.{node.name}."
         #: Requests slower than this (simulated ns) are logged and kept
         #: in :attr:`slow_requests`; None disables the check.
         self.slow_request_ns = slow_request_ns
@@ -184,13 +179,6 @@ class PortusDaemon:
         self.table = self._open_or_create_table()
         #: Parallel-group registry (group-commit records on this pool).
         self.groups = GroupStore.open_or_create(self.pool)
-        self.ledger = CostLedger()
-        self.checkpoints_completed = 0
-        self.restores_completed = 0
-        self.bytes_pulled = 0
-        self.bytes_pushed = 0
-        self.dropped_replies = 0
-        self.reaped_sessions = 0
         self.stopped = False
         self._started = False
         self._listener = None
@@ -289,15 +277,16 @@ class PortusDaemon:
                 self._conns.remove(conn)
 
     def _count(self, suffix: str, n: int = 1) -> None:
-        """Bump a health-relevant counter both fleet-wide and per-shard.
+        """Bump ``daemon.<suffix>`` in this shard's series.
 
-        The global ``daemon.<suffix>`` name keeps every existing stats
-        consumer working; the scoped ``daemon.<node>.<suffix>`` twin is
+        N daemons share one metrics registry, and a restarted daemon
+        keeps its node's series: ``value(name)`` is the fleet total,
+        ``value(name, shard=...)`` one shard's count across restarts —
         what :meth:`health_snapshot` reads, so one shard's fault burst
         never degrades another shard's health classification.
         """
-        self.obs.metrics.counter(f"daemon.{suffix}").inc(n)
-        self.obs.metrics.counter(f"{self._scope}{suffix}").inc(n)
+        self.obs.metrics.counter(f"daemon.{suffix}",
+                                 shard=self.node.name).inc(n)
 
     def _dispatch(self, conn, message: Dict) -> Generator:
         op = message.get("op")
@@ -349,7 +338,6 @@ class PortusDaemon:
         except ReproError:
             # The client died or the connection dropped mid-reply; the
             # work is done (or aborted) either way — drop the reply.
-            self.dropped_replies += 1
             self._count("dropped_replies")
 
     def _note_slow(self, op: str, message: Dict, started: int,
@@ -444,7 +432,6 @@ class PortusDaemon:
                 # the request timeout's job to kill.  Only a daemon with
                 # no request timeout reaps in-flight work (last resort).
                 continue
-            self.reaped_sessions += 1
             self._count("reaped_sessions")
             qps = entry.qps
             entry.qps = []
@@ -679,21 +666,17 @@ class PortusDaemon:
                 landed = prefilled > 0 or (engine is not None
                                            and engine.bytes_landed > 0)
                 if write.abort(landed):
-                    self.obs.metrics.counter(
-                        "daemon.checkpoints_aborted_dirty").inc()
+                    self._count("checkpoints_aborted_dirty")
             raise
         finally:
             mrs.release()
             self._release(entry)
         duration = self.env.now - started
-        self.ledger.add("rdma_pull", duration)
-        self.checkpoints_completed += 1
-        self.bytes_pulled += pulled
         self._count("checkpoints_completed")
-        self.obs.metrics.counter("daemon.bytes_pulled").inc(pulled)
+        self._count("bytes_pulled", pulled)
         report = write.report()
         for key, value in report.items():
-            self.obs.metrics.counter(f"daemon.{key}").inc(value)
+            self._count(key, value)
         self.obs.metrics.histogram(
             "daemon.checkpoint_latency_ns").record(duration)
         return protocol.reply(protocol.OP_CHECKPOINT_DONE, model=name,
@@ -761,11 +744,8 @@ class PortusDaemon:
             mrs.release()
             self._release(entry)
         duration = self.env.now - started
-        self.ledger.add("rdma_push", duration)
-        self.restores_completed += 1
-        self.bytes_pushed += pushed
         self._count("restores_completed")
-        self.obs.metrics.counter("daemon.bytes_pushed").inc(pushed)
+        self._count("bytes_pushed", pushed)
         self.obs.metrics.histogram(
             "daemon.restore_latency_ns").record(duration)
         return protocol.reply(protocol.OP_RESTORE_DONE, model=name,
@@ -919,7 +899,7 @@ class PortusDaemon:
             used = self.pool.used_bytes
             capacity = used + self.pool.free_bytes
         metrics = self.obs.metrics
-        scope = self._scope
+        shard = self.node.name
         sample = {
             "time_ns": self.env.now,
             "up": self._started and not self.stopped,
@@ -937,24 +917,18 @@ class PortusDaemon:
             },
             # Monotonic *per-shard* counters (the shared obs registry
             # survives daemon restarts, so deltas stay meaningful across
-            # a crash/restart boundary; the ``daemon.<node>.`` scope
-            # keeps sibling shards' faults out of this shard's deltas).
+            # a crash/restart boundary; the ``shard=`` label keeps
+            # sibling shards' faults out of this shard's deltas).
             "counters": {
-                "requests": metrics.sum_counters(f"{scope}requests."),
-                "errors": metrics.sum_counters(f"{scope}errors."),
-                "slow_requests": metrics.value(f"{scope}slow_requests"),
-                "checkpoints_completed": metrics.value(
-                    f"{scope}checkpoints_completed"),
-                "checkpoints_aborted": metrics.value(
-                    f"{scope}checkpoints_aborted"),
-                "restores_completed": metrics.value(
-                    f"{scope}restores_completed"),
-                "restores_aborted": metrics.value(
-                    f"{scope}restores_aborted"),
-                "dropped_replies": metrics.value(
-                    f"{scope}dropped_replies"),
-                "reaped_sessions": metrics.value(
-                    f"{scope}reaped_sessions"),
+                "requests": metrics.sum_counters("daemon.requests.",
+                                                 shard=shard),
+                "errors": metrics.sum_counters("daemon.errors.",
+                                               shard=shard),
+                **{key: metrics.value(f"daemon.{key}", shard=shard)
+                   for key in ("slow_requests", "checkpoints_completed",
+                               "checkpoints_aborted", "restores_completed",
+                               "restores_aborted", "dropped_replies",
+                               "reaped_sessions")},
             },
         }
         if self.admission is not None:

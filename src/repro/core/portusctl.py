@@ -305,17 +305,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             if daemons == 1:
                 print(cluster.obs.metrics.to_json())
             else:
+                metrics = cluster.obs.metrics
                 per_shard = {
                     shard.name: {
-                        "checkpoints_completed":
-                            shard.daemon.checkpoints_completed,
-                        "bytes_pulled": shard.daemon.bytes_pulled,
+                        key: metrics.value(f"daemon.{key}",
+                                           shard=shard.name)
+                        for key in ("checkpoints_completed",
+                                    "bytes_pulled")
                     }
                     for shard in cluster.shards
                 }
                 print(json.dumps({
                     "fleet": {"daemons": daemons, "per_shard": per_shard},
-                    "metrics": json.loads(cluster.obs.metrics.to_json()),
+                    "metrics": json.loads(metrics.to_json()),
                 }, indent=2))
             if args.trace_out is not None:
                 cluster.obs.tracer.write(args.trace_out)

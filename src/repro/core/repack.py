@@ -297,8 +297,9 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
         src_mrs.release()
         src_daemon._release(entry)
         span.finish()
-    obs.metrics.counter("fleet.migrations").inc()
-    obs.metrics.counter("fleet.migrated_bytes").inc(moved)
+    labels = {"src": src_daemon.node.name, "dst": dst_daemon.node.name}
+    obs.metrics.counter("fleet.migrations", **labels).inc()
+    obs.metrics.counter("fleet.migrated_bytes", **labels).inc(moved)
     return step, moved
 
 

@@ -90,8 +90,7 @@ class FaultInjector:
         """Apply one event now and log it."""
         self._handlers[event.kind](event)
         self.log.append((self.env.now, event.describe(with_time=False)))
-        self.obs.metrics.counter("faults.injected").inc()
-        self.obs.metrics.counter(f"faults.injected.{event.kind}").inc()
+        self.obs.metrics.counter("faults.injected", kind=event.kind).inc()
 
     def log_lines(self) -> List[str]:
         return [f"{now}ns {what}" for now, what in self.log]

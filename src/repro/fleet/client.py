@@ -99,8 +99,8 @@ class FleetClient:
                                              chunk_bytes=chunk_bytes,
                                              tenant=tenant)
         self._sessions[(tenant, name)] = session
-        self.obs.metrics.counter(
-            f"fleet.placements.{shard.name}").inc()
+        self.obs.metrics.counter("fleet.placements",
+                                 shard=shard.name).inc()
         return session
 
     def register_spec(self, spec: TenantSpec, dedup: bool = False
@@ -144,8 +144,6 @@ class FleetClient:
         self.ring.assign(tenant, model_name, dst_shard.name)
         leaked = yield from self._finish_migration(
             tenant, model_name, src_shard, dst_shard)
-        self.obs.metrics.counter(
-            f"fleet.migrations.{src_shard.name}->{dst_shard.name}").inc()
         if leaked:
             raise MigrationIncomplete(
                 f"{tenant}/{model_name}: committed to {dst_shard.name} "
@@ -215,8 +213,8 @@ class FleetClient:
         group = yield from bind_group(client, group_name, layout,
                                       sessions)
         self._groups[(tenant, group_name)] = group
-        self.obs.metrics.counter(
-            f"fleet.group_placements.{shard.name}").inc()
+        self.obs.metrics.counter("fleet.group_placements",
+                                 shard=shard.name).inc()
         return group
 
     def group_of(self, tenant: str, group_name: str):
@@ -235,8 +233,10 @@ class FleetClient:
         Ordering: every member copies and commits on the destination,
         the group record is re-created and committed there at the same
         step, and only then does the ring flip (group key + every
-        member pin) — the commit point.  Post-flip failures follow the
-        single-model contract: leak-only, MigrationIncomplete.
+        member pin) — the commit point.  A member copy that fails drops
+        the members already copied from the destination and re-raises.
+        Post-flip failures follow the single-model contract: leak-only,
+        MigrationIncomplete.
         """
         src_shard = self.cluster.shard_named(
             self.ring.lookup(tenant, group_name))
@@ -263,11 +263,21 @@ class FleetClient:
                         f"{record.committed_step}; repair the pool "
                         f"before migrating")
         moved_total = 0
-        for member in members:
-            _, moved = yield from migrate_model(
-                self.cluster.env, src_shard.daemon, dst_shard.daemon,
-                member, obs=self.obs)
-            moved_total += moved
+        copied: List[str] = []
+        try:
+            for member in members:
+                _, moved = yield from migrate_model(
+                    self.cluster.env, src_shard.daemon, dst_shard.daemon,
+                    member, obs=self.obs)
+                copied.append(member)
+                moved_total += moved
+        except BaseException:
+            # Nothing routes to the destination before the flip: drop
+            # its copies, as a failed single-model copy unwinds itself.
+            if not dst_shard.daemon.pool.closed:
+                for member in copied:
+                    dst_shard.daemon.drop_model(member)
+            raise
         dst_record = dst_shard.daemon.groups.register(
             group_name, record.layout_blob)
         if record.committed_step > dst_record.committed_step:
@@ -291,9 +301,9 @@ class FleetClient:
         if group is not None:
             group.client = self.cluster.portus_client(
                 group.client.node, shard=dst_shard.index)
-        self.obs.metrics.counter(
-            f"fleet.group_migrations.{src_shard.name}->"
-            f"{dst_shard.name}").inc()
+        self.obs.metrics.counter("fleet.group_migrations",
+                                 src=src_shard.name,
+                                 dst=dst_shard.name).inc()
         if leaked:
             raise MigrationIncomplete(
                 f"{tenant}/{group_name}: group committed to "

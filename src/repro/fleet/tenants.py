@@ -124,14 +124,6 @@ class TenantRegistry:
             self._tenant(tenant_name).charged_bytes -= nbytes
         return nbytes
 
-    def move_charge(self, tenant_name: str, model: str,
-                    new_model: str) -> None:
-        """Re-key a charge when a model is renamed (unused today, kept
-        for symmetry with migration which keeps the same name)."""
-        nbytes = self._charges.pop((tenant_name, model), None)
-        if nbytes is not None:
-            self._charges[(tenant_name, new_model)] = nbytes
-
     def charged(self, tenant_name: str) -> int:
         tenant = self._tenants.get(tenant_name)
         return tenant.charged_bytes if tenant else 0

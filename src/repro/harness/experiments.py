@@ -323,7 +323,7 @@ def fig13_portus_traced(trace_out: Optional[str] = None,
     """Fig. 13-style Portus breakdown from the observability layer.
 
     Runs the same single-model checkpoint twice — tracing off, then on —
-    asserts the simulated timings are bit-identical (the zero-cost
+    asserts simulated timings and metrics are bit-identical (the zero-cost
     contract: observability must never perturb what it measures), and
     derives the phase breakdown from the daemon's spans instead of the
     wall-clock subtraction the baseline breakdowns need.  Optionally
@@ -342,14 +342,14 @@ def fig13_portus_traced(trace_out: Optional[str] = None,
             holder["end"] = env.now
 
         cluster.run(scenario)
-        holder["ledger"] = dict(cluster.daemon.ledger.asdict())
+        holder["metrics"] = cluster.obs.metrics.snapshot()
         return cluster, holder
 
     _base_cluster, base = run(tracing=False)
     cluster, traced = run(tracing=True)
     identical = (base["total"] == traced["total"]
                  and base["end"] == traced["end"]
-                 and base["ledger"] == traced["ledger"])
+                 and base["metrics"] == traced["metrics"])
     if not identical:
         raise AssertionError(
             f"tracing perturbed simulated time: untraced {base}, "

@@ -1,8 +1,8 @@
 """Measurement helpers: cost ledgers and busy-interval recorders.
 
 * :class:`CostLedger` — accumulates simulated nanoseconds per category.
-  Filesystems and checkpointers write into one; the Table I / Fig. 13
-  breakdown experiments read the per-category shares out.
+  The baseline filesystems and checkpointers write into one; the
+  Table I / Fig. 13 breakdown experiments read the categories out.
 * :class:`IntervalRecorder` — records busy intervals (GPU compute, link
   busy, ...) and computes utilization over windows; this drives the
   Fig. 16 GPU-utilization trace.
@@ -27,29 +27,8 @@ class CostLedger:
     def get(self, category: str) -> int:
         return self._ns.get(category, 0)
 
-    def total(self) -> int:
-        return sum(self._ns.values())
-
-    def fraction(self, category: str) -> float:
-        """Share of the total attributed to *category* (0 when empty)."""
-        total = self.total()
-        return self._ns.get(category, 0) / total if total else 0.0
-
     def asdict(self) -> Dict[str, int]:
         return dict(self._ns)
-
-    def fractions(self) -> Dict[str, float]:
-        total = self.total()
-        if not total:
-            return {}
-        return {k: v / total for k, v in self._ns.items()}
-
-    def merge(self, other: "CostLedger") -> None:
-        for category, ns in other._ns.items():
-            self.add(category, ns)
-
-    def reset(self) -> None:
-        self._ns.clear()
 
     def __repr__(self) -> str:
         return f"<CostLedger {self._ns!r}>"

@@ -6,6 +6,11 @@ Everything is plain Python arithmetic on the caller's thread — recording
 never touches the simulation clock, so instrumented runs keep simulated
 timings bit-identical to uninstrumented ones.
 
+A counter may carry labels (``shard=``, ``src=``/``dst=``, ``kind=``):
+``counter(name, **labels)`` is one *series* of that name, and reads sum
+every series whose labels include the ones asked for — so one count per
+event serves the fleet total and the per-shard view alike.
+
 The :class:`Histogram` follows the HdrHistogram bucketing scheme:
 power-of-two exponent buckets subdivided into ``2**sub_bits`` linear
 sub-buckets, giving a bounded relative error (~1/2**sub_bits, ~3% at the
@@ -15,13 +20,14 @@ they never under-state a latency.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts
 with sorted keys — deterministic, diffable, and merged as-is into the
-harness experiment reports.
+harness experiment reports.  A labelled name keeps one entry: its total
+``value`` plus a sorted ``series`` map (``"shard=server1": 3``).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 
 class Counter:
@@ -43,6 +49,44 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value}>"
+
+
+class LabelledCounter:
+    """One counter name split into series by label values; every series
+    carries the same label keys (others raise :class:`TypeError`)."""
+
+    __slots__ = ("name", "keys", "series")
+
+    def __init__(self, name: str, keys: Tuple[str, ...]) -> None:
+        self.name = name
+        #: The label keys, sorted.
+        self.keys = keys
+        #: Sorted ``(key, value)`` label pairs -> that series' counter.
+        self.series: Dict[Tuple, Counter] = {}
+
+    def child(self, labels: Dict[str, Any]) -> Counter:
+        """The series for *labels* (created on first use)."""
+        key = tuple(sorted(labels.items()))
+        if tuple(name for name, _value in key) != self.keys:
+            raise TypeError(
+                f"metric {self.name!r} is labelled by {list(self.keys)}, "
+                f"not {sorted(labels)}")
+        counter = self.series.get(key)
+        if counter is None:
+            counter = self.series[key] = Counter(self.name)
+        return counter
+
+    def total(self, labels: Dict[str, Any]) -> int:
+        """Sum of every series whose labels include *labels*."""
+        wanted = labels.items()
+        return sum(counter.value for key, counter in self.series.items()
+                   if wanted <= dict(key).items())
+
+    def snapshot(self) -> Dict[str, Any]:
+        series = {",".join(f"{name}={value}" for name, value in key):
+                  counter.value for key, counter in self.series.items()}
+        return {"type": "counter", "value": self.total({}),
+                "series": dict(sorted(series.items()))}
 
 
 class Gauge:
@@ -167,8 +211,15 @@ class MetricsRegistry:
                 f"{type(instrument).__name__}, not {cls.__name__}")
         return instrument
 
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
+    def counter(self, name: str, **labels: Any) -> Counter:
+        """The counter for *name* — with *labels*, its series for them.
+        A name is labelled or unlabelled for good: asking for the other
+        kind raises :class:`TypeError`, so a stale read fails loudly."""
+        if not labels:
+            return self._get(name, Counter)
+        family = self._get(name, LabelledCounter,
+                           keys=tuple(sorted(labels)))
+        return family.child(labels)
 
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
@@ -180,22 +231,25 @@ class MetricsRegistry:
         """The instrument registered under *name*, or None."""
         return self._instruments.get(name)
 
-    def value(self, name: str, default: int = 0) -> int:
-        """Current value of the counter/gauge under *name* (*default*
-        when absent) — the health model reads counters this way so a
+    def value(self, name: str, default: int = 0, **labels: Any) -> int:
+        """Current value under *name* (*default* when absent; a labelled
+        name sums every series whose labels include *labels*) — so a
         metric nobody incremented yet reads as zero, not a KeyError."""
         instrument = self._instruments.get(name)
         if instrument is None:
             return default
-        return getattr(instrument, "value", default)
+        if isinstance(instrument, LabelledCounter):
+            return instrument.total(labels)
+        return default if labels else getattr(instrument, "value", default)
 
-    def sum_counters(self, prefix: str) -> int:
-        """Sum of every :class:`Counter` whose name starts with *prefix*
-        (e.g. all ``daemon.errors.*`` ops folded into one fault count)."""
-        return sum(instrument.value
+    def sum_counters(self, prefix: str, **labels: Any) -> int:
+        """:meth:`value` summed over every counter whose name starts
+        with *prefix* (e.g. all ``daemon.errors.*`` ops of one shard
+        folded into one fault count)."""
+        return sum(self.value(name, **labels)
                    for name, instrument in self._instruments.items()
                    if name.startswith(prefix)
-                   and isinstance(instrument, Counter))
+                   and isinstance(instrument, (Counter, LabelledCounter)))
 
     def names(self):
         return sorted(self._instruments)
@@ -203,25 +257,6 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         return {name: self._instruments[name].snapshot()
                 for name in sorted(self._instruments)}
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (counters add, gauges keep maxima,
-        histograms re-record bucket uppers — used when an experiment
-        aggregates several clusters' registries into one report)."""
-        for name in other.names():
-            theirs = other._instruments[name]
-            if isinstance(theirs, Counter):
-                self.counter(name).inc(theirs.value)
-            elif isinstance(theirs, Gauge):
-                gauge = self.gauge(name)
-                gauge.set(theirs.max)
-                gauge.set(theirs.value)
-            elif isinstance(theirs, Histogram):
-                mine = self.histogram(name, sub_bits=theirs.sub_bits)
-                for index, hits in sorted(theirs._buckets.items()):
-                    value = min(theirs._upper_bound(index), theirs.max)
-                    for _ in range(hits):
-                        mine.record(value)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)

@@ -97,7 +97,7 @@ def test_job_end_drains_outstanding_checkpoint():
         iteration_ns=msecs(50), frequency=4)
     # The checkpoint fired on the last iteration; drain must have
     # completed it before the job ended.
-    assert cluster.daemon.checkpoints_completed == 1
+    assert cluster.obs.metrics.value("daemon.checkpoints_completed") == 1
     entry = cluster.daemon.model_map["alexnet"]
     assert valid_checkpoint(entry.meta)[1] == 4
 
@@ -159,7 +159,8 @@ def test_adaptive_interval_shortens_mid_run_after_failures():
     # The shorter interval really produced more checkpoints than the
     # pre-storm frequency would have allowed over 60 iterations.
     assert policy.checkpoints_taken > 60 // decided[5]
-    assert policy.checkpoints_taken == cluster.daemon.checkpoints_completed
+    assert policy.checkpoints_taken == cluster.obs.metrics.value(
+        "daemon.checkpoints_completed")
 
 
 def test_adaptive_policy_feeds_barrier_stall_back_as_cost():

@@ -380,7 +380,7 @@ def test_restore_reply_reports_bytes_pushed():
 
     reply, total = cluster.run(scenario)
     assert reply["bytes_pushed"] == total
-    assert cluster.daemon.bytes_pushed == total
+    assert cluster.obs.metrics.value("daemon.bytes_pushed") == total
 
 
 def test_unknown_engine_option_is_rejected():

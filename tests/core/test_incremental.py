@@ -19,12 +19,13 @@ def test_incremental_pulls_only_dirty_and_stays_complete():
         model = session.model
         model.update_step(1)
         yield from session.checkpoint(1)
-        pulled_before = cluster.daemon.bytes_pulled
+        metrics = cluster.obs.metrics
+        pulled_before = metrics.value("daemon.bytes_pulled")
         # Only the classifier head trains.
         dirty = ["fc.weight", "fc.bias"]
         model.update_step(2, only=dirty)
         yield from session.checkpoint(2, dirty=dirty)
-        pulled = cluster.daemon.bytes_pulled - pulled_before
+        pulled = metrics.value("daemon.bytes_pulled") - pulled_before
         return session, dirty, pulled
 
     session, dirty, pulled = cluster.run(scenario)
@@ -85,7 +86,8 @@ def test_incremental_without_previous_version_falls_back_to_full():
         return session
 
     session = cluster.run(scenario)
-    assert cluster.daemon.bytes_pulled == session.model.total_bytes
+    assert (cluster.obs.metrics.value("daemon.bytes_pulled")
+            == session.model.total_bytes)
 
 
 def test_incremental_much_faster_for_frozen_backbone():

@@ -61,7 +61,7 @@ def test_healthy_pull_outlasting_short_lease_is_not_reaped():
 
     reply = cluster.run(scenario)
     assert reply["step"] == 1
-    assert cluster.daemon.reaped_sessions == 0
+    assert cluster.obs.metrics.value("daemon.reaped_sessions") == 0
     assert cluster.daemon.model_map["model"].attached
     entry = cluster.daemon.model_map["model"]
     _version, step = valid_checkpoint(entry.meta)
@@ -89,7 +89,7 @@ def test_wedged_pull_times_out_then_idle_session_is_reaped():
         yield env.timeout(LEASE_NS + 4 * REAPER_NS)
 
     cluster.run(scenario)
-    assert cluster.daemon.reaped_sessions == 1
+    assert cluster.obs.metrics.value("daemon.reaped_sessions") == 1
     assert not cluster.daemon.model_map["model"].attached
 
 
@@ -116,7 +116,7 @@ def test_daemon_without_request_timeout_reaps_inflight_as_last_resort():
         yield env.timeout(LEASE_NS + 8 * REAPER_NS)
 
     cluster.run(scenario)
-    assert cluster.daemon.reaped_sessions == 1
+    assert cluster.obs.metrics.value("daemon.reaped_sessions") == 1
     entry = cluster.daemon.model_map["model"]
     assert not entry.busy  # the interrupt's cleanup released the guard
     assert not entry.attached

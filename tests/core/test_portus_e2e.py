@@ -144,7 +144,7 @@ def test_multi_tenant_models_checkpoint_concurrently(cluster):
         return session_a, session_b
 
     cluster.run(scenario)
-    assert cluster.daemon.checkpoints_completed == 2
+    assert cluster.obs.metrics.value("daemon.checkpoints_completed") == 2
 
 
 def test_checkpoint_speed_near_bar_bandwidth(cluster):

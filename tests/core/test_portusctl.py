@@ -202,3 +202,47 @@ def test_cli_stats_fleet_embeds_per_shard_work(capsys):
         assert entry["bytes_pulled"] > 0
     # The flat metrics snapshot rides along unchanged.
     assert "daemon.checkpoints_completed" in snapshot["metrics"]
+
+
+def test_cli_stats_fleet_counts_survive_a_daemon_restart(capsys,
+                                                         monkeypatch):
+    """Per-shard rows come from the shard-labelled registry series, so a
+    restarted daemon's earlier work still counts — in ``stats`` and in
+    the health sample alike."""
+    import json
+
+    import repro.core.portusctl as portusctl_mod
+    from repro.core.retry import RetryPolicy
+
+    clusters = []
+
+    def demo_with_restart(tracing=False, daemons=1):
+        cluster = PaperCluster(seed=19, ampere_nodes=0,
+                               storage_nodes=daemons,
+                               client_retry=RetryPolicy(), tracing=tracing)
+
+        def scenario(env):
+            instance = cluster.materialize("alexnet")
+            session = yield from cluster.portus_client(
+                shard=1).register(instance)
+            for step in (1, 2):
+                instance.update_step(step)
+                yield from session.checkpoint(step)
+                if step == 1:
+                    cluster.restart_daemon(shard=1)
+
+        cluster.run(scenario)
+        clusters.append(cluster)
+        return cluster, cluster.portus_pool
+
+    monkeypatch.setattr(portusctl_mod, "_demo_pool", demo_with_restart)
+    assert main(["stats", "--daemons", "2"]) == 0
+    snapshot = json.loads(capsys.readouterr().out)
+    per_shard = snapshot["fleet"]["per_shard"]
+    assert per_shard["server"]["checkpoints_completed"] == 0
+    assert per_shard["server1"]["checkpoints_completed"] == 2
+    completed = snapshot["metrics"]["daemon.checkpoints_completed"]
+    assert completed["value"] == 2
+    assert completed["series"] == {"shard=server1": 2}
+    health = clusters[0].shards[1].daemon.health_snapshot()
+    assert health["counters"]["checkpoints_completed"] == 2

@@ -126,6 +126,43 @@ def test_register_retries_until_daemon_comes_up():
     assert session.retries >= 1
 
 
+def test_registry_counts_what_the_session_tallies():
+    """Registration runs the session's one retry loop: its retries reach
+    the registry, and a first attach is never counted as a re-attach."""
+    cluster = make_cluster()
+    metrics = cluster.obs.metrics
+    first = register_model(cluster, name="first")
+    cluster.kill_daemon()
+
+    def register_through_restart(env):
+        instance = ModelInstance.materialize("second", SPECS,
+                                             cluster.volta.gpus[1],
+                                             model_seed=4)
+        started = env.process(
+            cluster.portus_client().register(instance), name="register")
+        yield env.timeout(usecs(400))
+        cluster.restart_daemon()
+        return (yield started)
+
+    second = cluster.run(register_through_restart)
+    assert second.retries >= 1
+    assert first.reattaches == second.reattaches == 0
+    assert metrics.value("client.reattaches") == 0
+    assert metrics.value("client.retries") == first.retries + second.retries
+    assert metrics.sum_counters("client.faults_absorbed.") == \
+        metrics.value("client.retries")
+
+    def dump(env):
+        # The restart severed the first session: this one re-attaches.
+        first.model.update_step(1)
+        yield from first.checkpoint(1)
+
+    cluster.run(dump)
+    assert first.reattaches == 1
+    assert metrics.value("client.reattaches") == 1
+    assert metrics.value("client.retries") == first.retries + second.retries
+
+
 # -- daemon request timeout -------------------------------------------------------
 
 
@@ -192,7 +229,7 @@ def test_reaper_reclaims_entry_of_vanished_client():
 
     cluster.run(vanish_mid_pull)
     entry = cluster.daemon.model_map["model"]
-    assert cluster.daemon.reaped_sessions == 1
+    assert cluster.obs.metrics.value("daemon.reaped_sessions") == 1
     assert not entry.attached
     assert not entry.busy
     # The interrupted pull aborted: step 1 survives, the half-pulled
@@ -222,14 +259,14 @@ def test_heartbeat_renews_lease():
     cluster.run(idle_but_alive)
     entry = cluster.daemon.model_map["model"]
     assert entry.attached  # 4 ms idle, but the lease kept renewing
-    assert cluster.daemon.reaped_sessions == 0
+    assert cluster.obs.metrics.value("daemon.reaped_sessions") == 0
 
     def go_silent(env):
         yield env.timeout(msecs(3))
 
     cluster.run(go_silent)
     assert not entry.attached
-    assert cluster.daemon.reaped_sessions == 1
+    assert cluster.obs.metrics.value("daemon.reaped_sessions") == 1
 
 
 # -- unregister resource release --------------------------------------------------

@@ -137,8 +137,8 @@ def run_torn_slot_schedule(seed):
         yield env.timeout(usecs(200))
 
     cluster.run(faulted_traffic)
-    dirty_aborts = cluster.obs.metrics.counter(
-        "daemon.checkpoints_aborted_dirty").value
+    dirty_aborts = cluster.obs.metrics.value(
+        "daemon.checkpoints_aborted_dirty")
     invalidated = any(
         state == FLAG_EMPTY
         for state in cluster.daemon.model_map["model"]

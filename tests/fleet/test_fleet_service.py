@@ -22,8 +22,9 @@ from repro.dnn.layout import gpt_layout
 from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.core.consistency import valid_checkpoint
 from repro.core.group import register_group as bind_group
-from repro.errors import (AdmissionReject, GroupError,
-                          GroupNotFound, MigrationIncomplete, ReproError,
+from repro.errors import (AdmissionReject, GroupError, GroupNotFound,
+                          MigrationIncomplete, ModelAlreadyRegistered,
+                          NoValidCheckpoint, ReproError,
                           TenantQuotaExceeded)
 from repro.core.retry import RetryPolicy
 from repro.fleet import (AdmissionController, FleetClient, PlacementRing,
@@ -171,6 +172,34 @@ def test_fleet_spreads_tenants_and_restores_bit_exactly():
     cluster.run(verify)
     for shard in cluster.shards:
         assert fsck(shard.pool).clean
+
+
+def test_one_shards_errors_stay_out_of_its_siblings_health():
+    """Both daemons count into one registry; the ``shard=`` label keeps
+    a fault burst on shard 0 out of shard 1's health counters."""
+    cluster = PaperCluster(seed=17, ampere_nodes=0, storage_nodes=2)
+
+    def scenario(env):
+        for index, shard in enumerate(cluster.shards):
+            instance = cluster.materialize("alexnet", gpu=index,
+                                           instance_name=f"m{index}")
+            session = yield from cluster.portus_client(
+                shard=index).register(instance)
+            if index == 0:
+                # Nothing checkpointed yet: every restore is refused.
+                for _ in range(3):
+                    with pytest.raises(NoValidCheckpoint):
+                        yield from session.restore()
+
+    cluster.run(scenario)
+    busy, quiet = (shard.daemon.health_snapshot()["counters"]
+                   for shard in cluster.shards)
+    assert busy["errors"] == 3
+    assert quiet["errors"] == 0
+    assert quiet["requests"] == 1  # its own REGISTER only
+    metrics = cluster.obs.metrics
+    assert metrics.sum_counters("daemon.errors.") == 3
+    assert metrics.value("daemon.requests.REGISTER") == 2
 
 
 # -- quota + bandwidth through the wire ---------------------------------------
@@ -322,7 +351,7 @@ def test_live_migration_moves_bytes_and_flips_the_ring():
     for shard in cluster.shards:
         assert fsck(shard.pool).clean
     assert cluster.obs.metrics.value(
-        f"fleet.migrations.{src.name}->{dst.name}") == 1
+        "fleet.migrations", src=src.name, dst=dst.name) == 1
 
 
 def test_migrating_to_the_home_shard_is_an_error():
@@ -413,7 +442,7 @@ def test_dedup_model_migrates_bit_exact_and_releases_source_refs():
     for shard in cluster.shards:
         assert fsck(shard.pool).clean
     assert cluster.obs.metrics.value(
-        f"fleet.migrations.{src.name}->{dst.name}") == 1
+        "fleet.migrations", src=src.name, dst=dst.name) == 1
 
 
 def test_dedup_migration_moves_only_the_chunks_the_destination_lacks():
@@ -538,7 +567,7 @@ def test_group_registration_places_all_members_on_one_shard():
     bare = PlacementRing([shard.name for shard in cluster.shards])
     assert len({bare.lookup("acme", m) for m in layout.members}) > 1
     assert cluster.obs.metrics.value(
-        f"fleet.group_placements.{home}") == 1
+        "fleet.group_placements", shard=home) == 1
 
 
 def test_group_migration_moves_the_whole_group():
@@ -584,7 +613,77 @@ def test_group_migration_moves_the_whole_group():
     for shard in cluster.shards:
         assert fsck(shard.pool).clean
     assert cluster.obs.metrics.value(
-        f"fleet.group_migrations.{src.name}->{dst.name}") == 1
+        "fleet.group_migrations", src=src.name, dst=dst.name) == 1
+
+
+def test_failed_group_migration_leaves_no_member_on_the_destination():
+    """A member copy that fails before the ring flip unwinds the members
+    already copied: nothing is stranded on the destination, the source
+    keeps serving the committed step, and a retry is not blocked."""
+    cluster = PaperCluster(seed=61, ampere_nodes=0, storage_nodes=2)
+    fleet = FleetClient(cluster)
+    layout, instances, group = _group_fixture(cluster, fleet)
+
+    def work(env):
+        for instance in instances.values():
+            instance.update_step(1)
+        yield from group.dump(1)
+
+    cluster.run(work)
+    src = cluster.shard_named(fleet.ring.lookup("acme",
+                                                GROUP_CONFIG.name))
+    dst = next(s for s in cluster.shards if s.name != src.name)
+    first, second = layout.members
+
+    def occupy(env):
+        # An unrelated model already holds the second member's name on
+        # the destination, so its copy fails after the first landed.
+        squatter = ModelInstance.materialize(
+            second, SPECS, cluster.volta.gpus[3], model_seed=99)
+        return (yield from cluster.portus_client(shard=dst.index).register(
+            squatter))
+
+    squatter = cluster.run(occupy)
+
+    def migrate(env):
+        try:
+            yield from fleet.migrate_group("acme", GROUP_CONFIG.name,
+                                           dst.name)
+        except ModelAlreadyRegistered as exc:
+            return exc
+        return None
+
+    assert isinstance(cluster.run(migrate), ModelAlreadyRegistered)
+    assert dst.daemon.model_map.get(first) is None
+    assert first not in dst.daemon.table
+    assert fleet.ring.lookup("acme", GROUP_CONFIG.name) == src.name
+    for member in layout.members:
+        assert fleet.shard_of("acme", member).name == src.name
+
+    def recover(env):
+        for instance in instances.values():
+            instance.update_step(0)
+        return (yield from group.restore())
+
+    assert cluster.run(recover) == 1
+    for instance in instances.values():
+        bad = [t.name for t in instance.tensors
+               if not t.content().equals(t.expected_content(1))]
+        assert bad == []
+    for shard in cluster.shards:
+        assert fsck(shard.pool).clean
+
+    def retry(env):
+        # With the name freed, the same migration goes through.
+        yield from squatter.unregister()
+        return (yield from fleet.migrate_group("acme", GROUP_CONFIG.name,
+                                               dst.name))
+
+    assert cluster.run(retry)[0] == 1
+    for member in layout.members:
+        assert dst.daemon.model_map.get(member) is not None
+    for shard in cluster.shards:
+        assert fsck(shard.pool).clean
 
 
 def _mixed_group(cluster, fleet, home):

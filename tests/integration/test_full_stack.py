@@ -114,7 +114,7 @@ def test_gpt_distributed_training_with_portus_checkpoints():
         state.update(instances=instances, sessions=sessions, job=job)
 
     cluster.run(scenario)
-    assert cluster.daemon.checkpoints_completed == 2 * 16
+    assert cluster.obs.metrics.value("daemon.checkpoints_completed") == 2 * 16
     for instance in state["instances"]:
         entry = cluster.daemon.model_map[instance.name]
         version, step = valid_checkpoint(entry.meta)

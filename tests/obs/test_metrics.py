@@ -101,22 +101,86 @@ def test_registry_snapshot_is_json_and_sorted():
                       "b": {"type": "counter", "value": 2}}
 
 
-def test_registry_merge_semantics():
-    ours = MetricsRegistry()
-    theirs = MetricsRegistry()
-    ours.counter("c").inc(1)
-    theirs.counter("c").inc(2)
-    ours.gauge("g").set(5)
-    theirs.gauge("g").set(3)
-    theirs.histogram("h").record(100)
-    theirs.histogram("h").record(200)
-    ours.merge(theirs)
-    assert ours.counter("c").value == 3
-    assert ours.gauge("g").max == 5  # our high-water mark survives
-    assert ours.histogram("h").count == 2
-    # Histogram merge re-records bucket uppers: totals stay within the
-    # HDR relative-error band of the true sum.
-    assert 300 <= ours.histogram("h").total <= 300 * (1 + 1 / 32)
+def _fleet_registry():
+    registry = MetricsRegistry()
+    registry.counter("daemon.bytes", shard="server").inc(5)
+    registry.counter("daemon.bytes", shard="server1").inc(7)
+    registry.counter("daemon.errors.REGISTER", shard="server").inc(1)
+    registry.counter("daemon.errors.DO_RESTORE", shard="server1").inc(2)
+    registry.counter("daemon.errors.legacy").inc(4)
+    return registry
+
+
+def test_labelled_counter_is_one_series_per_label_set():
+    registry = _fleet_registry()
+    series = registry.counter("daemon.bytes", shard="server")
+    assert registry.counter("daemon.bytes", shard="server") is series
+    assert series.value == 5
+    assert registry.counter("daemon.bytes", shard="server1").value == 7
+
+
+def test_value_sums_every_series_whose_labels_include_the_given_ones():
+    registry = _fleet_registry()
+    assert registry.value("daemon.bytes") == 12
+    assert registry.value("daemon.bytes", shard="server1") == 7
+    assert registry.value("daemon.bytes", shard="server9") == 0
+    assert registry.value("missing", shard="server") == 0
+    # An unlabelled name has no series carrying a shard.
+    assert registry.value("daemon.errors.legacy", shard="server") == 0
+    registry.counter("moves", src="a", dst="b").inc(2)
+    registry.counter("moves", src="a", dst="c").inc(3)
+    registry.counter("moves", src="b", dst="c").inc(4)
+    assert registry.value("moves", src="a") == 5
+    assert registry.value("moves", dst="c") == 7
+    assert registry.value("moves", src="a", dst="c") == 3
+
+
+def test_sum_counters_with_and_without_labels():
+    registry = _fleet_registry()
+    assert registry.sum_counters("daemon.errors.") == 7
+    assert registry.sum_counters("daemon.errors.", shard="server") == 1
+    assert registry.sum_counters("daemon.errors.", shard="server1") == 2
+    assert registry.sum_counters("daemon.errors.", shard="server2") == 0
+
+
+def test_snapshot_keeps_one_entry_per_name_with_sorted_series():
+    registry = MetricsRegistry()
+    registry.counter("moves", src="b", dst="a").inc(1)
+    registry.counter("moves", src="a", dst="b").inc(2)
+    registry.counter("plain").inc(3)
+    snapshot = registry.snapshot()
+    assert list(snapshot) == ["moves", "plain"]
+    assert snapshot["moves"] == {"type": "counter", "value": 3,
+                                 "series": {"dst=a,src=b": 1,
+                                            "dst=b,src=a": 2}}
+    assert list(snapshot["moves"]["series"]) == ["dst=a,src=b",
+                                                 "dst=b,src=a"]
+    assert snapshot["plain"] == {"type": "counter", "value": 3}
+    assert json.loads(registry.to_json()) == snapshot
+
+
+def test_mixing_labelled_and_unlabelled_series_raises():
+    registry = MetricsRegistry()
+    registry.counter("labelled", shard="server").inc()
+    with pytest.raises(TypeError):
+        registry.counter("labelled")
+    registry.counter("plain").inc()
+    with pytest.raises(TypeError):
+        registry.counter("plain", shard="server")
+    with pytest.raises(TypeError):
+        registry.gauge("labelled")
+
+
+def test_mismatched_label_keys_raise():
+    registry = MetricsRegistry()
+    registry.counter("moves", src="a", dst="b").inc()
+    with pytest.raises(TypeError):
+        registry.counter("moves", src="a")
+    with pytest.raises(TypeError):
+        registry.counter("moves", src="a", dst="b", kind="x")
+    with pytest.raises(TypeError):
+        registry.counter("moves", shard="a", dst="b")
+    assert registry.value("moves") == 1
 
 
 def test_registry_write(tmp_path):

@@ -38,7 +38,7 @@ def test_traced_run_is_bit_identical_to_untraced():
     plain, plain_timeline = _run_workload(tracing=False)
     traced, traced_timeline = _run_workload(tracing=True)
     assert plain_timeline == traced_timeline
-    assert plain.daemon.ledger.asdict() == traced.daemon.ledger.asdict()
+    assert plain.obs.metrics.snapshot() == traced.obs.metrics.snapshot()
     # The traced run actually recorded something — the contract is
     # "free", not "off".
     assert traced.obs.tracer.spans
