@@ -194,10 +194,3 @@ def _build_image(snapshot: Dict[str, Tuple]) -> _Image:
     header = image.slice(0, header_size)
     payloads = [shim.content() for shim in shims]
     return _Image(header, payloads)
-
-
-def _safe_equals(got: Content, expected: Content) -> bool:
-    try:
-        return expected.equals(got)
-    except ValueError:
-        return False

@@ -3,8 +3,9 @@ does in the real system).
 
 For each model (or model shard) the client:
 
-1. registers every tensor's GPU memory as an RDMA MR through PeerMem
-   (tensor addresses are fixed for the life of the job, §III-C);
+1. pins every tensor's GPU memory as an RDMA MR through PeerMem, once
+   per job (tensor addresses are fixed for the life of the job, §III-C):
+   the NIC's pin table hands a re-register the MRs it already holds;
 2. connects a QP to the daemon and ships the model-description packet —
    per-layer name/dtype/shape/size plus rkey and GPU address — over TCP;
 3. thereafter checkpoints by sending the word DO_CHECKPOINT and waiting
@@ -21,7 +22,7 @@ dispatches each request on its own worker).  When the client carries a
 drops, link flaps, QP/WR errors, reply timeouts, a restarting daemon)
 tear the session transport down and transparently re-attach — new QP,
 new TCP connection, re-sent REGISTER against the persisted index; the
-GPU-side MRs are registered once per job and reused across re-attaches,
+GPU-side MRs are pinned once per job and reused across re-attaches,
 exactly as the fixed tensor addresses of §III-C allow.
 """
 
@@ -48,7 +49,7 @@ class ModelSession:
     """A registered model's handle: checkpoint / restore / unregister."""
 
     def __init__(self, client: "PortusClient", model: ModelInstance,
-                 conn, qp, mrs: List,
+                 conn, qp,
                  tensor_infos: Optional[List[Dict[str, Any]]] = None,
                  retry: Optional[RetryPolicy] = None,
                  num_qps: int = 1,
@@ -66,7 +67,6 @@ class ModelSession:
         #: and the daemon stripes each checkpoint/restore across them.
         self.num_qps = num_qps
         self.qps: List = [qp] if qp is not None else []
-        self.mrs = mrs
         self.tensor_infos = tensor_infos
         self.retry = retry
         #: Dedup mode: checkpoints carry a chunk manifest computed over
@@ -411,20 +411,18 @@ class ModelSession:
     def unregister(self) -> Generator:
         """Process: drop the model from the daemon and free its PMem.
 
-        Also releases the client-side resources: the per-tensor MRs are
-        deregistered and the session is removed from the client's session
-        list, so register/unregister churn (multi-tenant jobs) does not
-        leak MR table entries or handles.
+        Also releases the client-side resources: the tensors are unpinned
+        and the session is removed from the client's session list, so
+        register/unregister churn (multi-tenant jobs) does not leak MR
+        table entries or handles.
         """
         yield from self._call(
             lambda: protocol.unregister(self.model.name),
             protocol.OP_UNREGISTERED)
         if self.conn is not None:
             self.conn.close()
-        for mr in self.mrs:
-            if mr.valid:
-                self.client.node.nic.deregister_mr(mr)
-        self.mrs = []
+        self.client.node.nic.unpin(tensor.allocation
+                                   for tensor in self.model.tensors)
         if self in self.client.sessions:
             self.client.sessions.remove(self)
 
@@ -463,11 +461,12 @@ class PortusClient:
                  tenant: Optional[str] = None) -> Generator:
         """Process: register *model* (or attach to its persisted index).
 
-        Registers one MR per tensor (PeerMem must be enabled for the GPU
-        by the cluster setup), connects a dedicated QP, and sends the
-        description packet.  With a retry policy the attach itself rides
-        the same backoff loop as every other request (the daemon may be
-        restarting at registration time).
+        Pins one MR per tensor (PeerMem must be enabled for the GPU by
+        the cluster setup; a tensor the NIC already pins costs nothing),
+        connects a dedicated QP, and sends the description packet.  With
+        a retry policy the attach itself rides the same backoff loop as
+        every other request (the daemon may be restarting at
+        registration time).
 
         With ``dedup=True`` the model uses the deduplicated layout:
         checkpoints ship content-hash chunk manifests and the daemon
@@ -482,11 +481,10 @@ class PortusClient:
             dedup_chunk_bytes = int(chunk_bytes)
         elif chunk_bytes is not None:
             raise PortusError("chunk_bytes requires dedup=True")
-        mrs = []
         tensor_infos = []
         for tensor in model.tensors:
-            mr = yield from self.node.nic.register_mr(tensor.allocation)
-            mrs.append(mr)
+            mr = yield from self.node.nic.pin(tensor.allocation, self.obs,
+                                              track=f"client/{model.name}")
             tensor_infos.append({
                 "name": tensor.spec.name,
                 "dtype": tensor.spec.dtype.name,
@@ -495,7 +493,7 @@ class PortusClient:
                 "rkey": mr.rkey,
                 "addr": mr.addr,
             })
-        session = ModelSession(self, model, None, None, mrs,
+        session = ModelSession(self, model, None, None,
                                tensor_infos=tensor_infos, retry=self.retry,
                                num_qps=self.num_qps,
                                dedup_chunk_bytes=dedup_chunk_bytes,

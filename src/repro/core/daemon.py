@@ -4,7 +4,7 @@ Listens on TCP/IPoIB, keeps the three-level index (persistent ModelTable +
 DRAM ModelMap of :class:`ModelEntry`), and serves four operations:
 
 * REGISTER — build (or re-attach to) a model's index: allocate both
-  TensorData versions, write the MIndex, register the server-side MRs,
+  TensorData versions, write the MIndex, pin the server-side MRs,
   record the client's per-tensor rkeys.
 * DO_CHECKPOINT — stamp the target version ACTIVE, post one one-sided
   RDMA READ per tensor (concurrently — all tensors of a model pull in
@@ -52,8 +52,8 @@ from typing import Dict, Generator, List, Optional
 from repro.core import protocol
 from repro.core.consistency import checkpoint_at_step, valid_checkpoint
 from repro.core.engine import (ENGINE_CHUNK_BYTES, IngestLimiter,
-                               LocalCopyEngine, MrCache, RemoteRun,
-                               TransferEngine, plan_items)
+                               LocalCopyEngine, RemoteRun, TransferEngine,
+                               plan_items)
 from repro.core.group import GroupStore
 from repro.core.index import ModelMeta, ModelTable
 from repro.core.modelmap import ModelMap
@@ -97,7 +97,6 @@ class ModelEntry:
         self.qps: List = []
         #: The attached client's tensors as remote runs of the region.
         self.client_runs: Optional[List[RemoteRun]] = None
-        self.version_mrs: List = [None, None]
         #: Owning tenant (fleet accounting); None for legacy sessions.
         #: Re-learned at attach time after a daemon restart.
         self.tenant: Optional[str] = None
@@ -237,8 +236,9 @@ class PortusDaemon:
         Networking tears down as in :meth:`stop`, every attached QP is
         flushed to the error state (in-flight WR data is discarded —
         the DMA target mapping is gone), in-flight handlers are killed,
-        and the pool closes un-synced.  PMem keeps whatever was
-        persisted; the successor must :meth:`PmemPool.open` and recover.
+        every MR pinned over the pool dies with the process, and the
+        pool closes un-synced.  PMem keeps whatever was persisted; the
+        successor must :meth:`PmemPool.open` and recover.
         Callers simulating *power loss* should :meth:`PmemPool.crash`
         the pool before calling this.
         """
@@ -251,6 +251,7 @@ class PortusDaemon:
                     qp.transition_to_error("daemon crashed")
             if entry.inflight is not None and entry.inflight.is_alive:
                 entry.inflight.interrupt("daemon crashed")
+        self.node.nic.unpin_device(self.pool.device)
 
     # -- serving -------------------------------------------------------------------
 
@@ -517,13 +518,18 @@ class PortusDaemon:
             self._validate_dedup_attach(entry, dedup)
             # A repacked model may be missing a version slot; rebuild it.
             entry.meta.ensure_regions()
-        # (Re-)register the server-side MRs over both TensorData versions
-        # (dedup models have none: their bytes live in per-chunk extents
-        # whose MRs are registered per operation).
-        for version, region in enumerate(entry.meta.data_regions):
-            if region is not None and entry.version_mrs[version] is None:
-                entry.version_mrs[version] = yield from \
-                    self.node.nic.register_mr(region)
+        # Pin both TensorData versions (a chunk model has none: each
+        # chunk extent is pinned when first written).  A re-attach to a
+        # live daemon finds them in the pin table.
+        regions = [region for region in entry.meta.data_regions
+                   if region is not None]
+        for region in regions:
+            yield from self.node.nic.pin(region, self.obs,
+                                         protocol.trace_of(message),
+                                         "daemon")
+        if self.stopped:
+            # This process died while pinning: no pin outlives it.
+            self.node.nic.unpin(regions)
         entry.qps = list(qps)
         entry.client_runs = [
             RemoteRun(d.name, d.offset, d.size, t["addr"], t["rkey"])
@@ -620,7 +626,6 @@ class PortusDaemon:
         qps, runs = list(entry.qps), entry.client_runs
         trace_id = protocol.trace_of(message)
         started = self.env.now
-        mrs = MrCache(self.node.nic, entry.version_mrs)
         engine = None
         prefilled = 0
         try:
@@ -634,8 +639,10 @@ class PortusDaemon:
                                           track="daemon", model=name,
                                           tensors=len(write.kept)):
                     prefilled = yield from self._carry_forward(write)
-            items = yield from plan_items(write.targets, runs, mrs,
-                                          self.engine_chunk_bytes)
+            items = yield from plan_items(write.targets, runs,
+                                          self.node.nic,
+                                          self.engine_chunk_bytes,
+                                          self.obs, trace_id, "daemon")
             # The engine charges PER_WQE_CPU_NS per WR actually posted —
             # an incremental or dedup pull pays for what it moves (and
             # its segmentation), not the whole layer count.  On a WR
@@ -669,7 +676,6 @@ class PortusDaemon:
                     self._count("checkpoints_aborted_dirty")
             raise
         finally:
-            mrs.release()
             self._release(entry)
         duration = self.env.now - started
         self._count("checkpoints_completed")
@@ -722,12 +728,12 @@ class PortusDaemon:
         qps = list(entry.qps)
         trace_id = protocol.trace_of(message)
         started = self.env.now
-        mrs = MrCache(self.node.nic, entry.version_mrs)
         try:
             version, step = self._restore_version(entry, message)
             items = yield from plan_items(entry.meta.layout.extents(version),
-                                          entry.client_runs, mrs,
-                                          self.engine_chunk_bytes)
+                                          entry.client_runs, self.node.nic,
+                                          self.engine_chunk_bytes,
+                                          self.obs, trace_id, "daemon")
             engine = self._engine(qps, ingest=False, trace_id=trace_id)
             try:
                 pushed = yield from engine.push(items, f"push:{name}")
@@ -741,7 +747,6 @@ class PortusDaemon:
             if self.pool.closed:
                 raise PortusError(f"{name}: server crashed during restore")
         finally:
-            mrs.release()
             self._release(entry)
         duration = self.env.now - started
         self._count("restores_completed")
@@ -766,19 +771,16 @@ class PortusDaemon:
         """Delete *name* from this daemon (UNREGISTER, or a migration's
         source evict); returns its entry.
 
-        Deregisters the version MRs, then removes the ModelTable entry
-        (committed) BEFORE releasing the extents: a crash mid-drop then
-        only leaks GC-able extents, instead of leaving a table entry
-        that points at freed metadata and wedges the next recovery.  A
-        chunk-layout model drops only its own chunk references.
+        Removes the ModelTable entry (committed) BEFORE releasing the
+        extents: a crash mid-drop then only leaks GC-able extents,
+        instead of leaving a table entry that points at freed metadata
+        and wedges the next recovery.  A chunk-layout model drops only
+        its own chunk references.  Each freed extent's MR retires with
+        it.
         """
         entry = self._entry(name)
         self._claim(entry)
         try:
-            for version, mr in enumerate(entry.version_mrs):
-                if mr is not None and mr.valid:
-                    self.node.nic.deregister_mr(mr)
-                entry.version_mrs[version] = None
             self.table.remove(name)
             entry.meta.free()
             self.model_map.delete(name)

@@ -12,10 +12,11 @@ restore pushes, and repacking's local moves:
 * **Multi-QP striping** — the work items are sharded across the QPs the
   client registered (``num_qps`` is negotiated at REGISTER time).  Items
   come from :func:`plan_items`, which intersects the local extents a
-  layout names with the peer's runs; every item carries its own local
-  MR, and runs larger than ``chunk_bytes`` are segmented so one huge
-  GPT tensor parallelizes across lanes instead of serializing on one
-  WR.
+  layout names with the peer's runs; every item carries its local MR,
+  asked of the NIC's pin table (registered on first use, kept for as
+  long as the memory lives), and runs larger than ``chunk_bytes`` are
+  segmented so one huge GPT tensor parallelizes across lanes instead of
+  serializing on one WR.
 * **Largest-first scheduling** — items are posted in decreasing size
   (LPT order) and striped onto the least-loaded lane, so the long tail
   of a skewed tensor-size distribution cannot become the straggler.
@@ -91,36 +92,6 @@ class RemoteRun:
         self.rkey = rkey
 
 
-class MrCache:
-    """The local MRs of one operation.
-
-    *pinned* MRs (registered once per attach) are reused; any other
-    allocation is registered on first use and deregistered again by
-    :meth:`release`.
-    """
-
-    def __init__(self, nic, pinned: Sequence = ()) -> None:
-        self.nic = nic
-        self._mrs: Dict[int, object] = {
-            mr.allocation.addr: mr for mr in pinned
-            if mr is not None and mr.valid}
-        self._owned: List = []
-
-    def get(self, allocation) -> Generator:
-        """Process: the MR covering *allocation*."""
-        mr = self._mrs.get(allocation.addr)
-        if mr is None or not mr.valid:
-            mr = yield from self.nic.register_mr(allocation)
-            self._mrs[allocation.addr] = mr
-            self._owned.append(mr)
-        return mr
-
-    def release(self) -> None:
-        for mr in self._owned:
-            if mr.valid:
-                self.nic.deregister_mr(mr)
-
-
 def build_items(runs: List[WorkItem],
                 chunk_bytes: Optional[int]) -> List[WorkItem]:
     """Segment whole-run work items into WR-sized ones.
@@ -147,15 +118,19 @@ def build_items(runs: List[WorkItem],
     return items
 
 
-def plan_items(targets, runs: List[RemoteRun], mrs: MrCache,
-               chunk_bytes: Optional[int]) -> Generator:
+def plan_items(targets, runs: List[RemoteRun], nic,
+               chunk_bytes: Optional[int],
+               obs: Optional[Observability] = None,
+               trace_id: Optional[int] = None,
+               track: str = "main") -> Generator:
     """Process: the work items moving every overlap of the local
     *targets* (:class:`~repro.core.index.Extent` runs) with the remote
     *runs*, target-major in region order.  Each target's MR comes from
-    *mrs* on first use; an extent's label prefixes its items' names."""
+    *nic*'s pin table (pinned on first use, traced on *trace_id* and
+    *track*); an extent's label prefixes its items' names."""
     whole = []
     for extent, run, lo, hi in overlaps(targets, runs):
-        mr = yield from mrs.get(extent.allocation)
+        mr = yield from nic.pin(extent.allocation, obs, trace_id, track)
         name = (run.name if extent.label is None
                 else f"{extent.label}:{run.name}")
         whole.append(WorkItem(name, extent.base + lo - extent.offset,

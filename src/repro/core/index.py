@@ -662,7 +662,8 @@ def _short(name: str) -> str:
 
 class SlotLayout:
     """The paper's layout: each version is one contiguous TensorData
-    region, pinned for RDMA once per attach (§III-D2)."""
+    region, pinned for RDMA once, at REGISTER, for as long as the region
+    and the daemon live (§III-D2)."""
 
     def __init__(self, meta: ModelMeta) -> None:
         self.meta = meta
@@ -683,7 +684,8 @@ class SlotLayout:
 class ChunkLayout:
     """The deduplicated layout: each version is a chunk manifest over
     the pool-wide refcounted :class:`~repro.pmem.chunks.ChunkStore`;
-    chunk extents are registered per operation, never pinned."""
+    each chunk extent is pinned when first written and stays pinned
+    until it is freed."""
 
     def __init__(self, meta: ModelMeta) -> None:
         self.meta = meta

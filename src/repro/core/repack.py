@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.core.consistency import valid_checkpoint
-from repro.core.engine import (LocalCopyEngine, MrCache, RemoteRun,
-                               TransferEngine, plan_items)
+from repro.core.engine import (LocalCopyEngine, RemoteRun, TransferEngine,
+                               plan_items)
 from repro.core.index import ModelMeta, ModelTable, overlaps
 from repro.errors import ModelAlreadyRegistered, ModelNotFound, PortusError
 from repro.obs import Observability
@@ -235,8 +235,6 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
     src_daemon._claim(entry)
     span = obs.tracer.span(env, "fleet.migrate", cat="fleet",
                            track="fleet", model=name)
-    src_mrs = MrCache(src_daemon.node.nic, entry.version_mrs)
-    dst_mrs = MrCache(dst_daemon.node.nic)
     qps = []
     try:
         version, step = valid_checkpoint(entry.meta)
@@ -248,20 +246,23 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
                 manifest=entry.meta.read_manifest(version))
             write.begin()
             # The source version as remote runs, one per tensor piece —
-            # only of the extents the destination pulls from (no MR is
-            # registered for a chunk it already stores).
+            # only of the extents the destination pulls from (no chunk
+            # it already stores is pinned).
             needed = list(dict.fromkeys(
                 extent for extent, _t, _lo, _hi in overlaps(source,
                                                              write.targets)))
             runs = []
             for extent, descriptor, lo, hi in overlaps(
                     needed, entry.meta.mindex.descriptors):
-                mr = yield from src_mrs.get(extent.allocation)
+                mr = yield from src_daemon.node.nic.pin(
+                    extent.allocation, obs, track="fleet")
                 runs.append(RemoteRun(
                     descriptor.name, lo, hi - lo,
                     mr.addr + extent.base + lo - extent.offset, mr.rkey))
-            items = yield from plan_items(write.targets, runs, dst_mrs,
-                                          dst_daemon.engine_chunk_bytes)
+            items = yield from plan_items(write.targets, runs,
+                                          dst_daemon.node.nic,
+                                          dst_daemon.engine_chunk_bytes,
+                                          obs, track="fleet")
             dst_qp, src_qp = yield from connect(
                 env, dst_daemon.node.nic, src_daemon.node.nic)
             qps = [dst_qp, src_qp]
@@ -293,8 +294,6 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
         for qp in qps:
             if qp.error is None:
                 qp.transition_to_error("migration transport done")
-        dst_mrs.release()
-        src_mrs.release()
         src_daemon._release(entry)
         span.finish()
     labels = {"src": src_daemon.node.name, "dst": dst_daemon.node.name}

@@ -68,9 +68,6 @@ class RetryPolicy:
     def is_transport_fault(self, exc: BaseException) -> bool:
         return isinstance(exc, TRANSPORT_FAULTS)
 
-    def is_retryable(self, exc: BaseException) -> bool:
-        return isinstance(exc, RETRYABLE_FAULTS)
-
     def backoff_ns(self, attempt: int) -> int:
         """Backoff before retry number *attempt* (1-based), jittered."""
         base = min(

@@ -61,13 +61,6 @@ def multihead_attention(name: str, width: int,
     ]
 
 
-def mlp_block(name: str, width: int, hidden: int,
-              dtype: DType = float32) -> List[TensorSpec]:
-    """Transformer MLP: two linears with biases."""
-    return [*linear(f"{name}.0", width, hidden, dtype=dtype),
-            *linear(f"{name}.3", hidden, width, dtype=dtype)]
-
-
 def parameter(name: str, shape: Tuple[int, ...],
               dtype: DType = float32) -> List[TensorSpec]:
     """A bare learnable tensor (class token, position embedding, ...)."""

@@ -150,10 +150,6 @@ class ModelInstance:
                 tensor.set_step(step)
         self.step = step
 
-    def dirty_names(self) -> List[str]:
-        """Tensors whose bytes changed since :meth:`clear_dirty`."""
-        return [tensor.name for tensor in self.tensors if tensor.dirty]
-
     def clear_dirty(self, names: Optional[Iterable[str]] = None) -> None:
         """Mark tensors clean (checkpoint acked); all of them by default."""
         chosen = None if names is None else set(names)

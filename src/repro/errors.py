@@ -113,10 +113,6 @@ class FileExists(FsError):
     """Exclusive create hit an existing path."""
 
 
-class NoSpace(FsError):
-    """The backing device ran out of blocks."""
-
-
 class IsADirectory(FsError):
     """A file operation was applied to a directory path."""
 

@@ -19,7 +19,7 @@ Injection primitives and what they model:
 * ``tcp_drop`` — RST storm: established control-plane connections of a
   host are severed.
 * ``kill_client`` — a training process dies mid-whatever: connections
-  drop, its QPs error out, its MRs deregister, its sessions vanish
+  drop, its QPs error out, its tensors' pins die, its sessions vanish
   without UNREGISTER (the daemon-side lease reaper is what notices).
 * ``crash_daemon`` / ``restart_daemon`` — the storage daemon dying
   (PMem intact) and its successor recovering the index on the same port.
@@ -161,9 +161,9 @@ class FaultInjector:
 
         Everything client-side evaporates: connections drop, QPs go to
         error (flushing any WR the daemon still has in flight toward
-        this client), MRs deregister (late one-sided access now raises
-        RkeyViolation, like DMA into a freed process).  The daemon is
-        *not* told — only its lease reaper can reclaim the entry.
+        this client), the tensors' pins die (late one-sided access now
+        raises RkeyViolation, like DMA into a freed process).  The daemon
+        is *not* told — only its lease reaper can reclaim the entry.
         """
         keys = [key for key in self.cluster._portus_clients
                 if key[0] == node_name]
@@ -176,10 +176,8 @@ class FaultInjector:
                 for qp in session.qps:
                     if qp.error is None:
                         qp.transition_to_error("client process died")
-                for mr in session.mrs:
-                    if mr.valid:
-                        client.node.nic.deregister_mr(mr)
-                session.mrs = []
+                client.node.nic.unpin(tensor.allocation
+                                      for tensor in session.model.tensors)
                 killed += 1
             client.sessions = []
         return killed

@@ -67,9 +67,6 @@ class FleetClient:
         return self.cluster.shard_named(self.ring.lookup(tenant,
                                                          model_name))
 
-    def session_of(self, tenant: str, model_name: str):
-        return self._sessions.get((tenant, model_name))
-
     # -- registration -----------------------------------------------------
 
     def register(self, tenant: str, model, node=None, gpu: int = 0,
@@ -216,9 +213,6 @@ class FleetClient:
         self.obs.metrics.counter("fleet.group_placements",
                                  shard=shard.name).inc()
         return group
-
-    def group_of(self, tenant: str, group_name: str):
-        return self._groups.get((tenant, group_name))
 
     def migrate_group(self, tenant: str, group_name: str,
                       dst_shard_name: str) -> Generator:

@@ -370,7 +370,3 @@ class SegmentBuffer:
     def write_bytes(self, offset: int, data: bytes) -> None:
         """Materialized write, for metadata-sized windows."""
         self.write(offset, ByteContent(data))
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)

@@ -62,6 +62,9 @@ class Allocation:
         self.version = 0
         self.durable: Optional[SegmentBuffer] = None
         self._unflushed: List[Tuple[int, int]] = []
+        #: The pin-table MR over this allocation (see ``Rnic.pin``);
+        #: freeing the allocation retires it.
+        self.mr = None
         if device.durable_tracking:
             self.durable = SegmentBuffer(size)
 
@@ -208,6 +211,8 @@ class MemoryDevice:
                 f"double free at {allocation.addr:#x} on {self.name}")
         del self._allocations[allocation.addr]
         allocation.freed = True
+        if allocation.mr is not None:
+            allocation.mr.nic.unpin([allocation])
         rounded = ((allocation.size + ALIGNMENT - 1)
                    // ALIGNMENT * ALIGNMENT)
         self._free.append((allocation.addr, rounded))

@@ -43,10 +43,6 @@ class CpuSet:
         """Process: single-core streaming work over *size_bytes*."""
         yield from self.execute(transfer_time_ns(size_bytes, bytes_per_second))
 
-    @property
-    def cores_busy(self) -> int:
-        return self._pool.in_use
-
 
 class Node:
     """Common base: name, CPU set, DRAM."""

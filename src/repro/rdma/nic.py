@@ -10,16 +10,23 @@ posted writes and are not BAR-limited.
 The MR table maps rkeys to registered regions; every one-sided operation
 arriving at this NIC is validated against it, exactly like a real HCA's
 protection checks.
+
+The pin table keeps the one MR this NIC holds over each allocation its
+node's process pinned (:meth:`Rnic.pin`).  Pinning costs ~250 ms/GiB, so
+an MR lives exactly as long as the memory it covers and the process that
+pinned it: :meth:`Rnic.unpin` retires it when the allocation is freed,
+when its session unregisters, or when the process dies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Dict, Generator, Iterable, List, Optional, TYPE_CHECKING
 
 from repro.errors import MemoryRegionError, RkeyViolation
 from repro.hw.device import Allocation, MemoryDevice
 from repro.hw.devices import GpuMemory
 from repro.net.fabric import Fabric, Port
+from repro.obs import NULL_SPAN, Observability
 from repro.sim import Environment, SharedChannel
 from repro.units import gbytes, usecs
 
@@ -54,6 +61,8 @@ class Rnic:
         self.mr_register_latency_ns = mr_register_latency_ns
         self.mr_pin_ns_per_byte = mr_pin_ns_per_byte
         self._mr_table: Dict[int, "MemoryRegion"] = {}
+        #: The pin table: allocation -> the MR :meth:`pin` keeps over it.
+        self._pins: Dict[Allocation, "MemoryRegion"] = {}
         self._peer_devices: set = set()
         self._next_key = 0x1000
         #: Every QueuePair created on this NIC (fault injection surface).
@@ -143,6 +152,51 @@ class Rnic:
     @property
     def registered_mrs(self) -> int:
         return len(self._mr_table)
+
+    # -- the pin table -----------------------------------------------------------
+
+    def pin(self, allocation: Allocation,
+            obs: Optional[Observability] = None,
+            trace_id: Optional[int] = None,
+            track: str = "main") -> Generator:
+        """Process: the valid MR this NIC keeps over *allocation*.
+
+        A hit costs nothing.  A miss registers one (:meth:`register_mr`)
+        inside an ``mr.register`` span on the caller's *trace_id* and
+        *track*, and keeps it until :meth:`unpin`.
+        """
+        mr = self._pins.get(allocation)
+        if mr is not None and mr.valid:
+            return mr
+        span = NULL_SPAN if obs is None else obs.tracer.span(
+            self.env, "mr.register", cat="rdma", trace_id=trace_id,
+            track=track, bytes=allocation.size)
+        with span:
+            mr = yield from self.register_mr(allocation)
+        held = self._pins.get(allocation)
+        if held is not None and held.valid:
+            # A concurrent pin of the same allocation finished first.
+            self.deregister_mr(mr)
+            return held
+        self._pins[allocation] = mr
+        allocation.mr = mr
+        return mr
+
+    def unpin(self, allocations: Iterable[Allocation]) -> None:
+        """Retire the pins over *allocations*; unpinned ones are skipped,
+        so releasing twice is harmless."""
+        for allocation in allocations:
+            mr = self._pins.pop(allocation, None)
+            if mr is None:
+                continue
+            allocation.mr = None
+            if mr.valid:
+                self.deregister_mr(mr)
+
+    def unpin_device(self, device: MemoryDevice) -> None:
+        """Retire every pin over *device*: the process that owns it died."""
+        self.unpin([allocation for allocation in self._pins
+                    if allocation.device is device])
 
     # -- datapath composition -------------------------------------------------------
 

@@ -19,8 +19,3 @@ def enable_peer_memory(nic: Rnic, gpu: GpuMemory) -> None:
         raise MemoryRegionError(
             f"peer memory applies to GPU devices, got {gpu!r}")
     nic._peer_devices.add(gpu)
-
-
-def disable_peer_memory(nic: Rnic, gpu: GpuMemory) -> None:
-    """Revoke peer access (module unload); existing MRs become unusable."""
-    nic._peer_devices.discard(gpu)

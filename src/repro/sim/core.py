@@ -333,10 +333,6 @@ class Environment:
         heappush(self._queue,
                  (self._now + delay, priority, self._seq, event))
 
-    def peek(self) -> Optional[int]:
-        """Time of the next scheduled event, or None when the queue is empty."""
-        return self._queue[0][0] if self._queue else None
-
     def step(self) -> None:
         """Process exactly one event."""
         if not self._queue:

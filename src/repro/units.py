@@ -69,16 +69,6 @@ def to_seconds(ns: int) -> float:
     return ns / SECOND
 
 
-def to_millis(ns: int) -> float:
-    """Convert integer nanoseconds to float milliseconds (for reporting)."""
-    return ns / MS
-
-
-def to_micros(ns: int) -> float:
-    """Convert integer nanoseconds to float microseconds (for reporting)."""
-    return ns / US
-
-
 # --- bandwidth --------------------------------------------------------------
 
 

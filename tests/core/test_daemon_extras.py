@@ -95,8 +95,8 @@ def test_client_vanishing_mid_pull_aborts_cleanly():
         yield from session.conn.send(message, wire_size=size)
         yield env.timeout(1_000_000)  # 1 ms into a ~100 ms pull
         # The training process dies: every MR is torn down.
-        for mr in session.mrs:
-            cluster.volta.nic.deregister_mr(mr)
+        cluster.volta.nic.unpin(tensor.allocation
+                                for tensor in session.model.tensors)
         reply = yield from session.conn.recv()
         return session, reply
 

@@ -1,0 +1,278 @@
+"""MR lifetime end to end: the daemon, the client, the chunk store and
+the fault paths all pin through the NICs' pin tables, so an MR lives
+exactly as long as the memory it covers and the process that pinned it."""
+
+import pytest
+
+from repro.dnn.tensor import ModelInstance, TensorSpec
+from repro.errors import ReproError, RkeyViolation
+from repro.faults import FaultInjector
+from repro.harness.cluster import PaperCluster
+from repro.pmem.chunks import ChunkStore
+from repro.rdma import connect
+from repro.units import kib, secs
+
+CHUNK = kib(256)
+SPECS = [TensorSpec("backbone.weight", (256, 1024)),
+         TensorSpec("backbone.bias", (1024,)),
+         TensorSpec("head.weight", (64, 1024)),
+         TensorSpec("head.bias", (64,))]
+HEAD = ["head.weight", "head.bias"]
+
+
+def count_registrations(monkeypatch, nic):
+    """Patch *nic* to count raw registrations; returns the count list."""
+    calls = []
+    raw = nic.register_mr
+
+    def counting(allocation):
+        calls.append(allocation)
+        return (yield from raw(allocation))
+
+    monkeypatch.setattr(nic, "register_mr", counting)
+    return calls
+
+
+def remote_read(cluster, rkey, addr, length=64):
+    """Process: a one-sided READ from the compute node against the
+    storage NIC's *rkey* (raises what the completion raises)."""
+    env = cluster.env
+    local = cluster.volta.dram.alloc(length)
+    local_mr = yield from cluster.volta.nic.pin(local)
+    qp, _server_qp = yield from connect(env, cluster.volta.nic,
+                                        cluster.server.nic)
+    try:
+        yield qp.read(local_mr, 0, rkey, addr, length)
+    finally:
+        local.free()
+
+
+def test_restart_loop_keeps_both_nics_mr_counts_flat(monkeypatch):
+    """Three daemon restarts, each followed by a re-register on the same
+    client: the dead daemon's slot MRs die with it and the job's GPU
+    memory stays pinned once (the parent grew 2->8 and 62->248)."""
+    cluster = PaperCluster(seed=1, ampere_nodes=0)
+    storage, compute = cluster.server.nic, cluster.volta.nic
+    session = cluster.run(lambda env: cluster.portus_register("resnet18"))
+    counts = (storage.registered_mrs, compute.registered_mrs)
+    assert counts == (2, len(session.model.tensors))
+    client = cluster.portus_client()
+    storage_pins = count_registrations(monkeypatch, storage)
+    compute_pins = count_registrations(monkeypatch, compute)
+    for restart in range(1, 4):
+        cluster.restart_daemon()
+        cluster.run(lambda env: client.register(session.model))
+        assert (storage.registered_mrs, compute.registered_mrs) == counts
+        # The new daemon re-pins its two slots; the job pins nothing.
+        assert (len(storage_pins), len(compute_pins)) == (2 * restart, 0)
+
+
+def test_a_dead_daemons_slot_rkey_is_refused():
+    cluster = PaperCluster(seed=1, ampere_nodes=0)
+    cluster.run(lambda env: cluster.portus_register("alexnet"))
+    region = cluster.daemon.model_map["alexnet"].meta.data_regions[0]
+    rkey = region.mr.rkey
+    cluster.kill_daemon()
+    assert region.mr is None
+
+    def scenario(env):
+        with pytest.raises(RkeyViolation):
+            yield from remote_read(cluster, rkey, region.addr)
+        return True
+
+    assert cluster.run(scenario)
+
+
+def test_reregistering_on_a_live_daemon_registers_no_mr(monkeypatch):
+    cluster = PaperCluster(seed=1, ampere_nodes=0)
+    session = cluster.run(lambda env: cluster.portus_register("alexnet"))
+    storage_pins = count_registrations(monkeypatch, cluster.server.nic)
+    compute_pins = count_registrations(monkeypatch, cluster.volta.nic)
+    again = cluster.run(
+        lambda env: cluster.portus_client().register(session.model))
+    assert again.tensor_infos == session.tensor_infos
+    assert storage_pins == compute_pins == []
+
+
+def test_kill_client_unpins_the_jobs_tensors():
+    cluster = PaperCluster(seed=1, ampere_nodes=0)
+    session = cluster.run(lambda env: cluster.portus_register("alexnet"))
+    before = cluster.volta.nic.registered_mrs
+    FaultInjector(cluster.env, cluster).kill_client("volta")
+    assert cluster.volta.nic.registered_mrs == \
+        before - len(session.model.tensors)
+    assert all(tensor.allocation.mr is None
+               for tensor in session.model.tensors)
+
+
+# -- the chunk layout ---------------------------------------------------------------
+
+
+def _dedup_cluster():
+    cluster = PaperCluster(seed=7, ampere_nodes=0)
+    instance = ModelInstance.materialize("m", SPECS, cluster.volta.gpus[0],
+                                         model_seed=77)
+    return cluster, instance
+
+
+def _dumps(session, steps):
+    """Process: a full dump, then head-only dumps up to *steps*; returns
+    how many chunks they stored."""
+    stored = 0
+    for step in range(1, steps + 1):
+        session.model.update_step(step, only=None if step == 1 else HEAD)
+        reply = yield from session.checkpoint(step)
+        stored += reply["chunks_new"]
+    return stored
+
+
+def _live_chunk_extents(cluster):
+    store = ChunkStore.attach(cluster.portus_pool)
+    return [store.allocation_of(entry) for entry in store.entries()]
+
+
+def test_the_store_pins_exactly_its_live_chunks():
+    cluster, instance = _dedup_cluster()
+    nic = cluster.server.nic
+    before = nic.registered_mrs
+
+    def scenario(env):
+        session = yield from cluster.portus_register(
+            instance, dedup=True, chunk_bytes=CHUNK)
+        return (yield from _dumps(session, 4))
+
+    stored = cluster.run(scenario)
+    live = _live_chunk_extents(cluster)
+    # Head-only dumps free the head chunks of the versions they
+    # overwrite; each freed extent's MR retires with it.
+    assert len(live) < stored
+    assert nic.registered_mrs == before + len(live)
+    assert all(extent.mr is not None and extent.mr.valid
+               for extent in live)
+
+
+def test_a_chunk_freed_by_unref_refuses_its_rkey():
+    cluster, instance = _dedup_cluster()
+
+    def scenario(env):
+        session = yield from cluster.portus_register(
+            instance, dedup=True, chunk_bytes=CHUNK)
+        yield from _dumps(session, 2)
+        pinned = [(extent, extent.mr.rkey)
+                  for extent in _live_chunk_extents(cluster)]
+        # Step 3 overwrites step 1's slot: its head chunks lose their
+        # last reference and are freed.
+        session.model.update_step(3, only=HEAD)
+        yield from session.checkpoint(3)
+        freed = [(extent, rkey) for extent, rkey in pinned if extent.freed]
+        assert freed
+        for extent, rkey in freed:
+            with pytest.raises(RkeyViolation):
+                yield from remote_read(cluster, rkey, extent.addr)
+        return True
+
+    assert cluster.run(scenario)
+
+
+def test_a_dedup_restore_registers_nothing(monkeypatch):
+    cluster, instance = _dedup_cluster()
+
+    def dump(env):
+        session = yield from cluster.portus_register(
+            instance, dedup=True, chunk_bytes=CHUNK)
+        yield from _dumps(session, 3)
+        return session
+
+    session = cluster.run(dump)
+    storage_pins = count_registrations(monkeypatch, cluster.server.nic)
+    compute_pins = count_registrations(monkeypatch, cluster.volta.nic)
+    instance.update_step(0)
+
+    def restore(env):
+        return (yield from session.restore())
+
+    assert cluster.run(restore) == 3
+    assert storage_pins == compute_pins == []
+    assert not [tensor.name for tensor in instance.tensors
+                if not tensor.content().equals(tensor.expected_content(
+                    3 if tensor.name in HEAD else 1))]
+
+
+def test_drop_model_returns_both_nics_to_their_counts():
+    cluster, instance = _dedup_cluster()
+    before = (cluster.server.nic.registered_mrs,
+              cluster.volta.nic.registered_mrs)
+
+    def scenario(env):
+        session = yield from cluster.portus_register(
+            instance, dedup=True, chunk_bytes=CHUNK)
+        yield from _dumps(session, 3)
+        yield from session.unregister()
+
+    cluster.run(scenario)
+    assert (cluster.server.nic.registered_mrs,
+            cluster.volta.nic.registered_mrs) == before
+
+
+def test_a_daemon_that_dies_mid_register_leaves_no_pin(monkeypatch):
+    """REGISTER holds no CAS guard, so a crash does not interrupt it: the
+    dead handler finishes pinning, and must then drop what it pinned."""
+    cluster = PaperCluster(seed=1, ampere_nodes=0)
+    storage = cluster.server.nic
+    raw = storage.register_mr
+
+    def dying(allocation):
+        monkeypatch.setattr(storage, "register_mr", raw)
+        cluster.kill_daemon()
+        return (yield from raw(allocation))
+
+    monkeypatch.setattr(storage, "register_mr", dying)
+
+    def scenario(env):
+        try:
+            yield from cluster.portus_register("alexnet")
+        except ReproError:
+            pass
+        # Let the dead daemon's REGISTER handler run to its end.
+        yield env.timeout(secs(1))
+
+    cluster.run(scenario)
+    assert storage.registered_mrs == 0
+
+
+def test_concurrent_pins_of_a_shared_chunk_keep_one_mr():
+    """Two fine-tunes of one base share chunks; after a daemon restart
+    both restores pin the shared extents at once, and each extent must
+    still end with exactly one MR."""
+    cluster = PaperCluster(seed=7, ampere_nodes=0)
+    instances = [ModelInstance.materialize(
+        name, SPECS, cluster.volta.gpus[0], model_seed=77)
+        for name in ("a", "b")]
+
+    def dump(env):
+        for instance in instances:
+            session = yield from cluster.portus_register(
+                instance, dedup=True, chunk_bytes=CHUNK)
+            yield from _dumps(session, 2)
+
+    cluster.run(dump)
+    cluster.restart_daemon()
+
+    def restore_both(env):
+        client = cluster.portus_client()
+        sessions = []
+        for instance in instances:
+            session = yield from client.register(instance, dedup=True,
+                                                 chunk_bytes=CHUNK)
+            sessions.append(session)
+        restores = [env.process(session.restore()) for session in sessions]
+        for restore in restores:
+            yield restore
+
+    cluster.run(restore_both)
+    pinned = [extent for extent in _live_chunk_extents(cluster)
+              if extent.mr is not None]
+    # The restored versions' chunks: the shared backbone and each
+    # model's head at step 2.
+    assert len(pinned) == 6
+    assert cluster.server.nic.registered_mrs == len(pinned)

@@ -51,6 +51,10 @@ HORIZON_NS = msecs(4)
 #: PMem ingest limiter engaged — every engine mechanism under fault.
 STRIPED_QPS = 4
 STRIPED_ENGINE = dict(chunk_bytes=kib(64), max_pmem_streams=4)
+#: The dedup sweep: 64 KiB chunks, a full dump at step 1, then
+#: head-only dumps, so chunk MRs outlive every operation under fault.
+DEDUP_CHUNK = kib(64)
+HEAD = {"head.weight"}
 
 
 def _trace(line):
@@ -59,8 +63,12 @@ def _trace(line):
             fh.write(line + "\n")
 
 
-def run_chaos_schedule(seed, events=5, num_qps=1, engine=None):
-    """One full chaos episode; returns (acked, restored_step)."""
+def run_chaos_schedule(seed, events=5, num_qps=1, engine=None,
+                       dedup=False):
+    """One full chaos episode; returns (acked, restored_step).
+
+    With *dedup* the model uses the chunk layout and dumps only its
+    head after step 1; each tensor must restore at its own step."""
     policy = RetryPolicy(rng=random.Random(seed ^ 0x5EED),
                          max_attempts=64,
                          deadline_ns=msecs(500),
@@ -74,12 +82,14 @@ def run_chaos_schedule(seed, events=5, num_qps=1, engine=None):
         seed=seed, ampere_nodes=0,
         daemon_kwargs=daemon_kwargs,
         client_retry=policy, client_num_qps=num_qps)
+    layout = dict(dedup=dedup, chunk_bytes=DEDUP_CHUNK if dedup else None)
 
     def setup(env):
         instance = ModelInstance.materialize("model", SPECS,
                                              cluster.volta.gpus[0],
                                              model_seed=seed)
-        session = yield from cluster.portus_client().register(instance)
+        session = yield from cluster.portus_client().register(instance,
+                                                              **layout)
         return instance, session
 
     instance, session = cluster.run(setup)
@@ -92,7 +102,8 @@ def run_chaos_schedule(seed, events=5, num_qps=1, engine=None):
 
     def traffic(env):
         for step in range(1, STEPS + 1):
-            instance.update_step(step)
+            instance.update_step(step,
+                                 only=HEAD if dedup and step > 1 else None)
             attempted.append(step)
             try:
                 yield from session.checkpoint(step)
@@ -119,7 +130,8 @@ def run_chaos_schedule(seed, events=5, num_qps=1, engine=None):
 
     def recover(env):
         instance.update_step(0)  # scramble the weights: restore must win
-        fresh = yield from cluster.portus_client().register(instance)
+        fresh = yield from cluster.portus_client().register(instance,
+                                                            **layout)
         try:
             step = yield from fresh.restore()
         except NoValidCheckpoint:
@@ -145,7 +157,8 @@ def run_chaos_schedule(seed, events=5, num_qps=1, engine=None):
         assert flags.states[version] == FLAG_DONE  # never ACTIVE/torn
         mismatches = [
             tensor.name for tensor in instance.tensors
-            if not tensor.content().equals(tensor.expected_content(restored))
+            if not tensor.content().equals(tensor.expected_content(
+                restored if not dedup or tensor.name in HEAD else 1))
         ]
         assert mismatches == [], f"torn restore {mismatches}: {context}"
     _trace(f"seed={seed} acked={acked} restored={restored} "
@@ -184,6 +197,24 @@ def test_chaos_multi_qp_striped_engine_preserves_crash_consistency():
         acked, restored = run_chaos_schedule(
             BASE_SEED + 7_000_000 + index,
             num_qps=STRIPED_QPS, engine=STRIPED_ENGINE)
+        if restored is not None:
+            outcomes["restored"] += 1
+        if acked:
+            outcomes["acked_some"] += 1
+    assert outcomes["restored"] > 0
+    assert outcomes["acked_some"] > 0
+
+
+def test_chaos_dedup_preserves_crash_consistency():
+    """Randomized fault schedules over a dedup model (a full dump, then
+    head-only dumps): its chunk MRs outlive each operation, and daemon
+    crashes, power loss, client kills, WR faults and lease reaping must
+    invalidate them — the contract in run_chaos_schedule still holds,
+    bit-exact per tensor at its own step."""
+    outcomes = {"restored": 0, "acked_some": 0}
+    for index in range(max(EXAMPLES // 4, 10)):
+        acked, restored = run_chaos_schedule(BASE_SEED + 9_000_000 + index,
+                                             dedup=True)
         if restored is not None:
             outcomes["restored"] += 1
         if acked:

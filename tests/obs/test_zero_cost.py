@@ -7,9 +7,16 @@ in simulated time to the same run untraced.
 
 from repro.core import protocol
 from repro.core.retry import RetryPolicy
+from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.faults import FaultInjector
 from repro.harness.cluster import PaperCluster
-from repro.units import msecs, secs, usecs
+from repro.units import kib, msecs, secs, usecs
+
+DEDUP_SPECS = [TensorSpec("backbone.weight", (256, 1024)),
+               TensorSpec("backbone.bias", (1024,)),
+               TensorSpec("head.weight", (64, 1024)),
+               TensorSpec("head.bias", (64,))]
+DEDUP_HEAD = ["head.weight", "head.bias"]
 
 
 def _run_workload(tracing):
@@ -76,6 +83,64 @@ def test_traced_faulted_run_is_bit_identical():
     plain = run(False)
     traced = run(True)
     assert plain == traced
+
+
+def _run_dedup(tracing):
+    """A dedup model's full dump, two head-only dumps and a restore;
+    returns the cluster, the per-call timeline and the dumps' replies."""
+    cluster = PaperCluster(seed=99, ampere_nodes=0, tracing=tracing)
+    instance = ModelInstance.materialize("m", DEDUP_SPECS,
+                                         cluster.volta.gpus[0],
+                                         model_seed=5)
+    timeline, replies = [], []
+
+    def scenario(env):
+        session = yield from cluster.portus_register(
+            instance, dedup=True, chunk_bytes=kib(256))
+        for step in (1, 2, 3):
+            instance.update_step(step, only=None if step == 1
+                                 else DEDUP_HEAD)
+            replies.append((yield from session.checkpoint(step)))
+            timeline.append(env.now)
+        instance.update_step(0)
+        yield from session.restore()
+        timeline.append(env.now)
+
+    cluster.run(scenario)
+    return cluster, timeline, replies
+
+
+def test_traced_dedup_run_is_bit_identical_to_untraced():
+    plain, plain_timeline, _replies = _run_dedup(tracing=False)
+    traced, traced_timeline, _replies = _run_dedup(tracing=True)
+    assert plain_timeline == traced_timeline
+    assert plain.env._seq == traced.env._seq
+    assert plain.obs.metrics.snapshot() == traced.obs.metrics.snapshot()
+    assert traced.obs.tracer.named("mr.register")
+
+
+def test_mr_register_spans_explain_the_first_dumps_chunk_pinning():
+    """The first dump pins every chunk it stores, inside ``mr.register``
+    spans on its own trace; the restore finds them all pinned."""
+    cluster, _timeline, replies = _run_dedup(tracing=True)
+    tracer = cluster.obs.tracer
+    dumps = tracer.named("client.DO_CHECKPOINT")
+    restore = tracer.one("client.DO_RESTORE")
+
+    def pinning(span):
+        return [pin for pin in tracer.named("mr.register")
+                if pin.trace_id == span.trace_id]
+
+    first = pinning(dumps[0])
+    assert len(first) == replies[0]["chunks_new"]
+    assert {(pin.cat, pin.track) for pin in first} == {("rdma", "daemon")}
+    nic = cluster.server.nic
+    assert sum(pin.duration_ns for pin in first) == sum(
+        nic.mr_register_latency_ns
+        + int(pin.args["bytes"] * nic.mr_pin_ns_per_byte) for pin in first)
+    assert sum(pin.args["bytes"] for pin in first) == \
+        replies[0]["bytes_pulled"]
+    assert pinning(restore) == []
 
 
 def test_stamp_trace_does_not_change_wire_sizes():
