@@ -1,7 +1,7 @@
-"""Engine ablation: barrier-window vs sliding-window vs striped datapath.
+"""Engine ablation: sliding-window vs striped datapath.
 
-Headline (the Fig. 14 dump, GPT-22.4B over 16 shards): the seed's
-barrier-window datapath runs the concurrent dump at the *congested*
+Headline (the Fig. 14 dump, GPT-22.4B over 16 shards): the single-QP
+sliding-window datapath runs the concurrent dump at the *congested*
 PMem write rate (6.0 GB/s) because 16 models x QP_DEPTH in-flight WRs
 swamp the Optane write-combining buffer.  The striped engine (4 QPs per
 model, 4 MiB segmentation, daemon-wide ingest limiter) holds the media
@@ -11,9 +11,8 @@ that the measurement never claims more than the physics allows.
 
 The grid sweep (QP depth x chunk size x tensor-size skew) runs on a
 synthetic single-model workload where the per-WR costs are visible:
-depth 1 serializes one posting latency per WR, chunking normalizes a
-skewed tensor-size distribution to the uniform one, and the sliding
-window beats the barrier by one posting latency per retired window.
+depth 1 serializes one posting latency per WR, and chunking normalizes
+a skewed tensor-size distribution to the uniform one.
 
 Results are recorded to BENCH_engine.json at the repo root.
 """
@@ -47,14 +46,13 @@ SKEWS = {
 }
 
 
-def _grid_time(specs, depth, chunk_bytes, pipelined=True, seed=203):
+def _grid_time(specs, depth, chunk_bytes, seed=203):
     original = daemon_module.QP_DEPTH
     daemon_module.QP_DEPTH = depth
     try:
         cluster = PaperCluster(
             seed=seed, ampere_nodes=0,
-            daemon_kwargs={"engine": {"chunk_bytes": chunk_bytes,
-                                      "pipelined": pipelined}})
+            daemon_kwargs={"engine": {"chunk_bytes": chunk_bytes}})
         holder = {}
 
         def scenario(env):
@@ -80,11 +78,6 @@ def _run_grid():
                 elapsed, wrs = _grid_time(make_specs(), depth, chunk_bytes)
                 grid[f"{skew}/depth{depth}/{chunk_name}"] = {
                     "elapsed_ns": elapsed, "wrs": wrs}
-        # The barrier comparison point, one cell per skew.
-        elapsed, wrs = _grid_time(make_specs(), 8, kib(64),
-                                  pipelined=False)
-        grid[f"{skew}/depth8/64k/barrier"] = {"elapsed_ns": elapsed,
-                                              "wrs": wrs}
     return grid
 
 
@@ -97,11 +90,9 @@ def test_engine_pipeline(benchmark, shared_results):
                        shared_results)
     headline, grid = results["headline"], results["grid"]
 
-    speedup = headline["barrier_ns"] / headline["striped_ns"]
+    speedup = headline["sliding_ns"] / headline["striped_ns"]
     rows = [
-        ["barrier (seed)", fmt_time(headline["barrier_ns"]), "1.00x"],
-        ["sliding, 1 QP", fmt_time(headline["sliding_ns"]),
-         f"{headline['barrier_ns'] / headline['sliding_ns']:.3f}x"],
+        ["sliding, 1 QP", fmt_time(headline["sliding_ns"]), "1.00x"],
         ["striped, 4 QP + ingest cap", fmt_time(headline["striped_ns"]),
          f"{speedup:.3f}x"],
     ]
@@ -117,7 +108,7 @@ def test_engine_pipeline(benchmark, shared_results):
 
     payload = dict(results)
     payload["headline"] = dict(headline,
-                               speedup_striped_vs_barrier=round(speedup, 4),
+                               speedup_striped_vs_sliding=round(speedup, 4),
                                physical_ceiling=round(PHYSICAL_CEILING, 4))
     with open(BENCH_JSON, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -126,16 +117,11 @@ def test_engine_pipeline(benchmark, shared_results):
     # The headline claim, bounded by physics on both sides.
     assert speedup >= 1.3
     assert speedup <= PHYSICAL_CEILING * 1.01
-    # The default single-QP pipelined datapath never regresses the seed.
-    assert headline["sliding_ns"] <= headline["barrier_ns"] * 1.01
 
     for skew in SKEWS:
         # Depth 1 serializes one posting latency per WR.
         assert grid[f"{skew}/depth1/64k"]["elapsed_ns"] > \
             grid[f"{skew}/depth32/64k"]["elapsed_ns"]
-        # The barrier pays a posting latency per retired window.
-        assert grid[f"{skew}/depth8/64k/barrier"]["elapsed_ns"] > \
-            grid[f"{skew}/depth8/64k"]["elapsed_ns"]
     # Chunking normalizes the skewed distribution to the uniform one.
     uniform = grid["uniform/depth32/4m"]["elapsed_ns"]
     skewed = grid["skewed/depth32/4m"]["elapsed_ns"]

@@ -51,8 +51,7 @@ def test_smoke_fig14_gpt_dump():
 
 def test_smoke_engine_ablation():
     result = engine_datapath_ablation("gpt-1.5b")
-    assert 0 < result["striped_ns"] <= result["barrier_ns"]
-    assert result["sliding_ns"] <= result["barrier_ns"] * 1.01
+    assert 0 < result["striped_ns"] <= result["sliding_ns"]
 
 
 def test_smoke_fig9_timeline():

@@ -86,11 +86,6 @@ class ModelSession:
         self._waiters: List = []
         self._reattach_gate = None
 
-    @property
-    def qp(self):
-        """The primary QP (compatibility view of the stripe set)."""
-        return self.qps[0] if self.qps else None
-
     # -- request/reply plumbing ---------------------------------------------------
 
     def _rpc(self, message: Dict, size: int) -> Generator:

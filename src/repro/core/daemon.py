@@ -110,11 +110,6 @@ class ModelEntry:
         self.inflight_since_ns: Optional[int] = None
 
     @property
-    def qp(self):
-        """The primary QP (compatibility view of the stripe set)."""
-        return self.qps[0] if self.qps else None
-
-    @property
     def attached(self) -> bool:
         return bool(self.qps) and self.client_runs is not None
 
@@ -143,16 +138,14 @@ class PortusDaemon:
         self.request_timeout_ns = request_timeout_ns
         self.lease_ns = lease_ns
         self.reaper_interval_ns = reaper_interval_ns
-        # Datapath engine policy (see repro.core.engine): pipelined
-        # sliding-window posting with 4 MiB segmentation by default;
-        # ``pipelined=False`` restores the seed's barrier windows and
-        # ``max_pmem_streams`` bounds total in-flight pull WRs so the
-        # PMem ingest stays under the Optane congestion cliff.
+        # Datapath engine policy (see repro.core.engine): sliding-window
+        # posting with 4 MiB segmentation by default (``chunk_bytes=None``
+        # posts one WR per run); ``max_pmem_streams`` bounds total
+        # in-flight pull WRs so the PMem ingest stays under the Optane
+        # congestion cliff.
         engine_opts = dict(engine or {})
-        self.engine_pipelined = engine_opts.pop("pipelined", True)
         self.engine_chunk_bytes = engine_opts.pop("chunk_bytes",
                                                   ENGINE_CHUNK_BYTES)
-        self.engine_largest_first = engine_opts.pop("largest_first", True)
         max_pmem_streams = engine_opts.pop("max_pmem_streams", None)
         if engine_opts:
             raise PortusError(
@@ -483,9 +476,8 @@ class PortusDaemon:
         tensors = message["tensors"]
         dedup = message.get("dedup")
         tenant = message.get("tenant")
-        # Multi-QP REGISTER: the client may bring a whole stripe set; a
-        # legacy single-QP packet is a stripe set of one.
-        qps = message.get("qps") or [message["qp"]]
+        # Multi-QP REGISTER: the client brings its whole stripe set.
+        qps = message["qps"]
         specs = [
             TensorSpec(t["name"], tuple(t["shape"]),
                        DType.by_name(t["dtype"])) for t in tensors
@@ -584,8 +576,6 @@ class PortusDaemon:
         """
         return TransferEngine(
             self.env, qps, depth=QP_DEPTH,
-            pipelined=self.engine_pipelined,
-            largest_first=self.engine_largest_first,
             stream_limit=self._pmem_streams if ingest else None,
             wqe_cost=lambda: self.workers.execute(PER_WQE_CPU_NS),
             obs=self.obs, trace_id=trace_id)

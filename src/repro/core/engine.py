@@ -139,16 +139,14 @@ def plan_items(targets, runs: List[RemoteRun], nic,
     return build_items(whole, chunk_bytes)
 
 
-def stripe_items(items: List[WorkItem], lanes: int,
-                 largest_first: bool = True) -> List[List[WorkItem]]:
+def stripe_items(items: List[WorkItem], lanes: int) -> List[List[WorkItem]]:
     """Assign items to *lanes* queues, byte-balanced.
 
     Largest-first greedy (LPT): sort by decreasing size, always give the
     next item to the least-loaded lane.  The sort is stable, so equal
     sizes keep registration order and runs stay deterministic.
     """
-    ordered = sorted(items, key=lambda item: -item.size) \
-        if largest_first else list(items)
+    ordered = sorted(items, key=lambda item: -item.size)
     queues: List[List[WorkItem]] = [[] for _ in range(lanes)]
     loads = [0] * lanes
     for item in ordered:
@@ -251,8 +249,6 @@ class TransferEngine:
     One instance per operation: construct, call :meth:`pull` or
     :meth:`push` on prebuilt work items (each carrying its local MR),
     read the counters.  ``depth`` is the per-QP credit count;
-    ``pipelined=False`` reproduces the seed's barrier-window posting
-    (kept for the engine ablation benchmarks).
     ``stream_limit`` is a shared :class:`repro.sim.Resource` bounding
     total in-flight WRs across every concurrent operation (the PMem
     ingest cap); ``wqe_cost`` is charged once per posted WR (a generator
@@ -260,7 +256,6 @@ class TransferEngine:
     """
 
     def __init__(self, env: Environment, qps: Sequence, depth: int,
-                 pipelined: bool = True, largest_first: bool = True,
                  stream_limit=None,
                  wqe_cost: Optional[Callable[[], Generator]] = None,
                  obs: Optional[Observability] = None,
@@ -272,8 +267,6 @@ class TransferEngine:
         self.env = env
         self.qps = list(qps)
         self.depth = depth
-        self.pipelined = pipelined
-        self.largest_first = largest_first
         self.stream_limit = stream_limit
         self.wqe_cost = wqe_cost
         self.obs = obs if obs is not None else Observability()
@@ -323,16 +316,15 @@ class TransferEngine:
              label_prefix: str) -> Generator:
         if not items:
             return 0
-        queues = stripe_items(items, len(self.qps), self.largest_first)
-        lane_fn = self._lane if self.pipelined else self._lane_barrier
+        queues = stripe_items(items, len(self.qps))
         span = self.obs.tracer.span(
             self.env, f"engine.{kind}", cat="engine",
             trace_id=self.trace_id, track="engine",
             items=len(items), lanes=sum(1 for q in queues if q),
             op=label_prefix)
         lanes = [
-            self.env.process(lane_fn(kind, qp, deque(queue), label_prefix,
-                                     index, span),
+            self.env.process(self._lane(kind, qp, deque(queue), label_prefix,
+                                        index, span),
                              name=f"engine-{kind}-lane{index}")
             for index, (qp, queue) in enumerate(zip(self.qps, queues))
             if queue
@@ -449,79 +441,6 @@ class TransferEngine:
                 pending_token.cancel()
             self._drain(inflight)
             lane_span.finish(posted=posted, aborted=self._aborted)
-
-    def _lane_barrier(self, kind: str, qp, queue, label_prefix: str,
-                      index: int = 0, parent=None) -> Generator:
-        """Safe process: the seed's barrier-window posting on one QP.
-
-        Completions are retired mid-window only to recycle stream
-        credits; no WR of window N+1 is posted before all of window N
-        has completed (the barrier the engine ablation measures).
-        """
-        inflight: Dict = {}
-        pending_token = None
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            lane_track = f"engine/qp{index}"
-            wr_name = f"wr.{kind}"
-            lane_span = tracer.span(
-                self.env, f"lane.{kind}", cat="engine",
-                trace_id=self.trace_id, parent=parent,
-                track=lane_track, qp=index, barrier=True)
-        else:
-            lane_span = NULL_SPAN
-        try:
-            while queue and not self._aborted:
-                window = deque()
-                while queue and len(window) < self.depth:
-                    window.append(queue.popleft())
-                while window and not self._aborted:
-                    token = None
-                    if self.stream_limit is not None:
-                        if pending_token is None:
-                            pending_token = self.stream_limit.request(self)
-                        if not pending_token.triggered:
-                            condition = AnyOf(self.env,
-                                              list(inflight)
-                                              + [pending_token])
-                            try:
-                                yield condition
-                            except BaseException as exc:  # noqa: BLE001
-                                condition.defuse()
-                                self._record_error(exc)
-                            self._retire(inflight)
-                            continue
-                        token, pending_token = pending_token, None
-                    if self.wqe_cost is not None:
-                        yield from self.wqe_cost()
-                    if self._aborted:
-                        if token is not None:
-                            self.stream_limit.release(token)
-                        break
-                    item = window.popleft()
-                    event = self._post(kind, qp, item, label_prefix)
-                    wr_span = tracer.span(
-                        self.env, wr_name, cat="wr",
-                        trace_id=self.trace_id, parent=lane_span,
-                        track=lane_track, item=item.name,
-                        bytes=item.size) if tracer.enabled else NULL_SPAN
-                    inflight[event] = (item, token, wr_span)
-                    self._inflight_now += 1
-                    self.peak_inflight = max(self.peak_inflight,
-                                             self._inflight_now)
-                while inflight and not self._aborted:
-                    pending = AllOf(self.env, list(inflight))
-                    try:
-                        yield pending
-                    except BaseException as exc:  # noqa: BLE001 - recorded
-                        pending.defuse()
-                        self._record_error(exc)
-                    self._retire(inflight)
-        finally:
-            if pending_token is not None:
-                pending_token.cancel()
-            self._drain(inflight)
-            lane_span.finish(aborted=self._aborted)
 
     # -- completion bookkeeping --------------------------------------------------
 

@@ -7,10 +7,11 @@ degraded mode: after ``failure_threshold`` *consecutive* Portus failures
 the :class:`FailoverCheckpointer` stops burning retry budget on every
 step and snapshots locally instead, probing Portus again (by simply
 attempting the real checkpoint) on a capped exponential backoff with
-seeded jitter — the first probe after ``probe_interval_ns``, each
-failed probe doubling the wait up to ``max_probe_interval_ns``, so a
-fleet of degraded clients does not hammer a daemon the moment it
-restarts.  The first success flips back to the remote path.
+seeded jitter (a :class:`~repro.core.retry.RetryPolicy` schedule) — the
+first probe after ``probe_interval_ns``, each failed probe doubling the
+wait up to 16x that, smeared by ±10 %, so a fleet of degraded clients
+does not hammer a daemon the moment it restarts.  The first success
+flips back to the remote path.
 
 The remediation operator (:mod:`repro.ops.operator`) can also drive the
 switch directly: :meth:`force_degrade` parks the checkpointer on the
@@ -35,7 +36,7 @@ import random
 from typing import Any, Dict, Generator, Optional
 
 from repro.core.client import ModelSession
-from repro.core.retry import RETRYABLE_FAULTS
+from repro.core.retry import RETRYABLE_FAULTS, RetryPolicy
 from repro.errors import NoValidCheckpoint, PortusError
 from repro.hw.node import Node
 from repro.sim import Environment, Transfer
@@ -48,30 +49,19 @@ class FailoverCheckpointer:
     def __init__(self, env: Environment, session: ModelSession, node: Node,
                  failure_threshold: int = 3,
                  probe_interval_ns: int = msecs(2),
-                 probe_backoff_factor: float = 2.0,
-                 max_probe_interval_ns: Optional[int] = None,
-                 probe_jitter: float = 0.1,
                  rng: Optional[random.Random] = None) -> None:
         if failure_threshold < 1:
             raise ValueError(
                 f"failure_threshold must be >= 1, got {failure_threshold}")
-        if probe_backoff_factor < 1.0:
-            raise ValueError(f"probe_backoff_factor must be >= 1, "
-                             f"got {probe_backoff_factor}")
-        if not 0 <= probe_jitter < 1:
-            raise ValueError(
-                f"probe_jitter must be in [0, 1), got {probe_jitter}")
         self.env = env
         self.session = session
         self.node = node
         self.failure_threshold = failure_threshold
-        self.probe_interval_ns = probe_interval_ns
-        self.probe_backoff_factor = float(probe_backoff_factor)
-        self.max_probe_interval_ns = (
-            max_probe_interval_ns if max_probe_interval_ns is not None
-            else 16 * probe_interval_ns)
-        self.probe_jitter = float(probe_jitter)
-        self.rng = rng if rng is not None else random.Random(0)
+        #: The probe schedule: failed probe number k waits
+        #: ``backoff_ns(k)``.
+        self.probe_policy = RetryPolicy(
+            rng=rng, initial_backoff_ns=probe_interval_ns,
+            max_backoff_ns=16 * probe_interval_ns, jitter=0.1)
         self.degraded = False
         self.consecutive_failures = 0
         self.last_failure: Optional[BaseException] = None
@@ -116,7 +106,8 @@ class FailoverCheckpointer:
                 # Each failed probe backs the next one off further, so
                 # a recovering daemon faces a trickle, not a stampede.
                 self._probe_failures += 1
-                self._schedule_next_probe(self.env.now)
+                self._next_probe_ns = self.env.now + \
+                    self.probe_policy.backoff_ns(self._probe_failures)
             return (yield from self._local_checkpoint(step))
         if self.degraded:
             self.degraded = False
@@ -129,19 +120,6 @@ class FailoverCheckpointer:
 
     def _should_probe(self, now: int) -> bool:
         return self._next_probe_ns is None or now >= self._next_probe_ns
-
-    def _schedule_next_probe(self, now: int) -> None:
-        """Capped exponential backoff with seeded jitter: probe number
-        k+1 waits ``probe_interval * factor**k`` (capped), smeared by
-        ±``probe_jitter`` so degraded clients desynchronize."""
-        exponent = max(0, self._probe_failures - 1)
-        backoff = min(
-            self.probe_interval_ns * self.probe_backoff_factor ** exponent,
-            float(self.max_probe_interval_ns))
-        if self.probe_jitter:
-            backoff *= 1.0 + self.probe_jitter * (2.0 * self.rng.random()
-                                                  - 1.0)
-        self._next_probe_ns = now + max(1, int(backoff))
 
     # -- operator hooks -----------------------------------------------------------
 

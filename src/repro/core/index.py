@@ -503,22 +503,35 @@ class ModelMeta:
             # Dedup models have no per-version data extents: version
             # bytes live in the shared chunk store.
             return
-        regions = list(self.data_regions)
-        changed = False
-        for version in (0, 1):
-            if regions[version] is None:
-                _descriptors, region_size = layout_tensors(
-                    [d.to_spec() for d in self.mindex.descriptors])
-                regions[version] = self.pool.alloc(
-                    region_size,
-                    tag=f"{DATA_TAG}/{_short(self.mindex.model_name)}"
-                        f"/v{version}")
-                changed = True
-        if changed:
-            self.data_regions = tuple(regions)
-            self.mindex.version_addrs = tuple(
-                region.addr for region in self.data_regions)
-            self._mindex_record.write(self.mindex.pack())
+        missing = [version for version in (0, 1)
+                   if self.data_regions[version] is None]
+        if not missing:
+            return
+        region_size = region_extent(self.mindex.descriptors)
+        tag = f"{DATA_TAG}/{_short(self.mindex.model_name)}"
+        self.repoint({version: self.pool.alloc(region_size,
+                                               tag=f"{tag}/v{version}")
+                      for version in missing})
+
+    def repoint(self, regions: Dict[int, Optional[Allocation]]) -> None:
+        """Point each version slot in *regions* at its data region, or
+        at none (address 0), and commit the MIndex once."""
+        data_regions = list(self.data_regions)
+        addrs = list(self.mindex.version_addrs)
+        for version, region in regions.items():
+            data_regions[version] = region
+            addrs[version] = region.addr if region is not None else 0
+        self.data_regions = tuple(data_regions)
+        self.mindex.version_addrs = tuple(addrs)
+        self._mindex_record.write(self.mindex.pack())
+
+    def demote(self, version: int) -> None:
+        """Invalidate one version slot (EMPTY, step 0) with one flags
+        write; its data is never touched."""
+        flags = self.read_flags()
+        flags.states[version] = FLAG_EMPTY
+        flags.steps[version] = 0
+        self.write_flags(flags)
 
     def drop_version(self, version: int) -> int:
         """Free one version's TensorData; returns the bytes reclaimed.
@@ -545,20 +558,10 @@ class ModelMeta:
         region = self.data_regions[version]
         if region is None:
             return 0
-        reclaimed = region.size
-        flags = self.read_flags()
-        flags.states[version] = FLAG_EMPTY
-        flags.steps[version] = 0
-        self.write_flags(flags)
-        regions = list(self.data_regions)
-        regions[version] = None
-        self.data_regions = tuple(regions)
-        addrs = list(self.mindex.version_addrs)
-        addrs[version] = 0
-        self.mindex.version_addrs = tuple(addrs)
-        self._mindex_record.write(self.mindex.pack())
+        self.demote(version)
+        self.repoint({version: None})
         self.pool.free(region)
-        return reclaimed
+        return region.size
 
     def _drop_version_dedup(self, version: int) -> int:
         digests = self.read_manifest(version)
@@ -566,9 +569,7 @@ class ModelMeta:
         was_done = flags.states[version] == FLAG_DONE
         if not digests and flags.states[version] == FLAG_EMPTY:
             return 0
-        flags.states[version] = FLAG_EMPTY
-        flags.steps[version] = 0
-        self.write_flags(flags)
+        self.demote(version)
         self.write_manifest(version, [])
         if not was_done or not digests:
             return 0

@@ -75,7 +75,7 @@ def register(model_name: str, tensors: List[Dict[str, Any]],
     qps = list(server_qp) if isinstance(server_qp, (list, tuple)) \
         else [server_qp]
     message = {"op": OP_REGISTER, "model": model_name, "tensors": tensors,
-               "qp": qps[0], "qps": qps}
+               "qps": qps}
     size = (_BASE_SIZE + _PER_TENSOR_SIZE * len(tensors)
             + _PER_QP_SIZE * (len(qps) - 1))
     if dedup is not None:

@@ -179,12 +179,7 @@ def repack_live(env: Environment, pool: PmemPool,
             return report
         fresh.write(0, old.read(0, old.size))
         fresh.persist()
-        regions = list(meta.data_regions)
-        regions[newest] = fresh
-        meta.data_regions = tuple(regions)
-        meta.mindex.version_addrs = tuple(
-            region.addr if region is not None else 0 for region in regions)
-        meta._mindex_record.write(meta.mindex.pack())
+        meta.repoint({newest: fresh})
         pool.free(old)
         report.models_migrated.append(name)
         report.bytes_moved += old.size
@@ -268,8 +263,6 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
             qps = [dst_qp, src_qp]
             engine = TransferEngine(
                 env, [dst_qp], depth=QP_DEPTH,
-                pipelined=dst_daemon.engine_pipelined,
-                largest_first=dst_daemon.engine_largest_first,
                 stream_limit=dst_daemon._pmem_streams,
                 obs=obs)
             moved = yield from engine.pull(items, f"migrate:{name}")

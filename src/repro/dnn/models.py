@@ -3,13 +3,16 @@
 Each builder emits the ``named_parameters()`` tensor list of the real
 implementation, so the layer counts and parameter totals of Table II are
 *reproduced*, not approximated — e.g. ResNet50 comes out at exactly
-25,557,032 parameters across 161 tensors.  The tests in
+25,557,032 parameters across 161 tensors.  Five of the seven models are
+members of the ResNet, VGG-BN, ConvNeXt, Swin and ViT families, whose
+parameterized builders the appendix zoo (:mod:`repro.dnn.zoo`) reuses;
+AlexNet and BERT-large have their own.  The tests in
 ``tests/dnn/test_models.py`` pin every model against the paper's table.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 from repro.dnn.layers import (batchnorm2d, conv2d, embedding, layernorm,
                               linear, multihead_attention, parameter,
@@ -65,94 +68,117 @@ def build_alexnet() -> ModelSpec:
     return ModelSpec("alexnet", specs, iteration_ns=msecs(35))
 
 
-def build_vgg19_bn() -> ModelSpec:
+def build_resnet(name: str, block: str, blocks_per_stage: Sequence[int],
+                 iteration_ms: float = 100.0) -> ModelSpec:
+    """torchvision ResNet: 'basic' (18/34) or 'bottleneck' (50/101/152)."""
+    if block not in ("basic", "bottleneck"):
+        raise ValueError(f"unknown block kind {block!r}")
     specs: List[TensorSpec] = []
-    cfg = [64, 64, "M", 128, 128, "M", 256, 256, 256, 256, "M",
-           512, 512, 512, 512, "M", 512, 512, 512, 512, "M"]
+    specs += conv2d("conv1", 3, 64, 7, bias=False)
+    specs += batchnorm2d("bn1", 64)
+    expansion = 1 if block == "basic" else 4
+    inplanes = 64
+    for stage, blocks in enumerate(blocks_per_stage, start=1):
+        planes = 64 * 2 ** (stage - 1)
+        for index in range(blocks):
+            prefix = f"layer{stage}.{index}"
+            if block == "basic":
+                specs += conv2d(f"{prefix}.conv1", inplanes, planes, 3,
+                                bias=False)
+                specs += batchnorm2d(f"{prefix}.bn1", planes)
+                specs += conv2d(f"{prefix}.conv2", planes, planes, 3,
+                                bias=False)
+                specs += batchnorm2d(f"{prefix}.bn2", planes)
+            else:
+                specs += conv2d(f"{prefix}.conv1", inplanes, planes, 1,
+                                bias=False)
+                specs += batchnorm2d(f"{prefix}.bn1", planes)
+                specs += conv2d(f"{prefix}.conv2", planes, planes, 3,
+                                bias=False)
+                specs += batchnorm2d(f"{prefix}.bn2", planes)
+                specs += conv2d(f"{prefix}.conv3", planes,
+                                planes * expansion, 1, bias=False)
+                specs += batchnorm2d(f"{prefix}.bn3", planes * expansion)
+            needs_downsample = index == 0 and (
+                stage > 1 or expansion != 1)
+            if needs_downsample:
+                specs += conv2d(f"{prefix}.downsample.0", inplanes,
+                                planes * expansion, 1, bias=False)
+                specs += batchnorm2d(f"{prefix}.downsample.1",
+                                     planes * expansion)
+            inplanes = planes * expansion
+    specs += linear("fc", 512 * expansion, 1000)
+    return ModelSpec(name, specs, iteration_ns=msecs(iteration_ms))
+
+
+_VGG_CFGS = {
+    "A": [64, "M", 128, "M", 256, 256, "M", 512, 512, "M", 512, 512, "M"],
+    "B": [64, 64, "M", 128, 128, "M", 256, 256, "M", 512, 512, "M",
+          512, 512, "M"],
+    "D": [64, 64, "M", 128, 128, "M", 256, 256, 256, "M",
+          512, 512, 512, "M", 512, 512, 512, "M"],
+    "E": [64, 64, "M", 128, 128, "M", 256, 256, 256, 256, "M",
+          512, 512, 512, 512, "M", 512, 512, 512, 512, "M"],
+}
+
+
+def build_vgg_bn(name: str, cfg: str,
+                 iteration_ms: float = 160.0) -> ModelSpec:
+    specs: List[TensorSpec] = []
     cin = 3
     index = 0
-    for entry in cfg:
+    for entry in _VGG_CFGS[cfg]:
         if entry == "M":
             index += 1
             continue
         specs += conv2d(f"features.{index}", cin, entry, 3)
         specs += batchnorm2d(f"features.{index + 1}", entry)
         cin = entry
-        index += 3  # conv, bn, relu
+        index += 3
     specs += linear("classifier.0", 25088, 4096)
     specs += linear("classifier.3", 4096, 4096)
     specs += linear("classifier.6", 4096, 1000)
-    return ModelSpec("vgg19_bn", specs, iteration_ns=msecs(170))
+    return ModelSpec(name, specs, iteration_ns=msecs(iteration_ms))
 
 
-def build_resnet50() -> ModelSpec:
+def build_convnext(name: str, dims: Sequence[int], depths: Sequence[int],
+                   iteration_ms: float = 170.0) -> ModelSpec:
     specs: List[TensorSpec] = []
-    specs += conv2d("conv1", 3, 64, 7, bias=False)
-    specs += batchnorm2d("bn1", 64)
-    inplanes = 64
-    expansion = 4
-    for stage, (planes, blocks) in enumerate(
-            [(64, 3), (128, 4), (256, 6), (512, 3)], start=1):
-        for block in range(blocks):
-            prefix = f"layer{stage}.{block}"
-            specs += conv2d(f"{prefix}.conv1", inplanes, planes, 1,
-                            bias=False)
-            specs += batchnorm2d(f"{prefix}.bn1", planes)
-            specs += conv2d(f"{prefix}.conv2", planes, planes, 3, bias=False)
-            specs += batchnorm2d(f"{prefix}.bn2", planes)
-            specs += conv2d(f"{prefix}.conv3", planes, planes * expansion, 1,
-                            bias=False)
-            specs += batchnorm2d(f"{prefix}.bn3", planes * expansion)
-            if block == 0:
-                specs += conv2d(f"{prefix}.downsample.0", inplanes,
-                                planes * expansion, 1, bias=False)
-                specs += batchnorm2d(f"{prefix}.downsample.1",
-                                     planes * expansion)
-            inplanes = planes * expansion
-    specs += linear("fc", 2048, 1000)
-    return ModelSpec("resnet50", specs, iteration_ns=msecs(120))
-
-
-def build_convnext_base() -> ModelSpec:
-    specs: List[TensorSpec] = []
-    dims = [128, 256, 512, 1024]
-    depths = [3, 3, 27, 3]
     specs += conv2d("features.0.0", 3, dims[0], 4)
     specs += layernorm("features.0.1", dims[0])
     feature_index = 1
     for stage, (dim, depth) in enumerate(zip(dims, depths)):
-        for block in range(depth):
-            prefix = f"features.{feature_index}.{block}.block"
+        for index in range(depth):
+            prefix = f"features.{feature_index}.{index}.block"
             specs += conv2d(f"{prefix}.0", dim, dim, 7, groups=dim)
             specs += layernorm(f"{prefix}.2", dim)
             specs += linear(f"{prefix}.3", dim, 4 * dim)
             specs += linear(f"{prefix}.5", 4 * dim, dim)
             specs += parameter(
-                f"features.{feature_index}.{block}.layer_scale",
+                f"features.{feature_index}.{index}.layer_scale",
                 (dim, 1, 1))
         feature_index += 1
-        if stage < 3:
+        if stage < len(depths) - 1:
             specs += layernorm(f"features.{feature_index}.0", dim)
-            specs += conv2d(f"features.{feature_index}.1", dim, dims[stage + 1],
-                            2)
+            specs += conv2d(f"features.{feature_index}.1", dim,
+                            dims[stage + 1], 2)
             feature_index += 1
     specs += layernorm("classifier.0", dims[-1])
     specs += linear("classifier.2", dims[-1], 1000)
-    return ModelSpec("convnext_base", specs, iteration_ns=msecs(180))
+    return ModelSpec(name, specs, iteration_ns=msecs(iteration_ms))
 
 
-def build_swin_b() -> ModelSpec:
+def build_swin(name: str, embed_dim: int, depths: Sequence[int],
+               heads: Sequence[int], iteration_ms: float = 180.0,
+               window: int = 7) -> ModelSpec:
     specs: List[TensorSpec] = []
-    dims = [128, 256, 512, 1024]
-    depths = [2, 2, 18, 2]
-    heads = [4, 8, 16, 32]
-    window = 7
+    dims = [embed_dim * 2 ** i for i in range(len(depths))]
     specs += conv2d("features.0.0", 3, dims[0], 4)
     specs += layernorm("features.0.2", dims[0])
     feature_index = 1
     for stage, (dim, depth, head) in enumerate(zip(dims, depths, heads)):
-        for block in range(depth):
-            prefix = f"features.{feature_index}.{block}"
+        for index in range(depth):
+            prefix = f"features.{feature_index}.{index}"
             specs += layernorm(f"{prefix}.norm1", dim)
             specs += linear(f"{prefix}.attn.qkv", dim, 3 * dim)
             specs += parameter(
@@ -163,25 +189,25 @@ def build_swin_b() -> ModelSpec:
             specs += linear(f"{prefix}.mlp.0", dim, 4 * dim)
             specs += linear(f"{prefix}.mlp.3", 4 * dim, dim)
         feature_index += 1
-        if stage < 3:
-            specs += linear(f"features.{feature_index}.reduction", 4 * dim,
-                            2 * dim, bias=False)
+        if stage < len(depths) - 1:
+            specs += linear(f"features.{feature_index}.reduction",
+                            4 * dim, 2 * dim, bias=False)
             specs += layernorm(f"features.{feature_index}.norm", 4 * dim)
             feature_index += 1
     specs += layernorm("norm", dims[-1])
     specs += linear("head", dims[-1], 1000)
-    return ModelSpec("swin_b", specs, iteration_ns=msecs(200))
+    return ModelSpec(name, specs, iteration_ns=msecs(iteration_ms))
 
 
 # --- Transformers -----------------------------------------------------------------
 
 
-def build_vit_l_32() -> ModelSpec:
+def build_vit(name: str, patch: int, hidden: int, layers: int, mlp: int,
+              iteration_ms: float = 80.0, image: int = 224) -> ModelSpec:
     specs: List[TensorSpec] = []
-    hidden, mlp, layers = 1024, 4096, 24
-    patches = (224 // 32) ** 2
+    patches = (image // patch) ** 2
     specs += parameter("class_token", (1, 1, hidden))
-    specs += conv2d("conv_proj", 3, hidden, 32)
+    specs += conv2d("conv_proj", 3, hidden, patch)
     specs += parameter("encoder.pos_embedding", (1, patches + 1, hidden))
     for layer in range(layers):
         prefix = f"encoder.layers.encoder_layer_{layer}"
@@ -192,7 +218,7 @@ def build_vit_l_32() -> ModelSpec:
         specs += linear(f"{prefix}.mlp.linear_2", mlp, hidden)
     specs += layernorm("encoder.ln", hidden)
     specs += linear("heads.head", hidden, 1000)
-    return ModelSpec("vit_l_32", specs, iteration_ns=msecs(62))
+    return ModelSpec(name, specs, iteration_ns=msecs(iteration_ms))
 
 
 def build_bert_large() -> ModelSpec:
@@ -226,11 +252,14 @@ def build_bert_large() -> ModelSpec:
 
 MODEL_BUILDERS: Dict[str, Callable[[], ModelSpec]] = {
     "alexnet": build_alexnet,
-    "convnext_base": build_convnext_base,
-    "resnet50": build_resnet50,
-    "swin_b": build_swin_b,
-    "vgg19_bn": build_vgg19_bn,
-    "vit_l_32": build_vit_l_32,
+    "convnext_base": lambda: build_convnext(
+        "convnext_base", (128, 256, 512, 1024), (3, 3, 27, 3), 180),
+    "resnet50": lambda: build_resnet("resnet50", "bottleneck",
+                                     (3, 4, 6, 3), 120),
+    "swin_b": lambda: build_swin("swin_b", 128, (2, 2, 18, 2),
+                                 (4, 8, 16, 32), 200),
+    "vgg19_bn": lambda: build_vgg_bn("vgg19_bn", "E", 170),
+    "vit_l_32": lambda: build_vit("vit_l_32", 32, 1024, 24, 4096, 62),
     "bert_large": build_bert_large,
 }
 

@@ -1,188 +1,20 @@
 """The extended model zoo (the paper's appendix evaluates 76 models).
 
-Parameterized family builders reproducing torchvision's exact
-``named_parameters()`` layouts for the ResNet, VGG-BN, ViT, Swin and
-ConvNeXt families, beyond the seven representatives of Table II.  Exact
-parameter counts for the well-known variants are pinned in
-``tests/dnn/test_zoo.py``.
+Variants of the ResNet, VGG-BN, ViT, Swin and ConvNeXt families beyond
+the seven representatives of Table II, built by the same family
+builders (:mod:`repro.dnn.models`) with torchvision's exact
+``named_parameters()`` layouts.  Exact parameter counts for the
+well-known variants are pinned in ``tests/dnn/test_zoo.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
-from repro.dnn.layers import (batchnorm2d, conv2d, layernorm, linear,
-                              multihead_attention, parameter)
-from repro.dnn.models import MODEL_BUILDERS, ModelSpec
-from repro.dnn.tensor import TensorSpec
-from repro.units import msecs
+from repro.dnn.models import (MODEL_BUILDERS, ModelSpec, build_convnext,
+                              build_resnet, build_swin, build_vgg_bn,
+                              build_vit)
 
-
-# --- ResNet family -----------------------------------------------------------------
-
-
-def build_resnet(name: str, block: str, blocks_per_stage: Sequence[int],
-                 iteration_ms: float = 100.0) -> ModelSpec:
-    """torchvision ResNet: 'basic' (18/34) or 'bottleneck' (50/101/152)."""
-    if block not in ("basic", "bottleneck"):
-        raise ValueError(f"unknown block kind {block!r}")
-    specs: List[TensorSpec] = []
-    specs += conv2d("conv1", 3, 64, 7, bias=False)
-    specs += batchnorm2d("bn1", 64)
-    expansion = 1 if block == "basic" else 4
-    inplanes = 64
-    for stage, blocks in enumerate(blocks_per_stage, start=1):
-        planes = 64 * 2 ** (stage - 1)
-        for index in range(blocks):
-            prefix = f"layer{stage}.{index}"
-            if block == "basic":
-                specs += conv2d(f"{prefix}.conv1", inplanes, planes, 3,
-                                bias=False)
-                specs += batchnorm2d(f"{prefix}.bn1", planes)
-                specs += conv2d(f"{prefix}.conv2", planes, planes, 3,
-                                bias=False)
-                specs += batchnorm2d(f"{prefix}.bn2", planes)
-            else:
-                specs += conv2d(f"{prefix}.conv1", inplanes, planes, 1,
-                                bias=False)
-                specs += batchnorm2d(f"{prefix}.bn1", planes)
-                specs += conv2d(f"{prefix}.conv2", planes, planes, 3,
-                                bias=False)
-                specs += batchnorm2d(f"{prefix}.bn2", planes)
-                specs += conv2d(f"{prefix}.conv3", planes,
-                                planes * expansion, 1, bias=False)
-                specs += batchnorm2d(f"{prefix}.bn3", planes * expansion)
-            needs_downsample = index == 0 and (
-                stage > 1 or expansion != 1)
-            if needs_downsample:
-                specs += conv2d(f"{prefix}.downsample.0", inplanes,
-                                planes * expansion, 1, bias=False)
-                specs += batchnorm2d(f"{prefix}.downsample.1",
-                                     planes * expansion)
-            inplanes = planes * expansion
-    specs += linear("fc", 512 * expansion, 1000)
-    return ModelSpec(name, specs, iteration_ns=msecs(iteration_ms))
-
-
-# --- VGG-BN family -----------------------------------------------------------------
-
-_VGG_CFGS = {
-    "A": [64, "M", 128, "M", 256, 256, "M", 512, 512, "M", 512, 512, "M"],
-    "B": [64, 64, "M", 128, 128, "M", 256, 256, "M", 512, 512, "M",
-          512, 512, "M"],
-    "D": [64, 64, "M", 128, 128, "M", 256, 256, 256, "M",
-          512, 512, 512, "M", 512, 512, 512, "M"],
-    "E": [64, 64, "M", 128, 128, "M", 256, 256, 256, 256, "M",
-          512, 512, 512, 512, "M", 512, 512, 512, 512, "M"],
-}
-
-
-def build_vgg_bn(name: str, cfg: str,
-                 iteration_ms: float = 160.0) -> ModelSpec:
-    specs: List[TensorSpec] = []
-    cin = 3
-    index = 0
-    for entry in _VGG_CFGS[cfg]:
-        if entry == "M":
-            index += 1
-            continue
-        specs += conv2d(f"features.{index}", cin, entry, 3)
-        specs += batchnorm2d(f"features.{index + 1}", entry)
-        cin = entry
-        index += 3
-    specs += linear("classifier.0", 25088, 4096)
-    specs += linear("classifier.3", 4096, 4096)
-    specs += linear("classifier.6", 4096, 1000)
-    return ModelSpec(name, specs, iteration_ns=msecs(iteration_ms))
-
-
-# --- ViT family --------------------------------------------------------------------
-
-
-def build_vit(name: str, patch: int, hidden: int, layers: int, mlp: int,
-              iteration_ms: float = 80.0, image: int = 224) -> ModelSpec:
-    specs: List[TensorSpec] = []
-    patches = (image // patch) ** 2
-    specs += parameter("class_token", (1, 1, hidden))
-    specs += conv2d("conv_proj", 3, hidden, patch)
-    specs += parameter("encoder.pos_embedding", (1, patches + 1, hidden))
-    for layer in range(layers):
-        prefix = f"encoder.layers.encoder_layer_{layer}"
-        specs += layernorm(f"{prefix}.ln_1", hidden)
-        specs += multihead_attention(f"{prefix}.self_attention", hidden)
-        specs += layernorm(f"{prefix}.ln_2", hidden)
-        specs += linear(f"{prefix}.mlp.linear_1", hidden, mlp)
-        specs += linear(f"{prefix}.mlp.linear_2", mlp, hidden)
-    specs += layernorm("encoder.ln", hidden)
-    specs += linear("heads.head", hidden, 1000)
-    return ModelSpec(name, specs, iteration_ns=msecs(iteration_ms))
-
-
-# --- Swin family --------------------------------------------------------------------
-
-
-def build_swin(name: str, embed_dim: int, depths: Sequence[int],
-               heads: Sequence[int], iteration_ms: float = 180.0,
-               window: int = 7) -> ModelSpec:
-    specs: List[TensorSpec] = []
-    dims = [embed_dim * 2 ** i for i in range(len(depths))]
-    specs += conv2d("features.0.0", 3, dims[0], 4)
-    specs += layernorm("features.0.2", dims[0])
-    feature_index = 1
-    for stage, (dim, depth, head) in enumerate(zip(dims, depths, heads)):
-        for index in range(depth):
-            prefix = f"features.{feature_index}.{index}"
-            specs += layernorm(f"{prefix}.norm1", dim)
-            specs += linear(f"{prefix}.attn.qkv", dim, 3 * dim)
-            specs += parameter(
-                f"{prefix}.attn.relative_position_bias_table",
-                ((2 * window - 1) ** 2, head))
-            specs += linear(f"{prefix}.attn.proj", dim, dim)
-            specs += layernorm(f"{prefix}.norm2", dim)
-            specs += linear(f"{prefix}.mlp.0", dim, 4 * dim)
-            specs += linear(f"{prefix}.mlp.3", 4 * dim, dim)
-        feature_index += 1
-        if stage < len(depths) - 1:
-            specs += linear(f"features.{feature_index}.reduction",
-                            4 * dim, 2 * dim, bias=False)
-            specs += layernorm(f"features.{feature_index}.norm", 4 * dim)
-            feature_index += 1
-    specs += layernorm("norm", dims[-1])
-    specs += linear("head", dims[-1], 1000)
-    return ModelSpec(name, specs, iteration_ns=msecs(iteration_ms))
-
-
-# --- ConvNeXt family ----------------------------------------------------------------
-
-
-def build_convnext(name: str, dims: Sequence[int], depths: Sequence[int],
-                   iteration_ms: float = 170.0) -> ModelSpec:
-    specs: List[TensorSpec] = []
-    specs += conv2d("features.0.0", 3, dims[0], 4)
-    specs += layernorm("features.0.1", dims[0])
-    feature_index = 1
-    for stage, (dim, depth) in enumerate(zip(dims, depths)):
-        for index in range(depth):
-            prefix = f"features.{feature_index}.{index}.block"
-            specs += conv2d(f"{prefix}.0", dim, dim, 7, groups=dim)
-            specs += layernorm(f"{prefix}.2", dim)
-            specs += linear(f"{prefix}.3", dim, 4 * dim)
-            specs += linear(f"{prefix}.5", 4 * dim, dim)
-            specs += parameter(
-                f"features.{feature_index}.{index}.layer_scale",
-                (dim, 1, 1))
-        feature_index += 1
-        if stage < len(depths) - 1:
-            specs += layernorm(f"features.{feature_index}.0", dim)
-            specs += conv2d(f"features.{feature_index}.1", dim,
-                            dims[stage + 1], 2)
-            feature_index += 1
-    specs += layernorm("classifier.0", dims[-1])
-    specs += linear("classifier.2", dims[-1], 1000)
-    return ModelSpec(name, specs, iteration_ns=msecs(iteration_ms))
-
-
-# --- registry --------------------------------------------------------------------------
 
 ZOO_BUILDERS: Dict[str, Callable[[], ModelSpec]] = {
     # ResNets.

@@ -25,7 +25,8 @@ schedule is bit-identical across runs.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import hashlib
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import PowerFailure
 from repro.hw.device import MemoryDevice
@@ -77,3 +78,12 @@ class CrashPointRecorder:
     @property
     def count(self) -> int:
         return len(self.boundaries)
+
+
+def schedule_fingerprint(boundaries: List[str]) -> Tuple[int, str]:
+    """A boundary schedule's identity: its length and the SHA-256 of its
+    ``index:point:tag`` lines.  A sweep pins it, so a change that moves,
+    adds or drops a metadata write fails loudly instead of silently
+    re-deriving a different schedule."""
+    digest = hashlib.sha256("\n".join(boundaries).encode()).hexdigest()
+    return len(boundaries), digest

@@ -422,10 +422,6 @@ def fig14_gpt_dump(configs: Optional[List[str]] = None) -> Dict:
     return results
 
 
-#: The seed's datapath, expressed as engine options: barrier windows of
-#: whole-tensor WRs posted in registration order on a single QP.
-ENGINE_SEED_DATAPATH = dict(pipelined=False, chunk_bytes=None,
-                            largest_first=False)
 #: Stripe width and ingest cap of the tuned datapath (see
 #: repro.harness.calibration.PMEM_INGEST_STREAMS for the cap's origin).
 ENGINE_STRIPED_QPS = 4
@@ -433,10 +429,8 @@ ENGINE_STRIPED_OPTS = dict(max_pmem_streams=4)
 
 
 def engine_datapath_ablation(config_name: str = "gpt-22.4b") -> Dict:
-    """The Fig. 14 dump under the three datapaths (engine ablation).
+    """The Fig. 14 dump under the two datapaths (engine ablation).
 
-    * ``barrier`` — the seed: one QP, whole-tensor WRs, full barrier
-      between QP_DEPTH-sized windows;
     * ``sliding`` — the engine's default: one QP, 4 MiB segmentation,
       largest-first, credit-based sliding window;
     * ``striped`` — 4 QPs per model plus the daemon-wide PMem ingest
@@ -445,17 +439,14 @@ def engine_datapath_ablation(config_name: str = "gpt-22.4b") -> Dict:
       8.4/6.0 = 1.40x; see DESIGN.md §7).
     """
     config = GPT_CONFIGS[config_name]
-    barrier_ns, total_bytes = _gpt_portus_dump(
-        config, daemon_kwargs={"engine": dict(ENGINE_SEED_DATAPATH)})
-    sliding_ns, _ = _gpt_portus_dump(config)
+    sliding_ns, total_bytes = _gpt_portus_dump(config)
     striped_ns, _ = _gpt_portus_dump(
         config, daemon_kwargs={"engine": dict(ENGINE_STRIPED_OPTS)},
         num_qps=ENGINE_STRIPED_QPS)
     return {"config": config_name, "bytes": total_bytes,
             "chunk_bytes": ENGINE_CHUNK_BYTES,
             "striped_qps": ENGINE_STRIPED_QPS,
-            "barrier_ns": barrier_ns, "sliding_ns": sliding_ns,
-            "striped_ns": striped_ns}
+            "sliding_ns": sliding_ns, "striped_ns": striped_ns}
 
 
 def _gpt_torch_save_dump(config: GptConfig) -> int:

@@ -371,7 +371,7 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
                     f"v{version} still ACTIVE (step stamp {step}): a "
                     f"checkpoint was mid-pull at crash time; its "
                     f"TensorData cannot be trusted", model=name,
-                    repair=lambda m=meta, v=version: _demote(m, v)))
+                    repair=lambda m=meta, v=version: m.demote(v)))
             if addr == 0:
                 if state == FLAG_DONE:
                     report.add(Finding(
@@ -379,7 +379,7 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
                         f"v{version} DONE@{step} but its version "
                         f"address is 0 (extent reclaimed under a live "
                         f"flag)", model=name,
-                        repair=lambda m=meta, v=version: _demote(m, v)))
+                        repair=lambda m=meta, v=version: m.demote(v)))
                 continue
             extent = allocator.lookup(addr)
             if extent is None:
@@ -478,14 +478,6 @@ def _flag_name(state: int) -> str:
     return FLAG_NAMES.get(state, f"?{state}")
 
 
-def _demote(meta, version: int) -> None:
-    """Invalidate one version slot (EMPTY, step 0); never touches data."""
-    flags = meta.read_flags()
-    flags.states[version] = 0  # FLAG_EMPTY
-    flags.steps[version] = 0
-    meta.write_flags(flags)
-
-
 def _fsck_dedup_model(report: FsckReport, meta, name: str, flags,
                       store, recomputed: Dict[bytes, int]) -> None:
     """Verify one dedup model's manifests; count reachable references.
@@ -540,7 +532,7 @@ def _fsck_dedup_model(report: FsckReport, meta, name: str, flags,
 def _demote_dedup(meta, version: int) -> None:
     """Demote a dedup slot and clear its manifest; references the
     manifest held surface as chunk-ref leaks the next pass lowers."""
-    _demote(meta, version)
+    meta.demote(version)
     meta.write_manifest(version, [])
 
 
@@ -557,15 +549,9 @@ def _free_chunk_table(pool) -> None:
 def _demote_and_unlink(meta, version: int) -> None:
     """Demote the slot and zero its MIndex address, so recovery stops
     chasing an extent that is gone; the next attach re-creates it."""
-    _demote(meta, version)
-    addrs = list(meta.mindex.version_addrs)
-    if addrs[version]:
-        addrs[version] = 0
-        meta.mindex.version_addrs = tuple(addrs)
-        regions = list(meta.data_regions)
-        regions[version] = None
-        meta.data_regions = tuple(regions)
-        meta._mindex_record.write(meta.mindex.pack())
+    meta.demote(version)
+    if meta.mindex.version_addrs[version]:
+        meta.repoint({version: None})
 
 
 def _fsck_groups(report: FsckReport, pool, table, allocator,

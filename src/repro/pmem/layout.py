@@ -88,25 +88,40 @@ class CommittedRecord:
         return self.offset + index * self.slot_size
 
     def _read_slot(self, index: int) -> Optional[Tuple[bytes, int]]:
-        try:
-            raw = self.allocation.read_bytes(self._slot_offset(index),
-                                             self.slot_size)
-        except ValueError:
-            # Torn content materialization — the slot is poison.
-            return None
-        try:
-            return unpack_blob(raw)
-        except PoolCorruption:
-            return None
+        """Parse one slot's frame by its length: ``(payload, generation)``,
+        or None when the header, the payload or the CRC does not check.
 
-    def read(self) -> Optional[Tuple[bytes, int]]:
-        """Newest committed ``(payload, generation)``, or None if empty."""
-        best: Optional[Tuple[bytes, int]] = None
+        Only the header and ``length`` payload bytes are read, so a slot
+        is valid whatever stale bytes follow its frame.
+        """
+        offset = self._slot_offset(index)
+        try:
+            magic, length, generation, crc = _HEADER.unpack(
+                self.allocation.read_bytes(offset, _HEADER.size))
+            if magic != _FRAME_MAGIC or length > self.max_payload():
+                return None
+            payload = self.allocation.read_bytes(offset + _HEADER.size,
+                                                 length)
+        except ValueError:
+            # Torn content materialization — the frame is poison.
+            return None
+        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            return None
+        return payload, generation
+
+    def _newest(self) -> Tuple[int, Optional[Tuple[bytes, int]]]:
+        """The newest valid slot's index and ``(payload, generation)``;
+        ``(0, None)`` when neither slot parses."""
+        newest, best = 0, None
         for index in (0, 1):
             slot = self._read_slot(index)
             if slot is not None and (best is None or slot[1] > best[1]):
-                best = slot
-        return best
+                newest, best = index, slot
+        return newest, best
+
+    def read(self) -> Optional[Tuple[bytes, int]]:
+        """Newest committed ``(payload, generation)``, or None if empty."""
+        return self._newest()[1]
 
     def slot_states(self) -> Tuple[object, object]:
         """Per-slot health, for integrity tooling (fsck).
@@ -141,19 +156,12 @@ class CommittedRecord:
         if hook is not None:
             # Crash point: power loss before the slot write begins.
             hook("record.write", self.allocation.tag)
-        current = self.read()
+        newest, current = self._newest()
         if current is None:
             generation, target = 1, 0
         else:
-            generation = current[1] + 1
             # Overwrite the slot that does NOT hold the newest value.
-            newest_slot = None
-            for index in (0, 1):
-                slot = self._read_slot(index)
-                if slot is not None and slot[1] == current[1]:
-                    newest_slot = index
-                    break
-            target = 1 - (newest_slot if newest_slot is not None else 0)
+            generation, target = current[1] + 1, 1 - newest
         frame = pack_blob(payload, generation)
         slot_offset = self._slot_offset(target)
         self.allocation.write(slot_offset, ByteContent(frame))

@@ -205,24 +205,6 @@ def test_engine_stream_limit_caps_global_inflight():
     assert limiter.in_use == 0  # every token returned
 
 
-def test_engine_barrier_mode_is_slower_than_pipelined():
-    # Per-tensor WRs in registration order: every window holds one
-    # straggler and three small tensors, so the barrier idles 3 of its
-    # 4 slots while the straggler drains; the sliding window refills
-    # them the moment each completion returns a credit.
-    sizes = [kib(512), kib(16), kib(16), kib(16)] * 6
-    elapsed = {}
-    for pipelined in (True, False):
-        rig = _Rig(sizes, num_qps=1)
-        start = rig.cluster.env.now
-        _engine, moved = rig.pull(depth=4, chunk_bytes=None,
-                                  largest_first=False,
-                                  pipelined=pipelined)
-        assert moved == sum(sizes)
-        elapsed[pipelined] = rig.cluster.env.now - start
-    assert elapsed[True] < elapsed[False]
-
-
 def test_engine_abort_flushes_every_qp_in_stripe_set():
     # Satellite 3: one failing WR must retire the in-flight WRs on ALL
     # lanes of the stripe set, not just the lane that saw the error.
@@ -384,5 +366,8 @@ def test_restore_reply_reports_bytes_pushed():
 
 
 def test_unknown_engine_option_is_rejected():
-    with pytest.raises(ReproError):
-        PaperCluster(seed=44, daemon_kwargs={"engine": {"typo": 1}})
+    # A typo, and the options that once selected the barrier-window
+    # lane: the sliding window is the only posting lane.
+    for option in ("typo", "pipelined", "largest_first"):
+        with pytest.raises(ReproError, match="unknown engine options"):
+            PaperCluster(seed=44, daemon_kwargs={"engine": {option: 1}})

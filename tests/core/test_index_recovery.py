@@ -25,7 +25,8 @@ from repro.core.consistency import (begin_checkpoint, commit_checkpoint,
 from repro.core.index import (FLAG_DONE, META_TAG, ModelMeta, ModelTable)
 from repro.dnn.tensor import TensorSpec
 from repro.errors import PmemError, PowerFailure
-from repro.faults.crashpoints import CrashPointRecorder
+from repro.faults.crashpoints import (CrashPointRecorder,
+                                     schedule_fingerprint)
 from repro.hw import PmemDimm
 from repro.pmem import PmemPool
 from repro.pmem.fsck import fsck, repair
@@ -109,6 +110,18 @@ def test_drop_version_boundary_schedule_is_deterministic():
     first = _drop_version_scenario(None)[2].boundaries
     second = _drop_version_scenario(None)[2].boundaries
     assert first == second
+
+
+#: The counting pass's :func:`schedule_fingerprint`: demote, then the
+#: MIndex write, then the free.  Re-pin only for a deliberate change to
+#: that order.
+PINNED_DROP_SCHEDULE = (
+    7, "f137778462f1f99bc9587a973a03a2c0702f167fea0fc9741052b2120c64799d")
+
+
+def test_drop_version_boundary_schedule_is_pinned():
+    boundaries = _drop_version_scenario(None)[2].boundaries
+    assert schedule_fingerprint(boundaries) == PINNED_DROP_SCHEDULE
 
 
 # --- ModelMeta record geometry (persisted header) --------------------------------

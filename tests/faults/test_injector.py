@@ -144,7 +144,7 @@ def test_wr_hang_holds_the_pull_until_flush(cluster):
         assert not worker.triggered  # wedged: no completion ever arrives
         entry = cluster.daemon.model_map["model"]
         assert entry.busy
-        entry.qp.flush()  # the only thing that retires a lost WR
+        entry.qps[0].flush()  # the only thing that retires a lost WR
         try:
             yield worker
         except ReproError:
@@ -191,7 +191,7 @@ def test_kill_client_releases_client_resources(cluster):
     assert injector.kill_client("volta") == 1
     assert cluster.volta.nic.registered_mrs == mrs_before - len(SPECS)
     assert session.conn.closed
-    assert session.qp.error is not None
+    assert session.qps[0].error is not None
     # A successor client can re-attach to the persisted index.
     new_session = register_model(cluster, seed=7)
     assert new_session is not session

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PmemError, PoolCorruption
+from repro.errors import PmemError, PoolCorruption, PowerFailure
+from repro.faults.crashpoints import CrashPointRecorder
 from repro.hw import ByteContent, PmemDimm
 from repro.pmem.layout import CommittedRecord, pack_blob, unpack_blob
 from repro.sim import Environment
@@ -138,6 +139,29 @@ def test_committed_record_survives_any_crash(seed=None):
         payload, generation = survived
         assert generation == committed
         assert payload == f"version-{committed}".encode()
+
+
+def test_frame_past_a_torn_tail_is_read_by_its_length():
+    """A commit shorter than the torn frame it overwrites is valid: the
+    slot is parsed by its frame length, so the torn bytes after the
+    frame never hide the commit behind the previous generation."""
+    allocation = make_allocation()
+    record = CommittedRecord(allocation, 0, slot_size=512)
+    record.write(b"g1")
+    record.write(b"g2")
+    rng = random.Random(0)
+    rng.choice = lambda outcomes: "torn"
+    recorder = CrashPointRecorder(allocation.device, crash_at=1,
+                                  power_fail=lambda: allocation.crash(rng))
+    with pytest.raises(PowerFailure):
+        record.write(b"x" * 400)
+    assert recorder.fired == "1:record.persist:test"
+    assert record.read() == (b"g2", 2)
+    assert record.slot_states() == ("torn", ("valid", 2))
+
+    assert record.write(b"y" * 40) == 3
+    assert record.read() == (b"y" * 40, 3)
+    assert record.slot_states() == (("valid", 3), ("valid", 2))
 
 
 @given(st.integers(0, 10_000))

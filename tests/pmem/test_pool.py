@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from repro.errors import PmemError, PoolCorruption, PoolExhausted
+from repro.errors import (PmemError, PoolCorruption, PoolExhausted,
+                          PowerFailure)
+from repro.faults.crashpoints import CrashPointRecorder
 from repro.hw import ByteContent, PmemDimm
 from repro.pmem import PmemPool
 from repro.sim import Environment
@@ -152,3 +154,26 @@ def test_many_alloc_free_cycles_stay_consistent():
     pool.close()
     reopened = PmemPool.open(device)
     assert {r.addr for r in reopened.allocator.records()} == committed
+
+
+def test_commit_over_a_torn_alloc_table_slot_is_not_hidden():
+    """A power cut tears one AllocTable commit; the next, shorter commit
+    lands in that slot over the torn tail.  It must be the table the
+    next open reads — falling back to the older generation would list
+    an extent that was already freed."""
+    device = make_device()
+    pool = PmemPool.format(device, max_extents=64)
+    pool.alloc(4096, tag="a")
+    pool.alloc(4096, tag="b")
+    rng = random.Random(0)
+    rng.choice = lambda outcomes: "torn"
+    recorder = CrashPointRecorder(device, crash_at=2,
+                                  power_fail=lambda: device.crash(rng))
+    with pytest.raises(PowerFailure):
+        pool.alloc(4096, tag="c")
+    assert recorder.fired == "2:record.persist:pool-meta"
+
+    pool = PmemPool.open(device)
+    pool.free(pool.find_by_tag("b")[0])
+    reopened = PmemPool.open(device)
+    assert [r.tag for r in reopened.allocator.records()] == ["a"]
