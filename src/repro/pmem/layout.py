@@ -89,25 +89,24 @@ class CommittedRecord:
 
     def _read_slot(self, index: int) -> Optional[Tuple[bytes, int]]:
         """Parse one slot's frame by its length: ``(payload, generation)``,
-        or None when the header, the payload or the CRC does not check.
+        or None when :func:`unpack_blob` rejects it or its ``length``
+        exceeds the slot.
 
         Only the header and ``length`` payload bytes are read, so a slot
         is valid whatever stale bytes follow its frame.
         """
         offset = self._slot_offset(index)
         try:
-            magic, length, generation, crc = _HEADER.unpack(
-                self.allocation.read_bytes(offset, _HEADER.size))
-            if magic != _FRAME_MAGIC or length > self.max_payload():
+            header = self.allocation.read_bytes(offset, _HEADER.size)
+            length = _HEADER.unpack(header)[1]
+            if length > self.max_payload():
                 return None
-            payload = self.allocation.read_bytes(offset + _HEADER.size,
-                                                 length)
-        except ValueError:
-            # Torn content materialization — the frame is poison.
+            return unpack_blob(header + self.allocation.read_bytes(
+                offset + _HEADER.size, length))
+        except (ValueError, PoolCorruption):
+            # ValueError: torn content materialization — the frame is
+            # poison.  PoolCorruption: bad magic or CRC mismatch.
             return None
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            return None
-        return payload, generation
 
     def _newest(self) -> Tuple[int, Optional[Tuple[bytes, int]]]:
         """The newest valid slot's index and ``(payload, generation)``;

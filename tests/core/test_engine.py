@@ -195,6 +195,22 @@ def test_engine_peak_inflight_bounded_by_credits():
     assert engine.peak_inflight == 3 * 2
 
 
+def test_engine_sliding_window_refills_each_credit_at_once():
+    # Per-tensor WRs, largest first: six 512 KiB stragglers, then
+    # eighteen 16 KiB tensors, four credits on one QP.  A returned
+    # credit posts the next WR at once, so the small tensors ride in
+    # behind the stragglers; a barrier between windows of four idles
+    # the drained slots and takes 620,217 ns.  The simulation is
+    # deterministic, so the sliding lane's time is pinned exactly.
+    sizes = [kib(512), kib(16), kib(16), kib(16)] * 6
+    rig = _Rig(sizes, num_qps=1)
+    start = rig.cluster.env.now
+    engine, moved = rig.pull(depth=4, chunk_bytes=None)
+    assert moved == sum(sizes)
+    assert engine.posted_wrs == len(sizes)
+    assert rig.cluster.env.now - start == 602_217
+
+
 def test_engine_stream_limit_caps_global_inflight():
     rig = _Rig([kib(512)] * 2, num_qps=4)
     limiter = IngestLimiter(rig.cluster.env, capacity=2)

@@ -106,12 +106,6 @@ def test_drop_version_sweep_never_strands_a_done_flag():
         assert repair(recovered).clean, context
 
 
-def test_drop_version_boundary_schedule_is_deterministic():
-    first = _drop_version_scenario(None)[2].boundaries
-    second = _drop_version_scenario(None)[2].boundaries
-    assert first == second
-
-
 #: The counting pass's :func:`schedule_fingerprint`: demote, then the
 #: MIndex write, then the free.  Re-pin only for a deliberate change to
 #: that order.
@@ -119,9 +113,11 @@ PINNED_DROP_SCHEDULE = (
     7, "f137778462f1f99bc9587a973a03a2c0702f167fea0fc9741052b2120c64799d")
 
 
-def test_drop_version_boundary_schedule_is_pinned():
-    boundaries = _drop_version_scenario(None)[2].boundaries
-    assert schedule_fingerprint(boundaries) == PINNED_DROP_SCHEDULE
+def test_drop_version_boundary_schedule_is_deterministic():
+    first = _drop_version_scenario(None)[2].boundaries
+    second = _drop_version_scenario(None)[2].boundaries
+    assert first == second
+    assert schedule_fingerprint(first) == PINNED_DROP_SCHEDULE
 
 
 # --- ModelMeta record geometry (persisted header) --------------------------------

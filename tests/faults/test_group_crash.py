@@ -191,19 +191,17 @@ def test_counting_pass_covers_group_commit_boundaries():
     assert fsck(pool).clean  # a fault-free group lifecycle leaves no debris
 
 
-def test_group_boundary_schedule_is_deterministic():
-    assert _boundary_schedule() == _boundary_schedule()
-
-
 #: The counting pass's :func:`schedule_fingerprint` at the default seed.
 #: Re-pin only for a deliberate change to the metadata write order.
 PINNED_SCHEDULE = (
     224, "1ed2bafd98f4c60a2cac7344f687872b0e9f18e3e1b59374babaf535488b7ca9")
 
 
-@pytest.mark.skipif(SEED != 13, reason="pinned at the default seed")
-def test_group_boundary_schedule_is_pinned():
-    assert schedule_fingerprint(_boundary_schedule()) == PINNED_SCHEDULE
+def test_group_boundary_schedule_is_deterministic():
+    first = _boundary_schedule()
+    assert first == _boundary_schedule()
+    if SEED == 13:  # pinned at the default seed
+        assert schedule_fingerprint(first) == PINNED_SCHEDULE
 
 
 def test_power_loss_at_every_group_boundary_recovers_untorn():
