@@ -19,7 +19,7 @@ Run:  python examples/share_checkpoint.py
 """
 
 from repro.core.portusctl import dump, format_view, view
-from repro.core.repack import repack
+from repro.core.repack import repack_daemon
 from repro.dnn.serialize import deserialize_state_dict
 from repro.dnn.tensor import ModelInstance
 from repro.dnn.zoo import build_zoo_model, head_tensor_names
@@ -53,7 +53,7 @@ def main() -> None:
     print(f"re-parsed {len(parsed)} tensors; "
           f"{'all bit-exact at step 20' if not bad else f'MISMATCH: {bad}'}")
 
-    report = repack(cluster.portus_pool, cluster.daemon.table)
+    report = repack_daemon(cluster.daemon)
     print(f"\nrepacked: reclaimed {fmt_bytes(report.bytes_reclaimed)} "
           f"from {len(report.models_compacted)} model(s)")
     print(format_view(view(cluster.portus_pool)))

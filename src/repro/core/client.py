@@ -507,13 +507,20 @@ class PortusClient:
         self.sessions.append(session)
         return session
 
-    def list_models(self) -> Generator:
-        """Process: ask the daemon for its model inventory."""
+    def request(self, message: Dict[str, Any], size: int,
+                expected_op: str) -> Generator:
+        """Process: one request on a connection of its own, no session
+        needed; returns the reply (an error reply raises)."""
         conn = yield from self.tcp.connect(self.daemon.tcp.hostname,
                                            self.daemon.port)
-        message, size = protocol.list_models()
         yield from conn.send(message, wire_size=size)
         reply = yield from conn.recv()
-        ModelSession._check(reply, protocol.OP_LIST_REPLY)
         conn.close()
+        ModelSession._check(reply, expected_op)
+        return reply
+
+    def list_models(self) -> Generator:
+        """Process: ask the daemon for its model inventory."""
+        reply = yield from self.request(*protocol.list_models(),
+                                        protocol.OP_LIST_REPLY)
         return reply["models"]

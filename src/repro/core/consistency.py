@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.index import (FLAG_ACTIVE, FLAG_DONE, FLAG_EMPTY,
-                              ModelMeta, VersionFlags)
+from repro.core.index import FLAG_ACTIVE, FLAG_DONE, FLAG_EMPTY, ModelMeta
 from repro.errors import CheckpointInProgress, NoValidCheckpoint
 
 
@@ -103,8 +102,3 @@ def checkpoint_at_step(meta: ModelMeta, step: int) -> int:
             f"{meta.mindex.model_name}: no completed checkpoint at step "
             f"{step} (flags: {flags!r})")
     return best
-
-
-def checkpoint_states(meta: ModelMeta) -> VersionFlags:
-    """Raw flags, for Portusctl's view and the repacking tool."""
-    return meta.read_flags()

@@ -3,13 +3,14 @@
 Listens on TCP/IPoIB, keeps the three-level index (persistent ModelTable +
 DRAM ModelMap of :class:`ModelEntry`), and serves four operations:
 
-* REGISTER — build (or re-attach to) a model's index: allocate both
-  TensorData versions, write the MIndex, pin the server-side MRs,
-  record the client's per-tensor rkeys.
-* DO_CHECKPOINT — stamp the target version ACTIVE, post one one-sided
-  RDMA READ per tensor (concurrently — all tensors of a model pull in
-  parallel), flush, stamp DONE.  Zero serialization, zero staging copies,
-  zero kernel crossings on either side.
+* REGISTER — build (or re-attach to) a model's index in its storage
+  layout, pin what the layout keeps pinned, record the client's
+  per-tensor rkeys.
+* DO_CHECKPOINT — stamp the target version ACTIVE, pull the client's
+  tensors into it with one-sided RDMA READs through the transfer
+  engine (sliding window, striped across the model's QPs), flush, stamp
+  DONE.  Zero serialization, zero staging copies, zero kernel crossings
+  on either side.
 * DO_RESTORE — pick the newest DONE version and push every tensor back
   with one-sided RDMA WRITEs.
 * UNREGISTER — drop the model and free its extents.
@@ -39,8 +40,8 @@ Fault tolerance:
   handlers are killed, and (on crash) the pool closes un-synced — the
   successor re-opens the pool and re-runs recovery.
 
-All three knobs default to off, leaving the fast path byte-identical to
-the non-hardened daemon.
+All three knobs default to off: no timer or reaper process runs, and
+the fast path pays nothing for them.
 """
 
 from __future__ import annotations
@@ -475,6 +476,7 @@ class PortusDaemon:
         name = message["model"]
         tensors = message["tensors"]
         dedup = message.get("dedup")
+        chunk_bytes = None if dedup is None else int(dedup["chunk_bytes"])
         tenant = message.get("tenant")
         # Multi-QP REGISTER: the client brings its whole stripe set.
         qps = message["qps"]
@@ -494,10 +496,8 @@ class PortusDaemon:
             try:
                 # The chunk store is pool-wide: the first dedup model
                 # formats it and later ones must agree on the chunk size.
-                meta = ModelMeta.create(
-                    self.pool, name, specs,
-                    chunk_bytes=(None if dedup is None
-                                 else int(dedup["chunk_bytes"])))
+                meta = ModelMeta.create(self.pool, name, specs,
+                                        chunk_bytes=chunk_bytes)
             except ReproError:
                 if tenant is not None and self.tenants is not None:
                     self.tenants.release_bytes(tenant, name)
@@ -506,15 +506,9 @@ class PortusDaemon:
             self.model_map.insert(name, entry)
             self.table.insert(name, meta.meta.addr)
         else:
-            self._validate_attach(entry, specs)
-            self._validate_dedup_attach(entry, dedup)
-            # A repacked model may be missing a version slot; rebuild it.
-            entry.meta.ensure_regions()
-        # Pin both TensorData versions (a chunk model has none: each
-        # chunk extent is pinned when first written).  A re-attach to a
-        # live daemon finds them in the pin table.
-        regions = [region for region in entry.meta.data_regions
-                   if region is not None]
+            self._validate_attach(entry, specs, chunk_bytes)
+        # A re-attach to a live daemon finds these in the pin table.
+        regions = entry.meta.layout.pinned_regions()
         for region in regions:
             yield from self.node.nic.pin(region, self.obs,
                                          protocol.trace_of(message),
@@ -532,8 +526,10 @@ class PortusDaemon:
         return protocol.reply(protocol.OP_REGISTERED, model=name,
                               layers=len(tensors), num_qps=len(entry.qps))
 
-    def _validate_attach(self, entry: ModelEntry,
-                         specs: List[TensorSpec]) -> None:
+    def _validate_attach(self, entry: ModelEntry, specs: List[TensorSpec],
+                         chunk_bytes: Optional[int]) -> None:
+        """The attach must name the persisted tensors and layout
+        (*chunk_bytes* None: the contiguous one)."""
         index = entry.meta.mindex
         if len(specs) != index.layer_count:
             raise PortusError(
@@ -545,23 +541,12 @@ class PortusDaemon:
                 raise PortusError(
                     f"{index.model_name}: tensor {spec.name!r} does not "
                     f"match the persisted index entry {descriptor.name!r}")
-
-    @staticmethod
-    def _validate_dedup_attach(entry: ModelEntry,
-                               dedup: Optional[Dict]) -> None:
-        name = entry.meta.mindex.model_name
-        if entry.meta.dedup != (dedup is not None):
-            have = "dedup" if entry.meta.dedup else "contiguous"
-            want = "dedup" if dedup is not None else "contiguous"
+        persisted = entry.meta.layout.chunk_bytes
+        if chunk_bytes != persisted:
             raise PortusError(
-                f"{name}: attach requests the {want} layout but the "
-                f"persisted model uses the {have} layout")
-        if dedup is not None and \
-                int(dedup["chunk_bytes"]) != entry.meta.chunk_bytes:
-            raise PortusError(
-                f"{name}: attach with chunk_bytes="
-                f"{int(dedup['chunk_bytes'])}, persisted model uses "
-                f"{entry.meta.chunk_bytes}")
+                f"{index.model_name}: attach with chunk_bytes="
+                f"{chunk_bytes}, the persisted model uses chunk_bytes="
+                f"{persisted} (None: the contiguous layout)")
 
     # -- the datapath -------------------------------------------------------------
 
@@ -751,32 +736,38 @@ class PortusDaemon:
 
     def _handle_unregister(self, message: Dict) -> Generator:
         name = message["model"]
-        entry = self.drop_model(name)
-        if self.tenants is not None and entry.tenant is not None:
-            self.tenants.release_bytes(entry.tenant, name)
+        self.unregister_model(name)
         return protocol.reply(protocol.OP_UNREGISTERED, model=name)
         yield  # pragma: no cover - keeps this a generator
 
-    def drop_model(self, name: str) -> ModelEntry:
-        """Delete *name* from this daemon (UNREGISTER, or a migration's
-        source evict); returns its entry.
+    def unregister_model(self, name: str) -> int:
+        """Delete *name* for good (UNREGISTER, an online repack's drop):
+        :meth:`drop_model`, then release its tenant's byte charge;
+        returns the bytes freed."""
+        entry = self._entry(name)
+        freed = self.drop_model(name)
+        if self.tenants is not None and entry.tenant is not None:
+            self.tenants.release_bytes(entry.tenant, name)
+        return freed
 
-        Removes the ModelTable entry (committed) BEFORE releasing the
-        extents: a crash mid-drop then only leaks GC-able extents,
-        instead of leaving a table entry that points at freed metadata
-        and wedges the next recovery.  A chunk-layout model drops only
-        its own chunk references.  Each freed extent's MR retires with
-        it.
+    def drop_model(self, name: str) -> int:
+        """Delete *name* from this daemon under its CAS guard (a
+        migration's source evict keeps the tenant's byte charge; see
+        :meth:`unregister_model`); returns the bytes freed.
+
+        :meth:`ModelTable.drop` unlinks before it frees, so a crash
+        mid-drop only leaks GC-able extents.  A chunk-layout model drops
+        only its own chunk references.  Each freed extent's MR retires
+        with it.
         """
         entry = self._entry(name)
         self._claim(entry)
         try:
-            self.table.remove(name)
-            entry.meta.free()
+            freed = self.table.drop(name, entry.meta)
             self.model_map.delete(name)
         finally:
             self._release(entry)
-        return entry
+        return freed
 
     # -- GROUPS ------------------------------------------------------------------------------
 
@@ -931,21 +922,8 @@ class PortusDaemon:
 
     def _handle_list(self, message: Dict) -> Generator:
         """Network-facing inventory (what portusctl shows offline)."""
-        from repro.core.index import FLAG_NAMES
-
-        rows = []
-        for name, entry in self.model_map.items():
-            flags = entry.meta.read_flags()
-            rows.append({
-                "model": name,
-                "layers": entry.meta.mindex.layer_count,
-                "bytes": entry.meta.mindex.total_bytes,
-                "attached": entry.attached,
-                "versions": [
-                    {"state": FLAG_NAMES[flags.states[i]],
-                     "step": flags.steps[i]} for i in (0, 1)
-                ],
-            })
+        rows = [entry.meta.inventory(name, attached=entry.attached)
+                for name, entry in self.model_map.items()]
         return protocol.reply(protocol.OP_LIST_REPLY, models=rows)
         yield  # pragma: no cover - generator protocol
 

@@ -1,9 +1,9 @@
 """The transfer engine: pipelined, multi-QP posting for the datapath.
 
-The daemon's original datapath posted one-sided WRs in fixed windows of
-``QP_DEPTH`` with a full barrier between windows, on a single QP per
-model.  This module replaces that inner loop for checkpoint pulls,
-restore pushes, and repacking's local moves:
+Every one-sided transfer the daemon makes — checkpoint pulls, restore
+pushes, a migration's server-to-server pull — runs through this module,
+and the incremental fill's and repacking's local moves through its
+:class:`LocalCopyEngine`:
 
 * **Credit-based sliding window** — each QP ("lane") keeps up to *depth*
   WRs in flight; the moment a completion returns a credit the next WR is
@@ -27,13 +27,14 @@ restore pushes, and repacking's local moves:
   the concurrent writers the media sees; the limiter is shared
   daemon-wide so sixteen GPT shards together stay under the cliff.
 
-Abort semantics (the PR-1 fault-tolerance contract): the first WR error
-aborts the whole stripe set — every lane stops posting and **every QP is
-flushed**, so in-flight and hung WRs on sibling lanes retire instead of
-depositing stale bytes later.  If the caller is interrupted mid-engine
-(request timeout, lease reaping, daemon crash), the engine defuses its
-gate, flushes all QPs, and re-raises — lanes are "safe" processes that
-never fail the simulation, so a late completion cannot crash the run.
+Abort semantics (the fault-tolerance contract, DESIGN.md §6): the first
+WR error aborts the whole stripe set — every lane stops posting and
+**every QP is flushed**, so in-flight and hung WRs on sibling lanes
+retire instead of depositing stale bytes later.  If the caller is
+interrupted mid-engine (request timeout, lease reaping, daemon crash),
+the engine defuses its gate, flushes all QPs, and re-raises — lanes are
+"safe" processes that never fail the simulation, so a late completion
+cannot crash the run.
 """
 
 from __future__ import annotations
@@ -249,9 +250,9 @@ class TransferEngine:
     One instance per operation: construct, call :meth:`pull` or
     :meth:`push` on prebuilt work items (each carrying its local MR),
     read the counters.  ``depth`` is the per-QP credit count;
-    ``stream_limit`` is a shared :class:`repro.sim.Resource` bounding
-    total in-flight WRs across every concurrent operation (the PMem
-    ingest cap); ``wqe_cost`` is charged once per posted WR (a generator
+    ``stream_limit`` is a shared :class:`IngestLimiter` bounding total
+    in-flight WRs across every concurrent operation (the PMem ingest
+    cap); ``wqe_cost`` is charged once per posted WR (a generator
     function — the daemon passes its worker CpuSet).
     """
 

@@ -37,7 +37,7 @@ from repro.core.index import ModelTable, _short
 from repro.dnn.layout import ShardedLayout, reshard
 from repro.dnn.tensor import ModelInstance
 from repro.errors import (GroupNotFound, NoValidGroupCheckpoint, PmemError,
-                          PortusError, ProtocolError, ReproError)
+                          PortusError, ReproError)
 from repro.hw.device import Allocation
 from repro.pmem.layout import CommittedRecord, blob_capacity
 from repro.pmem.pool import PmemPool
@@ -251,27 +251,35 @@ class GroupSession:
         record.  Any member failure aborts before the commit, leaving
         the group at its previous committed step.
         """
-        env = self.client.env
         if self._pending_commit is not None:
             yield from self._commit(self._pending_commit)
-        outcomes = [env.process(self._member_checkpoint(member, step),
-                                name=f"groupdump:{member}:{step}")
-                    for member in self.layout.members]
-        yield AllOf(env, outcomes)
-        failures = [value for process in outcomes
-                    for kind, value in (process.value,) if kind == "err"]
-        if failures:
-            raise failures[0]
+        yield from self._fan_out(lambda session: session.checkpoint(step),
+                                 f"groupdump:{{}}:{step}")
         self._pending_commit = step
         yield from self._commit(step)
         return step
 
-    def _member_checkpoint(self, member: str, step: int) -> Generator:
-        try:
-            reply = yield from self.sessions[member].checkpoint(step)
-        except ReproError as exc:
-            return ("err", exc)
-        return ("ok", reply)
+    def _fan_out(self, operation, label: str) -> Generator:
+        """Process: run *operation* on every member session at once (one
+        process each, named by *label* formatted with the member); once
+        all finish, raise the first failure in member order."""
+        env = self.client.env
+
+        def member_outcome(session) -> Generator:
+            try:
+                yield from operation(session)
+            except ReproError as exc:
+                return exc
+            return None
+
+        outcomes = [env.process(member_outcome(self.sessions[member]),
+                                name=label.format(member))
+                    for member in self.layout.members]
+        yield AllOf(env, outcomes)
+        failures = [process.value for process in outcomes
+                    if process.value is not None]
+        if failures:
+            raise failures[0]
 
     def _commit(self, step: int) -> Generator:
         reply = yield from self._lead._call(
@@ -300,23 +308,9 @@ class GroupSession:
         if step <= 0:
             raise NoValidGroupCheckpoint(
                 f"group {self.name!r} has no committed step")
-        env = self.client.env
-        outcomes = [env.process(self._member_restore(member, step),
-                                name=f"grouprestore:{member}")
-                    for member in self.layout.members]
-        yield AllOf(env, outcomes)
-        failures = [value for process in outcomes
-                    for kind, value in (process.value,) if kind == "err"]
-        if failures:
-            raise failures[0]
+        yield from self._fan_out(lambda session: session.restore(step=step),
+                                 "grouprestore:{}")
         return step
-
-    def _member_restore(self, member: str, step: int) -> Generator:
-        try:
-            restored = yield from self.sessions[member].restore(step=step)
-        except ReproError as exc:
-            return ("err", exc)
-        return ("ok", restored)
 
 
 def register_group(client, name: str, layout: ShardedLayout,
@@ -349,18 +343,8 @@ def query_group(client, name: str) -> Generator:
     Used by resharding restores, which start from a bare client (the
     new topology's sessions do not exist yet).
     """
-    conn = yield from client.tcp.connect(client.daemon.tcp.hostname,
-                                         client.daemon.port)
-    message, size = protocol.group_query(name)
-    yield from conn.send(message, wire_size=size)
-    reply = yield from conn.recv()
-    conn.close()
-    if reply.get("op") == protocol.OP_ERROR:
-        raise reply["error"]
-    if reply.get("op") != protocol.OP_GROUP_INFO:
-        raise ProtocolError(
-            f"expected {protocol.OP_GROUP_INFO}, got {reply.get('op')!r}")
-    return reply
+    return (yield from client.request(*protocol.group_query(name),
+                                      protocol.OP_GROUP_INFO))
 
 
 def restore_resharded(client, name: str, target_layout: ShardedLayout,

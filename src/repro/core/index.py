@@ -8,20 +8,15 @@ Level 2 — :class:`ModelMeta` / :class:`MIndex`: per model, a metadata
 region holding (a) the *version flags* record — two checkpoint slots with
 EMPTY/ACTIVE/DONE states and step stamps, the paper's double-mapping
 mechanism — and (b) the MIndex record: per-tensor name, dtype, shape,
-size, and the PMem address of its bytes in each version.
+size and region offset.
 
-Level 3 — TensorData: two contiguous data extents per model (one per
-checkpoint version), inside which every tensor has a fixed 64-byte-
-aligned offset.  Contiguity is what lets the daemon register a single
-RDMA MR per version and pull every tensor with one-sided reads into its
-final resting place — the zero-copy, serialization-free property.
-
-Where a version's bytes live is the model's *storage layout*
-(:class:`SlotLayout` for the paper's contiguous slots,
-:class:`ChunkLayout` for deduplicated chunk manifests).  A layout
-answers the only two questions the datapath asks: which PMem
-:class:`Extent` runs hold a version's bytes, and what reserves, commits
-and aborts a new version (:class:`VersionWrite`).
+Level 3 — where each version's bytes live: the model's *storage layout*,
+:class:`SlotLayout` for the paper's two contiguous TensorData regions
+(their addresses ride in the MIndex), :class:`ChunkLayout` for
+deduplicated chunk manifests.  The layout is the only code that knows
+which one a model holds; :class:`StorageLayout` lists every question it
+answers, from the :class:`Extent` runs of a version and the
+:class:`VersionWrite` of a new one to fsck's per-version checks.
 """
 
 from __future__ import annotations
@@ -29,16 +24,23 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from collections import Counter
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.dedup import chunk_spans
 from repro.dnn.tensor import TensorSpec
 from repro.dnn.dtypes import DType
-from repro.errors import (ModelNotFound, NoValidCheckpoint, PmemError,
-                          PortusError, ProtocolError)
+from repro.errors import (InvalidAddressError, ModelNotFound,
+                          NoValidCheckpoint, PmemError, PortusError,
+                          ProtocolError)
 from repro.hw.content import concat
 from repro.hw.device import Allocation
 from repro.pmem.chunks import ChunkStore
+from repro.pmem.fsck import (K_DONE_ADDR_ZERO, K_DONE_EXTENT_SHORT,
+                             K_EXTENT_SHARED, K_MANIFEST_BAD,
+                             K_MANIFEST_CHUNK_MISSING, K_MANIFEST_TORN,
+                             K_STALE_ACTIVE, K_VERSION_EXTENT_MISSING,
+                             SEV_ERROR, SEV_WARN)
 from repro.pmem.layout import CommittedRecord, blob_capacity
 from repro.pmem.pool import PmemPool
 
@@ -205,7 +207,8 @@ def overlaps(extents, runs):
 
 
 class MIndex:
-    """The level-2 record: tensor table + the two TensorData addresses."""
+    """The level-2 record: tensor table, plus two version addresses that
+    only the slot layout sets (the chunk layout leaves them 0)."""
 
     def __init__(self, model_name: str,
                  descriptors: List[TensorDescriptor],
@@ -225,10 +228,6 @@ class MIndex:
                 return descriptor
         raise PortusError(
             f"{self.model_name}: no tensor named {tensor_name!r}")
-
-    def paddr(self, descriptor: TensorDescriptor, version: int) -> int:
-        """The persistent address of a tensor's bytes in *version*."""
-        return self.version_addrs[version] + descriptor.offset
 
     def pack(self) -> bytes:
         header = _MINDEX_HEADER.pack(_pack_name(self.model_name),
@@ -292,126 +291,74 @@ class VersionFlags:
 
 
 class ModelMeta:
-    """A model's metadata region plus its two TensorData extents."""
+    """A model's metadata region: the write-once geometry header, the
+    VersionFlags and the MIndex records — what every storage layout
+    shares — plus :attr:`layout`, the only code that knows where the
+    model's version bytes live."""
 
-    def __init__(self, pool: PmemPool, meta: Allocation,
-                 mindex: MIndex, data_regions: Tuple[Allocation,
-                                                     Allocation],
-                 flags_slot: int = _FLAGS_SLOT,
-                 mindex_slot: Optional[int] = None,
-                 manifest_slot: int = 0,
-                 chunk_bytes: int = 0) -> None:
+    def __init__(self, pool: PmemPool, meta: Allocation, mindex: MIndex,
+                 flags_slot: int, mindex_slot: int) -> None:
         self.pool = pool
         self.meta = meta
         self.mindex = mindex
-        self.data_regions = data_regions
         self.flags_slot = flags_slot
-        self.mindex_slot = (mindex_slot if mindex_slot is not None
-                            else MIndex.slot_size(mindex.layer_count))
-        #: Nonzero only in the deduplicated (layout v2) format.
-        self.manifest_slot = manifest_slot
-        self.chunk_bytes = chunk_bytes
+        self.mindex_slot = mindex_slot
         self._flags_record = CommittedRecord(meta, _META_HEADER_SIZE,
-                                             self.flags_slot)
+                                             flags_slot)
         self._mindex_record = CommittedRecord(
-            meta, _META_HEADER_SIZE + 2 * self.flags_slot, self.mindex_slot)
-        self._manifest_records: Tuple[Optional[CommittedRecord],
-                                      Optional[CommittedRecord]]
-        if manifest_slot > 0:
-            base = (_META_HEADER_SIZE + 2 * self.flags_slot
-                    + 2 * self.mindex_slot)
-            self._manifest_records = (
-                CommittedRecord(meta, base, manifest_slot),
-                CommittedRecord(meta, base + 2 * manifest_slot,
-                                manifest_slot))
-        else:
-            self._manifest_records = (None, None)
-        self.layout = (ChunkLayout(self) if manifest_slot > 0
-                       else SlotLayout(self))
-
-    @property
-    def dedup(self) -> bool:
-        """True for the deduplicated (chunk-manifest) layout."""
-        return self.manifest_slot > 0
+            meta, _META_HEADER_SIZE + 2 * flags_slot, mindex_slot)
+        #: Where the version bytes live; set by the layout that creates
+        #: or opens the model.
+        self.layout: Optional["StorageLayout"] = None
 
     # -- creation / recovery --------------------------------------------------------
 
     @staticmethod
-    def meta_region_size(tensor_count: int) -> int:
-        """Bytes the metadata region needs for *tensor_count* tensors."""
+    def meta_region_size(tensor_count: int, manifest_slot: int = 0) -> int:
+        """Bytes the metadata region needs for *tensor_count* tensors
+        (plus, in the chunk layout, two double-slotted manifest records
+        of *manifest_slot* bytes)."""
         return (_META_HEADER_SIZE + 2 * _FLAGS_SLOT
-                + 2 * MIndex.slot_size(tensor_count))
-
-    @staticmethod
-    def manifest_slot_size(region_size: int, chunk_bytes: int) -> int:
-        """Slot bytes for one version's chunk-manifest record."""
-        max_chunks = (region_size + chunk_bytes - 1) // chunk_bytes
-        return blob_capacity(_MANIFEST_COUNT.size
-                             + max_chunks * _DIGEST_BYTES) + 32
-
-    @staticmethod
-    def meta_region_size_dedup(tensor_count: int, region_size: int,
-                               chunk_bytes: int) -> int:
-        """Metadata-region bytes for a dedup model (no data extents —
-        instead two manifest records, one per version slot)."""
-        return (_META_HEADER_SIZE + 2 * _FLAGS_SLOT
-                + 2 * MIndex.slot_size(tensor_count)
-                + 4 * ModelMeta.manifest_slot_size(region_size, chunk_bytes))
+                + 2 * MIndex.slot_size(tensor_count) + 4 * manifest_slot)
 
     @classmethod
     def create(cls, pool: PmemPool, model_name: str,
                specs: List[TensorSpec],
                chunk_bytes: Optional[int] = None) -> "ModelMeta":
-        """Allocate the metadata region and both TensorData versions.
-
-        With *chunk_bytes* the model uses the dedup layout (v2) instead:
-        the metadata region only — version data lives in the pool-wide
-        chunk store (formatted on first use, and validating the chunk
-        size), and each version slot's manifest record lists the digests
-        that reassemble it.
-        """
+        """Allocate and format a new model in the slot layout, or with
+        *chunk_bytes* in the chunk layout."""
         descriptors, region_size = layout_tensors(specs)
-        tag = _short(model_name)
-        mindex_slot = MIndex.slot_size(len(descriptors))
-        if chunk_bytes is None:
-            manifest_slot = 0
-            meta = pool.alloc(cls.meta_region_size(len(descriptors)),
-                              tag=f"{META_TAG}/{tag}")
-            regions = tuple(pool.alloc(region_size,
-                                       tag=f"{DATA_TAG}/{tag}/v{version}")
-                            for version in (0, 1))
-            header = _META_HEADER.pack(_META_MAGIC, _META_LAYOUT_VERSION,
-                                       _FLAGS_SLOT, mindex_slot)
-        else:
-            ChunkStore.ensure(pool, chunk_bytes=chunk_bytes)
-            manifest_slot = cls.manifest_slot_size(region_size, chunk_bytes)
-            meta = pool.alloc(
-                cls.meta_region_size_dedup(len(descriptors), region_size,
-                                           chunk_bytes),
-                tag=f"{META_TAG}/{tag}")
-            regions = (None, None)
-            header = _META_HEADER_V2.pack(
-                _META_MAGIC, _META_LAYOUT_VERSION_DEDUP, _FLAGS_SLOT,
-                mindex_slot, manifest_slot, chunk_bytes)
-        mindex = MIndex(model_name, descriptors,
-                        tuple(region.addr if region is not None else 0
-                              for region in regions),
+        mindex = MIndex(model_name, descriptors, (0, 0),
                         sum(d.size for d in descriptors))
-        instance = cls(pool, meta, mindex, regions,
-                       manifest_slot=manifest_slot,
-                       chunk_bytes=chunk_bytes or 0)
-        meta.write_bytes(0, header)
-        meta.persist(0, len(header))
-        instance._mindex_record.write(mindex.pack())
-        instance.write_flags(VersionFlags())
-        return instance
+        if chunk_bytes is None:
+            return SlotLayout.create(pool, mindex, region_size)
+        return ChunkLayout.create(pool, mindex, region_size, chunk_bytes)
+
+    @classmethod
+    def _allocate(cls, pool: PmemPool, mindex: MIndex,
+                  manifest_slot: int = 0) -> "ModelMeta":
+        """Allocate a new model's metadata region (a layout's first
+        step of :meth:`create`)."""
+        meta = pool.alloc(cls.meta_region_size(mindex.layer_count,
+                                               manifest_slot),
+                          tag=f"{META_TAG}/{_short(mindex.model_name)}")
+        return cls(pool, meta, mindex, _FLAGS_SLOT,
+                   MIndex.slot_size(mindex.layer_count))
+
+    def _format(self, header: bytes) -> None:
+        """Persist the geometry *header*, then the MIndex and empty
+        flags (a layout's last step of :meth:`create`)."""
+        self.meta.write_bytes(0, header)
+        self.meta.persist(0, len(header))
+        self._mindex_record.write(self.mindex.pack())
+        self.write_flags(VersionFlags())
 
     def replicate(self, pool: PmemPool) -> "ModelMeta":
         """An empty model with this model's tensors and layout on *pool*
         (a migration's destination index)."""
         return self.create(pool, self.mindex.model_name,
                            [d.to_spec() for d in self.mindex.descriptors],
-                           chunk_bytes=self.chunk_bytes or None)
+                           chunk_bytes=self.layout.chunk_bytes)
 
     @staticmethod
     def read_geometry(meta: Allocation) -> Tuple[int, int, int, int]:
@@ -461,15 +408,11 @@ class ModelMeta:
 
         Record geometry comes from the persisted header — never from the
         allocation size, which the pool may have rounded up — so the B
-        slot is always probed where the writer put it.  A version address
-        of 0 marks a slot the repacking tool reclaimed; its region handle
-        is None until :meth:`ensure_regions` re-creates it on the next
-        attach.
-
-        With *lenient* (fsck), a nonzero version address that no device
-        allocation backs maps to a None region instead of raising, so
-        the verifier can inspect the rest of the model and demote just
-        the broken slot.
+        slot is always probed where the writer put it.  With *lenient*
+        (fsck) a slot model whose version address no device allocation
+        backs opens with that region missing instead of raising, so the
+        verifier can inspect the rest of the model and demote just the
+        broken slot.
         """
         meta = pool.device.allocation_at(meta_addr)
         flags_slot, mindex_slot, manifest_slot, chunk_bytes = \
@@ -479,51 +422,14 @@ class ModelMeta:
         committed = record.read()
         if committed is None:
             raise PmemError(f"MIndex record unreadable at {meta_addr:#x}")
-        mindex = MIndex.unpack(committed[0])
-
-        def resolve(addr: int) -> Optional[Allocation]:
-            if not addr:
-                return None
-            try:
-                return pool.device.allocation_at(addr)
-            except Exception:
-                if lenient:
-                    return None
-                raise
-
-        data_regions = tuple(resolve(addr)
-                             for addr in mindex.version_addrs)
-        return cls(pool, meta, mindex, data_regions,
-                   flags_slot=flags_slot, mindex_slot=mindex_slot,
-                   manifest_slot=manifest_slot, chunk_bytes=chunk_bytes)
-
-    def ensure_regions(self) -> None:
-        """Re-allocate any version slot the repacking tool reclaimed."""
-        if self.dedup:
-            # Dedup models have no per-version data extents: version
-            # bytes live in the shared chunk store.
-            return
-        missing = [version for version in (0, 1)
-                   if self.data_regions[version] is None]
-        if not missing:
-            return
-        region_size = region_extent(self.mindex.descriptors)
-        tag = f"{DATA_TAG}/{_short(self.mindex.model_name)}"
-        self.repoint({version: self.pool.alloc(region_size,
-                                               tag=f"{tag}/v{version}")
-                      for version in missing})
-
-    def repoint(self, regions: Dict[int, Optional[Allocation]]) -> None:
-        """Point each version slot in *regions* at its data region, or
-        at none (address 0), and commit the MIndex once."""
-        data_regions = list(self.data_regions)
-        addrs = list(self.mindex.version_addrs)
-        for version, region in regions.items():
-            data_regions[version] = region
-            addrs[version] = region.addr if region is not None else 0
-        self.data_regions = tuple(data_regions)
-        self.mindex.version_addrs = tuple(addrs)
-        self._mindex_record.write(self.mindex.pack())
+        instance = cls(pool, meta, MIndex.unpack(committed[0]), flags_slot,
+                       mindex_slot)
+        if manifest_slot > 0:
+            instance.layout = ChunkLayout(instance, manifest_slot,
+                                          chunk_bytes)
+        else:
+            instance.layout = SlotLayout.open(instance, lenient)
+        return instance
 
     def demote(self, version: int) -> None:
         """Invalidate one version slot (EMPTY, step 0) with one flags
@@ -533,80 +439,12 @@ class ModelMeta:
         flags.steps[version] = 0
         self.write_flags(flags)
 
-    def drop_version(self, version: int) -> int:
-        """Free one version's TensorData; returns the bytes reclaimed.
-
-        Crash-safe ordering: demote the flag first (a crash after leaves
-        an EMPTY slot whose data is merely still allocated), then commit
-        the MIndex with address 0 (a crash after leaves the extent
-        committed but unreferenced — a leak fsck reclaims), and free the
-        extent last (the allocator's own leak-only window).  At no point
-        can a DONE flag coexist with a zero or freed version address —
-        the ordering bug that used to crash restore-after-restart.
-
-        Dedup models follow the same demote-before-unlink-before-unref
-        ordering with the manifest in place of the data extent: demote
-        the flag, commit an empty manifest, then drop the chunk
-        references (the store frees extents whose count reaches zero).
-        References are dropped only when the slot was DONE before the
-        demote — a non-DONE slot's references were never certainly
-        counted, so they are left for fsck's leak pass rather than
-        risking an over-free.
-        """
-        if self.dedup:
-            return self._drop_version_dedup(version)
-        region = self.data_regions[version]
-        if region is None:
-            return 0
-        self.demote(version)
-        self.repoint({version: None})
-        self.pool.free(region)
-        return region.size
-
-    def _drop_version_dedup(self, version: int) -> int:
-        digests = self.read_manifest(version)
-        flags = self.read_flags()
-        was_done = flags.states[version] == FLAG_DONE
-        if not digests and flags.states[version] == FLAG_EMPTY:
-            return 0
-        self.demote(version)
-        self.write_manifest(version, [])
-        if not was_done or not digests:
-            return 0
-        store = ChunkStore.attach(self.pool)
-        if store is None:
-            return 0
-        freed = store.unref(digests)
-        return sum(allocation.size for allocation in freed)
-
-    # -- manifests (dedup layout) ----------------------------------------------------
-
-    def read_manifest(self, version: int) -> List[bytes]:
-        """The chunk digests reassembling *version* (dedup models only)."""
-        record = self._manifest_records[version]
-        if record is None:
-            return []
-        committed = record.read()
-        if committed is None:
-            return []
-        payload = committed[0]
-        (count,) = _MANIFEST_COUNT.unpack_from(payload)
-        base = _MANIFEST_COUNT.size
-        return [payload[base + i * _DIGEST_BYTES:
-                        base + (i + 1) * _DIGEST_BYTES]
-                for i in range(count)]
-
-    def write_manifest(self, version: int, digests: List[bytes]) -> None:
-        record = self._manifest_records[version]
-        if record is None:
-            raise PmemError(
-                f"{self.mindex.model_name}: not a dedup model")
-        payload = _MANIFEST_COUNT.pack(len(digests)) + b"".join(digests)
-        record.write(payload)
-
-    def manifest_record(self, version: int) -> Optional[CommittedRecord]:
-        """The raw manifest record (integrity tooling)."""
-        return self._manifest_records[version]
+    def free(self) -> int:
+        """Release the layout's storage, then the metadata region
+        (unregister, repack); returns the bytes freed."""
+        freed = self.layout.free()
+        self.pool.free(self.meta)
+        return freed + self.meta.size
 
     # -- flags ------------------------------------------------------------------------
 
@@ -619,10 +457,17 @@ class ModelMeta:
     def write_flags(self, flags: VersionFlags) -> None:
         self._flags_record.write(flags.pack())
 
-    # -- tensor data access ---------------------------------------------------------
+    def inventory(self, name: str, **extra) -> Dict:
+        """The model's inventory row (``portusctl view``, LIST): name,
+        layers, bytes, any *extra* fields, each version's state and
+        step."""
+        flags = self.read_flags()
+        return {"model": name, "layers": self.mindex.layer_count,
+                "bytes": self.mindex.total_bytes, **extra,
+                "versions": [{"state": FLAG_NAMES[flags.states[i]],
+                              "step": flags.steps[i]} for i in (0, 1)]}
 
-    def data_region(self, version: int) -> Allocation:
-        return self.data_regions[version]
+    # -- tensor data access ---------------------------------------------------------
 
     def read_tensor(self, descriptor: TensorDescriptor, version: int):
         """A tensor's bytes in *version*, gathered from the layout's
@@ -633,25 +478,6 @@ class ModelMeta:
             for extent, _run, lo, hi in overlaps(
                 self.layout.extents(version), [descriptor])])
 
-    def free(self) -> None:
-        """Release every extent (unregister / repack).
-
-        Dedup models drop their DONE versions' chunk references first
-        (:meth:`drop_version` ordering), then free the metadata region —
-        their bytes live in the shared store, never in private extents.
-        """
-        if self.dedup:
-            flags = self.read_flags()
-            for version in (0, 1):
-                if flags.states[version] != FLAG_EMPTY:
-                    self.drop_version(version)
-            self.pool.free(self.meta)
-            return
-        for region in self.data_regions:
-            if region is not None:
-                self.pool.free(region)
-        self.pool.free(self.meta)
-
 
 def _short(name: str) -> str:
     """Fit model names into AllocTable tags."""
@@ -661,17 +487,84 @@ def _short(name: str) -> str:
 # -- storage layouts --------------------------------------------------------------
 
 
-class SlotLayout:
-    """The paper's layout: each version is one contiguous TensorData
-    region, pinned for RDMA once, at REGISTER, for as long as the region
-    and the daemon live (§III-D2)."""
+class StorageLayout:
+    """Where a model's version bytes live: every question that depends
+    on it is asked of the layout, so no caller branches on which one a
+    model holds.
+
+    * ``extents(v)`` — the PMem runs holding version *v*'s bytes;
+    * ``new_version(manifest, dirty)`` — a :class:`VersionWrite` of the
+      next version; ``replica_write(v, replica)`` — one copying *v*
+      onto a migration's replica;
+    * ``pinned_regions()`` — what REGISTER pins for the daemon's life;
+    * ``unlink(v)`` — forget *v*'s storage in the metadata;
+      ``drop(v)`` — demote, unlink and release it; ``free()`` — release
+      all of it (both return the bytes freed);
+    * ``private_region(v)`` — the region compaction may move, if any;
+    * ``verify(walk, name, flags)`` — fsck's per-version checks.
+    """
+
+    #: The chunk size of the layout (None: contiguous slots).
+    chunk_bytes: Optional[int] = None
 
     def __init__(self, meta: ModelMeta) -> None:
         self.meta = meta
 
+    def untrust(self, version: int) -> None:
+        """Demote *version* and forget its storage: fsck's repair of a
+        version it cannot trust, and the first half of :meth:`drop`."""
+        self.meta.demote(version)
+        self.unlink(version)
+
+
+class SlotLayout(StorageLayout):
+    """The paper's layout: each version is one contiguous TensorData
+    region (its address in the MIndex), inside which every tensor has a
+    fixed 64-byte-aligned offset.  Each region is pinned for RDMA once
+    (at REGISTER, or by the first pull into a slot re-created after a
+    repack) for as long as the region and the daemon live, and every
+    tensor is pulled by one-sided reads into its final resting place
+    (§III-D2)."""
+
+    def __init__(self, meta: ModelMeta,
+                 regions: List[Optional[Allocation]]) -> None:
+        super().__init__(meta)
+        #: Each version's region; None where the repacking tool reclaimed
+        #: it (address 0) or, in a lenient open, no allocation backs it.
+        self.regions = list(regions)
+
+    @classmethod
+    def create(cls, pool: PmemPool, mindex: MIndex,
+               region_size: int) -> ModelMeta:
+        meta = ModelMeta._allocate(pool, mindex)
+        tag = f"{DATA_TAG}/{_short(mindex.model_name)}"
+        regions = [pool.alloc(region_size, tag=f"{tag}/v{version}")
+                   for version in (0, 1)]
+        mindex.version_addrs = tuple(region.addr for region in regions)
+        meta.layout = cls(meta, regions)
+        meta._format(_META_HEADER.pack(_META_MAGIC, _META_LAYOUT_VERSION,
+                                       meta.flags_slot, meta.mindex_slot))
+        return meta
+
+    @classmethod
+    def open(cls, meta: ModelMeta, lenient: bool) -> "SlotLayout":
+        """Resolve the MIndex version addresses of an opened model."""
+        def resolve(addr: int) -> Optional[Allocation]:
+            if not addr:
+                return None
+            try:
+                return meta.pool.device.allocation_at(addr)
+            except InvalidAddressError:
+                if lenient:
+                    return None
+                raise
+
+        return cls(meta, [resolve(addr)
+                          for addr in meta.mindex.version_addrs])
+
     def extents(self, version: int) -> List[Extent]:
         """The runs holding *version*'s bytes: its whole data region."""
-        region = self.meta.data_region(version)
+        region = self.regions[version]
         if region is None:
             raise NoValidCheckpoint(
                 f"{self.meta.mindex.model_name}: version {version} was "
@@ -681,16 +574,154 @@ class SlotLayout:
     def new_version(self, manifest=None, dirty=None) -> "SlotWrite":
         return SlotWrite(self.meta, dirty)
 
+    def replica_write(self, version: int,
+                      replica: ModelMeta) -> "SlotWrite":
+        return replica.layout.new_version()
 
-class ChunkLayout:
-    """The deduplicated layout: each version is a chunk manifest over
-    the pool-wide refcounted :class:`~repro.pmem.chunks.ChunkStore`;
-    each chunk extent is pinned when first written and stays pinned
-    until it is freed."""
+    def pinned_regions(self) -> List[Allocation]:
+        """Both data regions (those not reclaimed)."""
+        return [region for region in self.regions if region is not None]
 
-    def __init__(self, meta: ModelMeta) -> None:
-        self.meta = meta
+    def recreate(self) -> None:
+        """Re-allocate any version slot the repacking tool reclaimed."""
+        missing = [version for version in (0, 1)
+                   if self.regions[version] is None]
+        if not missing:
+            return
+        pool = self.meta.pool
+        region_size = region_extent(self.meta.mindex.descriptors)
+        tag = f"{DATA_TAG}/{_short(self.meta.mindex.model_name)}"
+        self.repoint({version: pool.alloc(region_size,
+                                          tag=f"{tag}/v{version}")
+                      for version in missing})
+
+    def repoint(self, regions: Dict[int, Optional[Allocation]]) -> None:
+        """Point each version slot in *regions* at its data region, or
+        at none (address 0), and commit the MIndex once."""
+        mindex = self.meta.mindex
+        addrs = list(mindex.version_addrs)
+        for version, region in regions.items():
+            self.regions[version] = region
+            addrs[version] = region.addr if region is not None else 0
+        mindex.version_addrs = tuple(addrs)
+        self.meta._mindex_record.write(mindex.pack())
+
+    def unlink(self, version: int) -> None:
+        """Zero *version*'s MIndex address (if set)."""
+        if self.meta.mindex.version_addrs[version]:
+            self.repoint({version: None})
+
+    def drop(self, version: int) -> int:
+        """Free one version's region; returns the bytes reclaimed.
+
+        Crash-safe ordering: demote the flag first (a crash after leaves
+        an EMPTY slot whose data is merely still allocated), then commit
+        the MIndex with address 0 (a crash after leaves the extent
+        committed but unreferenced — a leak fsck reclaims), and free the
+        extent last (the allocator's own leak-only window).  At no point
+        can a DONE flag coexist with a zero or freed version address.
+        """
+        region = self.regions[version]
+        if region is None:
+            return 0
+        self.untrust(version)
+        self.meta.pool.free(region)
+        return region.size
+
+    def free(self) -> int:
+        freed = 0
+        for region in self.regions:
+            if region is not None:
+                self.meta.pool.free(region)
+                freed += region.size
+        return freed
+
+    def private_region(self, version: int) -> Optional[Allocation]:
+        """*version*'s data region: compaction may copy it lower and
+        :meth:`repoint` the slot at the copy."""
+        return self.regions[version]
+
+    def verify(self, walk, name: str, flags: VersionFlags) -> None:
+        """A DONE slot must point at a committed extent as large as the
+        tensor layout that no other version claims; an ACTIVE slot is a
+        pull that died mid-flight."""
+        mindex = self.meta.mindex
+        needed = region_extent(mindex.descriptors)
+        for version in (0, 1):
+            state = flags.states[version]
+            step = flags.steps[version]
+            addr = mindex.version_addrs[version]
+            demote = partial(self.meta.demote, version)
+            untrust = partial(self.untrust, version)
+            if state == FLAG_ACTIVE:
+                walk.add(K_STALE_ACTIVE, SEV_WARN,
+                         f"v{version} still ACTIVE (step stamp {step}): a "
+                         f"checkpoint was mid-pull at crash time; its "
+                         f"TensorData cannot be trusted", name, demote)
+            if addr == 0:
+                if state == FLAG_DONE:
+                    walk.add(K_DONE_ADDR_ZERO, SEV_ERROR,
+                             f"v{version} DONE@{step} but its version "
+                             f"address is 0 (extent reclaimed under a "
+                             f"live flag)", name, demote)
+                continue
+            extent = walk.allocator.lookup(addr)
+            if extent is None:
+                label = FLAG_NAMES.get(state, f"?{state}")
+                walk.add(K_VERSION_EXTENT_MISSING,
+                         SEV_ERROR if state == FLAG_DONE else SEV_WARN,
+                         f"v{version} ({label}@{step}) points at "
+                         f"{addr:#x}, which no committed extent backs",
+                         name, untrust)
+            elif not walk.claim(addr, f"{name}:v{version}"):
+                walk.add(K_EXTENT_SHARED, SEV_ERROR,
+                         f"v{version} claims extent {addr:#x} already "
+                         f"owned by {walk.claims[addr]}", name, untrust)
+            elif state == FLAG_DONE and extent.size < needed:
+                walk.add(K_DONE_EXTENT_SHORT, SEV_ERROR,
+                         f"v{version} DONE@{step} extent holds "
+                         f"{extent.size} bytes, layout needs {needed}",
+                         name, untrust)
+
+
+class ChunkLayout(StorageLayout):
+    """The deduplicated layout: each version is a chunk manifest (one
+    record per version slot) over the pool-wide refcounted
+    :class:`~repro.pmem.chunks.ChunkStore`; each chunk extent is pinned
+    when first written and stays pinned until it is freed."""
+
+    def __init__(self, meta: ModelMeta, manifest_slot: int,
+                 chunk_bytes: int) -> None:
+        super().__init__(meta)
+        self.chunk_bytes = chunk_bytes
+        base = (_META_HEADER_SIZE + 2 * meta.flags_slot
+                + 2 * meta.mindex_slot)
+        self._manifests = tuple(
+            CommittedRecord(meta.meta, base + 2 * version * manifest_slot,
+                            manifest_slot) for version in (0, 1))
         self._spans = None
+
+    @staticmethod
+    def manifest_slot_size(region_size: int, chunk_bytes: int) -> int:
+        """Slot bytes for one version's chunk-manifest record."""
+        max_chunks = (region_size + chunk_bytes - 1) // chunk_bytes
+        return blob_capacity(_MANIFEST_COUNT.size
+                             + max_chunks * _DIGEST_BYTES) + 32
+
+    @classmethod
+    def create(cls, pool: PmemPool, mindex: MIndex, region_size: int,
+               chunk_bytes: int) -> ModelMeta:
+        """The metadata region only, sized for the two manifest records:
+        version bytes live in the pool-wide chunk store (formatted on
+        first use, and validating the chunk size)."""
+        ChunkStore.ensure(pool, chunk_bytes=chunk_bytes)
+        manifest_slot = cls.manifest_slot_size(region_size, chunk_bytes)
+        meta = ModelMeta._allocate(pool, mindex, manifest_slot)
+        meta.layout = cls(meta, manifest_slot, chunk_bytes)
+        meta._format(_META_HEADER_V2.pack(
+            _META_MAGIC, _META_LAYOUT_VERSION_DEDUP, meta.flags_slot,
+            meta.mindex_slot, manifest_slot, chunk_bytes))
+        return meta
 
     def spans(self):
         """The region's chunk spans — the same cut the client hashes
@@ -699,8 +730,24 @@ class ChunkLayout:
             descriptors = self.meta.mindex.descriptors
             self._spans = chunk_spans(descriptors,
                                       region_extent(descriptors),
-                                      self.meta.chunk_bytes)
+                                      self.chunk_bytes)
         return self._spans
+
+    def read_manifest(self, version: int) -> List[bytes]:
+        """The chunk digests reassembling *version* (empty if none)."""
+        committed = self._manifests[version].read()
+        if committed is None:
+            return []
+        payload = committed[0]
+        (count,) = _MANIFEST_COUNT.unpack_from(payload)
+        base = _MANIFEST_COUNT.size
+        return [payload[base + i * _DIGEST_BYTES:
+                        base + (i + 1) * _DIGEST_BYTES]
+                for i in range(count)]
+
+    def write_manifest(self, version: int, digests: List[bytes]) -> None:
+        self._manifests[version].write(
+            _MANIFEST_COUNT.pack(len(digests)) + b"".join(digests))
 
     def extents(self, version: int) -> List[Extent]:
         """One run per chunk of *version*'s manifest, in region order."""
@@ -709,7 +756,7 @@ class ChunkLayout:
         if store is None:
             raise PmemError(f"{name}: dedup model but the pool has no "
                             f"chunk store")
-        manifest = self.meta.read_manifest(version)
+        manifest = self.read_manifest(version)
         spans = self.spans()
         if len(manifest) != len(spans):
             raise PmemError(
@@ -740,8 +787,94 @@ class ChunkLayout:
                 f"{name}: manifest carries {len(manifest)} digests, "
                 f"the region has {len(spans)} chunks")
         store = ChunkStore.ensure(self.meta.pool,
-                                  chunk_bytes=self.meta.chunk_bytes)
+                                  chunk_bytes=self.chunk_bytes)
         return ChunkWrite(self.meta, store, spans, manifest)
+
+    def replica_write(self, version: int,
+                      replica: ModelMeta) -> "ChunkWrite":
+        return replica.layout.new_version(
+            manifest=self.read_manifest(version))
+
+    def pinned_regions(self) -> List[Allocation]:
+        """None: each chunk extent is pinned when first written."""
+        return []
+
+    def unlink(self, version: int) -> None:
+        """Commit an empty manifest for *version*."""
+        self.write_manifest(version, [])
+
+    def drop(self, version: int) -> int:
+        """Demote, commit an empty manifest, then drop the chunk
+        references (the store frees extents whose count reaches zero);
+        returns the bytes freed.
+
+        References are dropped only when the slot was DONE before the
+        demote — a non-DONE slot's references were never certainly
+        counted, so they are left for fsck's leak pass rather than
+        risking an over-free.
+        """
+        digests = self.read_manifest(version)
+        state = self.meta.read_flags().states[version]
+        if not digests and state == FLAG_EMPTY:
+            return 0
+        self.untrust(version)
+        if state != FLAG_DONE or not digests:
+            return 0
+        store = ChunkStore.attach(self.meta.pool)
+        if store is None:
+            return 0
+        return sum(allocation.size for allocation in store.unref(digests))
+
+    def free(self) -> int:
+        """Drop every version holding references (:meth:`drop`)."""
+        flags = self.meta.read_flags()
+        return sum(self.drop(version) for version in (0, 1)
+                   if flags.states[version] != FLAG_EMPTY)
+
+    def private_region(self, version: int) -> Optional[Allocation]:
+        """None: the bytes live in the shared chunk store."""
+        return None
+
+    def verify(self, walk, name: str, flags: VersionFlags) -> None:
+        """Torn manifest slots; a DONE manifest must list one digest per
+        chunk, each held by the store.  Only manifests that pass count
+        toward ``walk.recomputed`` — a slot flagged for demotion here
+        must not hold references, or the refcount pass would repair
+        toward a state the demotion is about to invalidate."""
+        expected = len(self.spans())
+        for version in (0, 1):
+            walk.check_torn(self._manifests[version], K_MANIFEST_TORN,
+                            f"v{version} manifest", name)
+        for version in (0, 1):
+            state = flags.states[version]
+            step = flags.steps[version]
+            untrust = partial(self.untrust, version)
+            if state == FLAG_ACTIVE:
+                walk.add(K_STALE_ACTIVE, SEV_WARN,
+                         f"v{version} still ACTIVE (step stamp {step}): a "
+                         f"checkpoint was mid-pull at crash time; its "
+                         f"manifest cannot be trusted", name, untrust)
+            if state != FLAG_DONE:
+                continue
+            digests = self.read_manifest(version)
+            if len(digests) != expected:
+                walk.add(K_MANIFEST_BAD, SEV_ERROR,
+                         f"v{version} DONE@{step} manifest lists "
+                         f"{len(digests)} chunks, the layout needs "
+                         f"{expected}", name, untrust)
+                continue
+            missing = [digest for digest in digests
+                       if walk.store is None
+                       or walk.store.lookup(digest) is None]
+            if missing:
+                walk.add(K_MANIFEST_CHUNK_MISSING, SEV_ERROR,
+                         f"v{version} DONE@{step} references "
+                         f"{len(set(missing))} chunks the store does not "
+                         f"hold (e.g. {missing[0].hex()[:12]})", name,
+                         untrust)
+                continue
+            for digest in digests:
+                walk.recomputed[digest] = walk.recomputed.get(digest, 0) + 1
 
 
 class VersionWrite:
@@ -805,9 +938,12 @@ class SlotWrite(VersionWrite):
         self.previous: Optional[int] = None
 
     def begin(self) -> int:
+        # A slot the repacking tool reclaimed is re-created first; the
+        # pull pins it on first use.
+        self.meta.layout.recreate()
         self.previous = self.meta.read_flags().newest_done()
         target = super().begin()
-        region = self.meta.data_region(target)
+        region = self.meta.layout.regions[target]
         if self.dirty is None or self.previous is None:
             self.targets = [Extent(0, region.size, region)]
             return target
@@ -821,14 +957,14 @@ class SlotWrite(VersionWrite):
     def carry_forward(self) -> None:
         """Copy the kept tensors' bytes from the previous version (the
         content move that follows the timed local copy)."""
-        source = self.meta.data_region(self.previous)
-        target = self.meta.data_region(self.target)
+        regions = self.meta.layout.regions
+        source, target = regions[self.previous], regions[self.target]
         for descriptor in self.kept:
             target.write(descriptor.offset,
                          source.read(descriptor.offset, descriptor.size))
 
     def persist(self) -> None:
-        self.meta.data_region(self.target).persist()
+        self.meta.layout.regions[self.target].persist()
 
 
 class ChunkWrite(VersionWrite):
@@ -866,7 +1002,7 @@ class ChunkWrite(VersionWrite):
         flags = self.meta.read_flags()
         target = super().begin()
         if flags.states[target] == FLAG_DONE:
-            self.old_manifest = self.meta.read_manifest(target)
+            self.old_manifest = self.meta.layout.read_manifest(target)
         seen = set()
         for digest, span in zip(self.manifest, self.spans):
             if digest in seen or self.store.lookup(digest) is not None:
@@ -890,7 +1026,7 @@ class ChunkWrite(VersionWrite):
             {digest: count for digest, count in self.counts.items()
              if digest not in fresh})
         self.applied = True
-        self.meta.write_manifest(self.target, self.manifest)
+        self.meta.layout.write_manifest(self.target, self.manifest)
         super().commit(step)
         if self.old_manifest:
             self.store.unref(self.old_manifest)
@@ -1007,6 +1143,14 @@ class ModelTable:
             raise ModelNotFound(name) from None
         self._commit()
         return addr
+
+    def drop(self, name: str, meta: ModelMeta) -> int:
+        """Delete model *name*: remove its entry (committed) BEFORE
+        freeing its extents, so a crash mid-drop only leaks GC-able
+        extents instead of leaving an entry over freed metadata that
+        wedges the next recovery; returns the bytes freed."""
+        self.remove(name)
+        return meta.free()
 
     def lookup(self, name: str) -> int:
         try:

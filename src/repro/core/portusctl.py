@@ -31,8 +31,7 @@ import json
 import sys
 from typing import Dict, Generator, List, Optional
 
-from repro.core.consistency import checkpoint_states
-from repro.core.index import FLAG_NAMES, ModelMeta, ModelTable
+from repro.core.index import ModelMeta, ModelTable
 from repro.core.repack import repack
 from repro.dnn.serialize import serialize_entries
 from repro.errors import ReproError
@@ -45,20 +44,8 @@ from repro.units import fmt_bytes
 def view(pool: PmemPool) -> List[Dict]:
     """One row per model: name, layers, bytes, per-version states."""
     table = ModelTable.open(pool)
-    rows = []
-    for name in table.names():
-        meta = ModelMeta.open(pool, table.lookup(name))
-        flags = checkpoint_states(meta)
-        rows.append({
-            "model": name,
-            "layers": meta.mindex.layer_count,
-            "bytes": meta.mindex.total_bytes,
-            "versions": [
-                {"state": FLAG_NAMES[flags.states[i]],
-                 "step": flags.steps[i]} for i in (0, 1)
-            ],
-        })
-    return rows
+    return [ModelMeta.open(pool, table.lookup(name)).inventory(name)
+            for name in table.names()]
 
 
 def dump(pool: PmemPool, model_name: str) -> Content:

@@ -13,14 +13,16 @@ repacking tool reclaims the slack:
   pool open; freeing extents coalesces holes in the device free list,
   which is the "aggregate valid checkpoints" effect of Fig. 7.
 
-The tool runs offline against the pool (as Portusctl does) or online
-against an idle daemon; the paper notes it is rarely needed because PMem
-capacity dwarfs checkpoint sizes.
+The tool runs offline against the pool (:func:`repack`, as Portusctl
+does) or online over a live daemon's own entries
+(:func:`repack_daemon`); the paper notes it is rarely needed because
+PMem capacity dwarfs checkpoint sizes.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from contextlib import contextmanager
+from typing import Callable, Generator, List, Optional
 
 from repro.core.consistency import valid_checkpoint
 from repro.core.engine import (LocalCopyEngine, RemoteRun, TransferEngine,
@@ -55,38 +57,75 @@ class RepackReport:
 def repack(pool: PmemPool, table: Optional[ModelTable] = None,
            drop_invalid: bool = True,
            skip: Optional[List[str]] = None) -> RepackReport:
-    """Reclaim stale checkpoint versions; returns a report.
+    """Reclaim stale checkpoint versions offline, straight on the pool;
+    returns a report.
 
-    *skip* names models to leave untouched (e.g. jobs still running when
-    repacking online).
+    *skip* names models to leave untouched.  No daemon may be serving
+    the pool: it would keep handles to what this pass frees (a live
+    daemon is repacked with :func:`repack_daemon`).
     """
     if table is None:
         table = ModelTable.open(pool)
+
+    @contextmanager
+    def hold(name):
+        yield ModelMeta.open(pool, table.lookup(name))
+
+    return _reclaim(table.names(), hold, table.drop, drop_invalid, skip)
+
+
+def repack_daemon(daemon,
+                  skip: Optional[List[str]] = None) -> RepackReport:
+    """Reclaim stale checkpoint versions of a live daemon's models, over
+    its own entries; returns a report.
+
+    Each model is reclaimed under its CAS guard (a model with an
+    operation in flight raises :class:`CheckpointInProgress`); a model
+    with no DONE version is dropped through
+    :meth:`PortusDaemon.unregister_model`, which also releases its
+    tenant's byte charge.  The daemon never holds a handle to freed
+    memory: the next checkpoint re-creates a reclaimed slot, and a
+    dropped model is gone from LIST.  *skip* names models to leave
+    untouched (e.g. jobs still running).
+    """
+    @contextmanager
+    def hold(name):
+        entry = daemon.model_map.get(name)
+        daemon._claim(entry)
+        try:
+            yield entry.meta
+        finally:
+            daemon._release(entry)
+
+    return _reclaim(daemon.models(), hold,
+                    lambda name, _meta: daemon.unregister_model(name),
+                    True, skip)
+
+
+def _reclaim(names: List[str], hold,
+             drop: Callable[[str, ModelMeta], int], drop_invalid: bool,
+             skip: Optional[List[str]]) -> RepackReport:
+    """The reclamation pass: keep each model's newest DONE version and
+    drop the other; drop (with *drop_invalid*) a model that has none.
+    ``hold(name)`` holds a model for its step and yields its meta;
+    ``drop(name, meta)`` deletes a model and returns the bytes freed."""
     skip_set = set(skip or ())
     report = RepackReport()
-    for name in table.names():
+    for name in names:
         if name in skip_set:
             continue
-        meta = ModelMeta.open(pool, table.lookup(name))
-        flags = meta.read_flags()
-        newest = flags.newest_done()
-        if newest is None:
-            if drop_invalid:
-                reclaimed = sum(region.size
-                                for region in meta.data_regions
-                                if region is not None) + meta.meta.size
-                meta.free()
-                table.remove(name)
-                report.models_dropped.append(name)
-                report.bytes_reclaimed += reclaimed
-            continue
-        # The slot that is not the newest DONE version is, by definition,
-        # either older, incomplete (ACTIVE at crash), or empty: reclaim it.
-        stale = 1 - newest
-        reclaimed = meta.drop_version(stale)
-        if reclaimed:
+        with hold(name) as meta:
+            newest = meta.read_flags().newest_done()
+            # The slot that is not the newest DONE version is, by
+            # definition, either older, incomplete (ACTIVE at crash), or
+            # empty: reclaim it.
+            reclaimed = 0 if newest is None else meta.layout.drop(1 - newest)
+        if newest is None and drop_invalid:
+            reclaimed = drop(name, meta)
+            report.models_dropped.append(name)
+        elif reclaimed:
             report.models_compacted.append(name)
-            report.bytes_reclaimed += reclaimed
+        report.bytes_reclaimed += reclaimed
     return report
 
 
@@ -98,10 +137,11 @@ def repack_live(env: Environment, pool: PmemPool,
                 chunk_bytes: Optional[int] = None,
                 streams: int = 1,
                 obs: Optional[Observability] = None) -> Generator:
-    """Process: online repack — reclamation plus timed compaction.
+    """Process: repack with timed compaction, straight on the pool.
 
     Runs the same reclamation as :func:`repack`, then (with *compact*)
-    migrates each survivor's newest DONE TensorData into a freshly
+    migrates each survivor's newest DONE private region (the slot
+    layout's TensorData; a chunk model has none) into a freshly
     allocated extent.  First-fit allocation places the copy in the
     lowest hole — including the ones reclamation just opened — so the
     live data packs toward the front of the device and the free list
@@ -139,13 +179,9 @@ def repack_live(env: Environment, pool: PmemPool,
             continue
         meta = ModelMeta.open(pool, table.lookup(name))
         newest = meta.read_flags().newest_done()
-        if newest is None:
+        old = None if newest is None else meta.layout.private_region(newest)
+        if old is None:
             continue
-        if meta.dedup:
-            # Dedup models own no per-version extents to migrate; their
-            # bytes live in the shared chunk store.
-            continue
-        old = meta.data_regions[newest]
         fresh = pool.alloc(old.size, tag=old.tag)
         if fresh.addr > old.addr:
             # The region already sits below every usable hole; moving it
@@ -179,7 +215,7 @@ def repack_live(env: Environment, pool: PmemPool,
             return report
         fresh.write(0, old.read(0, old.size))
         fresh.persist()
-        meta.repoint({newest: fresh})
+        meta.layout.repoint({newest: fresh})
         pool.free(old)
         report.models_migrated.append(name)
         report.bytes_moved += old.size
@@ -237,8 +273,7 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
         meta_dst = entry.meta.replicate(dst_daemon.pool)
         write = None
         try:
-            write = meta_dst.layout.new_version(
-                manifest=entry.meta.read_manifest(version))
+            write = entry.meta.layout.replica_write(version, meta_dst)
             write.begin()
             # The source version as remote runs, one per tensor piece —
             # only of the extents the destination pulls from (no chunk

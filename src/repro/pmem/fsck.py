@@ -199,26 +199,53 @@ class RepairResult:
         return EXIT_REPAIRED if self.actions else EXIT_CLEAN
 
 
-# -- slot-level helpers --------------------------------------------------------
+class Walk:
+    """One verification pass: the report, the AllocTable, the chunk
+    store, and what the walk has reached so far.  Each model's storage
+    layout runs its per-version checks against it
+    (``layout.verify(walk, name, flags)``)."""
 
+    def __init__(self, report: FsckReport, allocator) -> None:
+        self.report = report
+        self.allocator = allocator
+        #: The pool's chunk store, once attached (None: there is none).
+        self.store = None
+        #: Extent address -> who references it; every claimed extent is
+        #: reachable, every other Portus extent a leak.
+        self.claims: Dict[int, str] = {}
+        #: digest -> references recomputed from reachability (one per
+        #: occurrence in a resolvable DONE manifest).
+        self.recomputed: Dict[bytes, int] = {}
 
-def _check_torn_slots(report: FsckReport, record: CommittedRecord,
-                      kind: str, what: str,
-                      model: Optional[str] = None) -> None:
-    """Flag torn slots of a still-readable record; repair rewrites the
-    committed payload (the write lands in the non-newest = torn slot)."""
-    report.checked["records"] += 1
-    committed = record.read()
-    if committed is None:
-        return  # unreadable records are the caller's (severer) finding
-    payload = committed[0]
-    for state in record.slot_states():
-        if state == "torn":
-            report.add(Finding(
-                kind, SEV_WARN,
-                f"{what}: one slot torn, newest generation "
-                f"{committed[1]} intact", model=model,
-                repair=lambda r=record, p=payload: r.write(p)))
+    def add(self, kind: str, severity: str, detail: str,
+            model: Optional[str] = None,
+            repair: Optional[Callable[[], None]] = None) -> None:
+        self.report.add(Finding(kind, severity, detail, model=model,
+                                repair=repair))
+
+    def claim(self, addr: int, who: str) -> bool:
+        """Record *who* references extent *addr*; False on a collision."""
+        if addr in self.claims and self.claims[addr] != who:
+            return False
+        self.claims[addr] = who
+        return True
+
+    def check_torn(self, record: CommittedRecord, kind: str, what: str,
+                   model: Optional[str] = None) -> None:
+        """Flag torn slots of a still-readable record; repair rewrites
+        the committed payload (the write lands in the non-newest = torn
+        slot)."""
+        self.report.checked["records"] += 1
+        committed = record.read()
+        if committed is None:
+            return  # unreadable records are the caller's (severer) finding
+        payload = committed[0]
+        for state in record.slot_states():
+            if state == "torn":
+                self.add(kind, SEV_WARN,
+                         f"{what}: one slot torn, newest generation "
+                         f"{committed[1]} intact", model,
+                         lambda r=record, p=payload: r.write(p))
 
 
 # -- the walk ------------------------------------------------------------------
@@ -231,23 +258,22 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
     :meth:`~repro.pmem.pool.PmemPool.open`'s superblock validation and
     AllocTable reconcile).
     """
-    from repro.core.index import (DATA_TAG, FLAG_ACTIVE, FLAG_DONE,
-                                  META_TAG, TABLE_TAG, ModelMeta,
-                                  ModelTable, VersionFlags, layout_tensors)
+    from repro.core.index import (DATA_TAG, META_TAG, TABLE_TAG,
+                                  ModelMeta, ModelTable, VersionFlags)
     from repro.pmem.chunks import CHUNK_TAG, ChunkStore
 
     if pool.closed:
         raise PmemError("fsck needs an open pool")
     report = FsckReport()
     allocator = pool.allocator
+    walk = Walk(report, allocator)
 
     # Level 0: superblock and AllocTable record health.
-    _check_torn_slots(report, CommittedRecord(pool.meta, 0, _SUPER_SLOT),
-                      K_SUPERBLOCK_TORN, "superblock")
+    walk.check_torn(CommittedRecord(pool.meta, 0, _SUPER_SLOT),
+                    K_SUPERBLOCK_TORN, "superblock")
     alloc_payload = allocator._table.read()
     if alloc_payload is not None:
-        _check_torn_slots(report, allocator._table, K_ALLOCTABLE_TORN,
-                          "AllocTable")
+        walk.check_torn(allocator._table, K_ALLOCTABLE_TORN, "AllocTable")
 
     # AllocTable: every committed extent must be backed and disjoint.
     records = allocator.records()
@@ -282,19 +308,8 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
         report.add(Finding(kind, SEV_ERROR, str(exc)))
         _count_findings(report, obs)
         return report
-    table_region = table._record.allocation
-    _check_torn_slots(report, table._record, K_TABLE_TORN, "ModelTable")
-
-    referenced = {table_region.addr}
-    claims: Dict[int, str] = {table_region.addr: "<ModelTable>"}
-
-    def claim(addr: int, who: str) -> bool:
-        """Record *who* references extent *addr*; False on a collision."""
-        if addr in claims and claims[addr] != who:
-            return False
-        claims[addr] = who
-        referenced.add(addr)
-        return True
+    walk.check_torn(table._record, K_TABLE_TORN, "ModelTable")
+    walk.claim(table._record.allocation.addr, "<ModelTable>")
 
     # The shared chunk store (dedup layout), if this pool has one.  An
     # unreadable table only happens when power failed before its very
@@ -309,14 +324,12 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
             K_CHUNKTABLE_UNREADABLE, SEV_WARN, str(exc),
             repair=lambda p=pool: _free_chunk_table(p)))
     if store is not None:
-        claim(store.table_alloc.addr, "<ChunkTable>")
-        _check_torn_slots(report, store.record, K_CHUNKTABLE_TORN,
-                          "ChunkTable")
-    #: digest -> references recomputed from reachability (one per
-    #: occurrence in a resolvable DONE manifest).
-    recomputed: Dict[bytes, int] = {}
+        walk.store = store
+        walk.claim(store.table_alloc.addr, "<ChunkTable>")
+        walk.check_torn(store.record, K_CHUNKTABLE_TORN, "ChunkTable")
 
-    # Levels 2+3: per-model metadata and TensorData extents.
+    # Levels 2+3: per-model metadata, then each version's storage as
+    # its layout verifies it.
     for name in table.names():
         report.checked["models"] += 1
         meta_addr = table.lookup(name)
@@ -336,7 +349,7 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
                 model=name,
                 repair=lambda t=table, n=name: t.remove(n)))
             continue
-        claim(meta_addr, f"{name}:meta")
+        walk.claim(meta_addr, f"{name}:meta")
 
         # Record health: version flags + MIndex.
         if meta._flags_record.read() is None:
@@ -346,67 +359,11 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
                 "are lost", model=name,
                 repair=lambda m=meta: m.write_flags(VersionFlags())))
         else:
-            _check_torn_slots(report, meta._flags_record, K_FLAGS_TORN,
-                              "version flags", model=name)
-        _check_torn_slots(report, meta._mindex_record, K_MINDEX_TORN,
-                          "MIndex", model=name)
-
-        flags = meta.read_flags()
-        if meta.dedup:
-            # Dedup models own no per-version extents: their version
-            # addresses are 0 by design and their bytes live in the
-            # chunk store, so the addr-based checks below do not apply.
-            # Instead verify the manifests and accumulate reachability.
-            _fsck_dedup_model(report, meta, name, flags, store, recomputed)
-            continue
-        needed = layout_tensors(
-            [d.to_spec() for d in meta.mindex.descriptors])[1]
-        for version in (0, 1):
-            state = flags.states[version]
-            step = flags.steps[version]
-            addr = meta.mindex.version_addrs[version]
-            if state == FLAG_ACTIVE:
-                report.add(Finding(
-                    K_STALE_ACTIVE, SEV_WARN,
-                    f"v{version} still ACTIVE (step stamp {step}): a "
-                    f"checkpoint was mid-pull at crash time; its "
-                    f"TensorData cannot be trusted", model=name,
-                    repair=lambda m=meta, v=version: m.demote(v)))
-            if addr == 0:
-                if state == FLAG_DONE:
-                    report.add(Finding(
-                        K_DONE_ADDR_ZERO, SEV_ERROR,
-                        f"v{version} DONE@{step} but its version "
-                        f"address is 0 (extent reclaimed under a live "
-                        f"flag)", model=name,
-                        repair=lambda m=meta, v=version: m.demote(v)))
-                continue
-            extent = allocator.lookup(addr)
-            if extent is None:
-                severity = SEV_ERROR if state == FLAG_DONE else SEV_WARN
-                report.add(Finding(
-                    K_VERSION_EXTENT_MISSING, severity,
-                    f"v{version} ({_flag_name(state)}@{step}) points at "
-                    f"{addr:#x}, which no committed extent backs",
-                    model=name,
-                    repair=lambda m=meta, v=version:
-                        _demote_and_unlink(m, v)))
-                continue
-            if not claim(addr, f"{name}:v{version}"):
-                report.add(Finding(
-                    K_EXTENT_SHARED, SEV_ERROR,
-                    f"v{version} claims extent {addr:#x} already owned "
-                    f"by {claims[addr]}", model=name,
-                    repair=lambda m=meta, v=version:
-                        _demote_and_unlink(m, v)))
-                continue
-            if state == FLAG_DONE and extent.size < needed:
-                report.add(Finding(
-                    K_DONE_EXTENT_SHORT, SEV_ERROR,
-                    f"v{version} DONE@{step} extent holds {extent.size} "
-                    f"bytes, layout needs {needed}", model=name,
-                    repair=lambda m=meta, v=version:
-                        _demote_and_unlink(m, v)))
+            walk.check_torn(meta._flags_record, K_FLAGS_TORN,
+                            "version flags", model=name)
+        walk.check_torn(meta._mindex_record, K_MINDEX_TORN, "MIndex",
+                        model=name)
+        meta.layout.verify(walk, name, meta.read_flags())
 
     # Chunk refcounts: compare every stored count against the one
     # recomputed from reachability.  Stored > recomputed is a leak (a
@@ -424,8 +381,8 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
                     f"backing",
                     repair=lambda s=store, d=entry.digest: s.drop_entry(d)))
                 continue
-            claim(entry.addr, f"<chunk:{entry.digest.hex()[:12]}>")
-            want = recomputed.get(entry.digest, 0)
+            walk.claim(entry.addr, f"<chunk:{entry.digest.hex()[:12]}>")
+            want = walk.recomputed.get(entry.digest, 0)
             if entry.refcount > want:
                 report.add(Finding(
                     K_CHUNK_REF_LEAK, SEV_WARN,
@@ -445,7 +402,7 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
     # Parallel groups: the GroupTable, each group's commit record, and
     # the cross-model invariant that every member can serve the group's
     # committed step.
-    _fsck_groups(report, pool, table, allocator, claim)
+    _fsck_groups(walk, pool, table)
 
     # Leaks: committed Portus-tagged extents no walk reached.  Foreign
     # tags (anything not ours) are left alone.  The ChunkTable and
@@ -453,7 +410,7 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
     # above, unreadable ones already carry their own (freeing) finding.
     from repro.core.group import GROUP_TAG
     for record in records:
-        if record.addr in referenced:
+        if record.addr in walk.claims:
             continue
         ours = (record.tag == TABLE_TAG
                 or record.tag.startswith(META_TAG + "/")
@@ -473,69 +430,6 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
     return report
 
 
-def _flag_name(state: int) -> str:
-    from repro.core.index import FLAG_NAMES
-    return FLAG_NAMES.get(state, f"?{state}")
-
-
-def _fsck_dedup_model(report: FsckReport, meta, name: str, flags,
-                      store, recomputed: Dict[bytes, int]) -> None:
-    """Verify one dedup model's manifests; count reachable references.
-
-    Only manifests of DONE slots that fully resolve against the chunk
-    store contribute to *recomputed* — a slot flagged for demotion here
-    must not hold references, or the refcount pass would repair toward
-    a state the demotion is about to invalidate.
-    """
-    from repro.core.index import FLAG_ACTIVE, FLAG_DONE, region_extent
-
-    region = region_extent(meta.mindex.descriptors)
-    expected = (region + meta.chunk_bytes - 1) // meta.chunk_bytes
-    for version in (0, 1):
-        _check_torn_slots(report, meta.manifest_record(version),
-                          K_MANIFEST_TORN, f"v{version} manifest",
-                          model=name)
-    for version in (0, 1):
-        state = flags.states[version]
-        step = flags.steps[version]
-        if state == FLAG_ACTIVE:
-            report.add(Finding(
-                K_STALE_ACTIVE, SEV_WARN,
-                f"v{version} still ACTIVE (step stamp {step}): a "
-                f"checkpoint was mid-pull at crash time; its manifest "
-                f"cannot be trusted", model=name,
-                repair=lambda m=meta, v=version: _demote_dedup(m, v)))
-        if state != FLAG_DONE:
-            continue
-        digests = meta.read_manifest(version)
-        if len(digests) != expected:
-            report.add(Finding(
-                K_MANIFEST_BAD, SEV_ERROR,
-                f"v{version} DONE@{step} manifest lists {len(digests)} "
-                f"chunks, the layout needs {expected}", model=name,
-                repair=lambda m=meta, v=version: _demote_dedup(m, v)))
-            continue
-        missing = [digest for digest in digests
-                   if store is None or store.lookup(digest) is None]
-        if missing:
-            report.add(Finding(
-                K_MANIFEST_CHUNK_MISSING, SEV_ERROR,
-                f"v{version} DONE@{step} references "
-                f"{len(set(missing))} chunks the store does not hold "
-                f"(e.g. {missing[0].hex()[:12]})", model=name,
-                repair=lambda m=meta, v=version: _demote_dedup(m, v)))
-            continue
-        for digest in digests:
-            recomputed[digest] = recomputed.get(digest, 0) + 1
-
-
-def _demote_dedup(meta, version: int) -> None:
-    """Demote a dedup slot and clear its manifest; references the
-    manifest held surface as chunk-ref leaks the next pass lowers."""
-    meta.demote(version)
-    meta.write_manifest(version, [])
-
-
 def _free_chunk_table(pool) -> None:
     """Reclaim an unreadable ChunkTable extent (pre-first-commit crash:
     no chunk was ever stored behind it)."""
@@ -546,16 +440,7 @@ def _free_chunk_table(pool) -> None:
     pool.__dict__.pop("_chunk_store", None)
 
 
-def _demote_and_unlink(meta, version: int) -> None:
-    """Demote the slot and zero its MIndex address, so recovery stops
-    chasing an extent that is gone; the next attach re-creates it."""
-    meta.demote(version)
-    if meta.mindex.version_addrs[version]:
-        meta.repoint({version: None})
-
-
-def _fsck_groups(report: FsckReport, pool, table, allocator,
-                 claim: Callable[[int, str], bool]) -> None:
+def _fsck_groups(walk: Walk, pool, table) -> None:
     """Verify the parallel-group layer, if this pool has one.
 
     Group invariants are *cross-model*: beyond the usual table/record
@@ -569,6 +454,7 @@ def _fsck_groups(report: FsckReport, pool, table, allocator,
 
     if not pool.find_by_tag(GROUP_TABLE_TAG):
         return
+    report, allocator = walk.report, walk.allocator
     try:
         gtable = GroupTable.open(pool)
     except PmemError as exc:
@@ -578,9 +464,8 @@ def _fsck_groups(report: FsckReport, pool, table, allocator,
             K_GROUPTABLE_UNREADABLE, SEV_WARN, str(exc),
             repair=lambda p=pool: _free_group_table(p)))
         return
-    claim(gtable._record.allocation.addr, "<GroupTable>")
-    _check_torn_slots(report, gtable._record, K_GROUPTABLE_TORN,
-                      "GroupTable")
+    walk.claim(gtable._record.allocation.addr, "<GroupTable>")
+    walk.check_torn(gtable._record, K_GROUPTABLE_TORN, "GroupTable")
     for name in gtable.names():
         addr = gtable.lookup(name)
         if allocator.lookup(addr) is None:
@@ -601,9 +486,9 @@ def _fsck_groups(report: FsckReport, pool, table, allocator,
                 model=name,
                 repair=lambda t=gtable, n=name: t.remove(n)))
             continue
-        claim(addr, f"<group:{name}>")
-        _check_torn_slots(report, record.record, K_GROUP_RECORD_TORN,
-                          "group commit record", model=name)
+        walk.claim(addr, f"<group:{name}>")
+        walk.check_torn(record.record, K_GROUP_RECORD_TORN,
+                        "group commit record", model=name)
         try:
             layout = record.layout()
         except ReproError as exc:

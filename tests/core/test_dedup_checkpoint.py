@@ -4,10 +4,13 @@ refcounts across versions/tenants, bit-exact restores."""
 import pytest
 
 from repro.core.consistency import valid_checkpoint
+from repro.core.repack import repack_live
 from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.errors import PortusError
 from repro.harness.cluster import PaperCluster
+from repro.pmem import PmemPool
 from repro.pmem.chunks import ChunkStore
+from repro.pmem.fsck import fsck
 from repro.units import kib
 
 CHUNK = 256 * 1024
@@ -16,6 +19,7 @@ SPECS = [TensorSpec("backbone.weight", (256, 1024)),  # 1 MiB
          TensorSpec("backbone.bias", (1024,)),
          TensorSpec("head.weight", (64, 1024)),       # 256 KiB
          TensorSpec("head.bias", (64,))]
+HEAD = ["head.weight", "head.bias"]
 
 
 @pytest.fixture
@@ -117,7 +121,7 @@ def test_drop_version_decrements_instead_of_freeing(cluster):
     assert sorted(flags.steps) == [2, 3]
     # Both manifests fully resolvable; backbone chunks counted twice.
     for version in (0, 1):
-        for digest in entry.meta.read_manifest(version):
+        for digest in entry.meta.layout.read_manifest(version):
             assert store.lookup(digest) is not None
     shared = [e for e in store.entries() if e.refcount >= 2]
     assert shared, "backbone chunks should be shared across versions"
@@ -164,9 +168,13 @@ def test_daemon_restart_keeps_dedup_checkpoints(cluster):
 
 
 def test_layout_mismatch_on_attach_rejected(cluster):
+    plain = ModelInstance.materialize("p", SPECS, cluster.volta.gpus[1],
+                                      model_seed=5)
+
     def phase1(env):
         session = yield from _register(cluster, "m")
         yield from session.checkpoint(0)
+        yield from cluster.portus_register(plain)
         return session.model
 
     model = cluster.run(phase1)
@@ -179,9 +187,69 @@ def test_layout_mismatch_on_attach_rejected(cluster):
         with pytest.raises(PortusError):
             yield from client.register(model, dedup=True,
                                        chunk_bytes=2 * CHUNK)
+        with pytest.raises(PortusError):
+            yield from client.register(plain, dedup=True,
+                                       chunk_bytes=CHUNK)
         return True
 
     assert cluster.run(phase2)
+
+
+def test_repack_and_reattach_both_layouts(cluster):
+    """One pool, a slot model and a dedup model, each dumped twice (the
+    second time only the head): the offline repack drops the dedup
+    model's stale references while the chunks its newest version shares
+    survive, compaction moves only the slot model, and both re-attach
+    and restore bit-exact on a pool that verifies clean."""
+    plain = ModelInstance.materialize("plain", SPECS,
+                                      cluster.volta.gpus[1], model_seed=5)
+
+    def phase1(env):
+        slot = yield from cluster.portus_register(plain)
+        dedup = yield from _register(cluster, "dedup")
+        for session in (slot, dedup):
+            session.model.update_step(1)
+            yield from session.checkpoint(1)
+            session.model.update_step(2, only=HEAD)
+            yield from session.checkpoint(2)
+        return dedup.model
+
+    deduped = cluster.run(phase1)
+    layout = cluster.daemon.model_map["dedup"].meta.layout
+    newest = layout.meta.read_flags().newest_done()
+    kept = set(layout.read_manifest(newest))
+    stale = set(layout.read_manifest(1 - newest)) - kept
+    assert kept and stale
+    cluster.kill_daemon()
+    pool = PmemPool.open(cluster.server.pmem_devdax)
+
+    report = cluster.run(lambda env: repack_live(env, pool))
+    assert report.models_compacted == ["dedup", "plain"]
+    assert report.models_migrated == ["plain"]
+    store = ChunkStore.attach(pool)
+    assert all(store.lookup(digest) is not None for digest in kept)
+    assert all(store.lookup(digest) is None for digest in stale)
+    assert fsck(pool).clean
+    cluster.restart_daemon()
+
+    def phase2(env):
+        client = cluster.portus_client()
+        steps = []
+        for model, options in ((plain, {}),
+                               (deduped, {"dedup": True,
+                                          "chunk_bytes": CHUNK})):
+            session = yield from client.register(model, **options)
+            model.update_step(9)  # scramble: the restore rewrites all
+            steps.append((yield from session.restore()))
+        return steps
+
+    assert cluster.run(phase2) == [2, 2]
+    for model in (plain, deduped):
+        for tensor in model.tensors:
+            want = 2 if tensor.name in HEAD else 1
+            assert tensor.content().equals(tensor.expected_content(want)), \
+                f"{model.name}:{tensor.name}"
+    assert fsck(cluster.portus_pool).clean
 
 
 def test_chunk_bytes_without_dedup_rejected(cluster):

@@ -64,14 +64,6 @@ def test_mindex_pack_roundtrip():
     assert restored.descriptors[2].name == "head.weight"
 
 
-def test_mindex_paddr_is_region_plus_offset():
-    descriptors, _total = layout_tensors(SPECS)
-    index = MIndex("m", descriptors, (0x10000, 0x20000), 0)
-    d = index.descriptors[1]
-    assert index.paddr(d, 0) == 0x10000 + d.offset
-    assert index.paddr(d, 1) == 0x20000 + d.offset
-
-
 def test_mindex_descriptor_lookup():
     descriptors, _ = layout_tensors(SPECS)
     index = MIndex("m", descriptors, (0, 0), 0)
@@ -89,7 +81,7 @@ def test_model_meta_create_and_open(pool):
     reopened = ModelMeta.open(pool, meta.meta.addr)
     assert reopened.mindex.model_name == "resnet50"
     assert reopened.mindex.layer_count == 3
-    assert reopened.data_regions[0].addr == meta.data_regions[0].addr
+    assert reopened.layout.regions[0].addr == meta.layout.regions[0].addr
 
 
 def test_model_meta_full_model_scale(pool):
@@ -105,13 +97,13 @@ def test_drop_and_ensure_regions(pool):
     meta = ModelMeta.create(pool, "m", SPECS)
     begin = begin_checkpoint(meta)
     commit_checkpoint(meta, begin, step=5)
-    reclaimed = meta.drop_version(1 - begin)
+    reclaimed = meta.layout.drop(1 - begin)
     assert reclaimed > 0
-    assert meta.data_regions[1 - begin] is None
+    assert meta.layout.regions[1 - begin] is None
     reopened = ModelMeta.open(pool, meta.meta.addr)
-    assert reopened.data_regions[1 - begin] is None
-    reopened.ensure_regions()
-    assert reopened.data_regions[1 - begin] is not None
+    assert reopened.layout.regions[1 - begin] is None
+    reopened.layout.recreate()
+    assert reopened.layout.regions[1 - begin] is not None
     assert reopened.mindex.version_addrs[1 - begin] != 0
 
 

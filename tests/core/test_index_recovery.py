@@ -2,7 +2,7 @@
 
 Three bugs this file pins down:
 
-* ``drop_version`` used to commit the MIndex (or free the extent) before
+* dropping a version used to commit the MIndex (or free the extent) before
   demoting the version flag, so a crash inside the window left a DONE
   flag pointing at address 0 / freed space — and ``ModelMeta.open``
   blew up on the next restart.  The fixed ordering is swept with a power
@@ -52,7 +52,7 @@ def checkpointed_model(pool, table, name="model"):
     return meta
 
 
-# --- drop_version write ordering (crash-point sweep) -----------------------------
+# --- version-drop write ordering (crash-point sweep) -----------------------------
 
 
 def _drop_version_scenario(crash_index):
@@ -66,7 +66,7 @@ def _drop_version_scenario(crash_index):
     recorder = CrashPointRecorder(device, crash_at=crash_index,
                                   power_fail=lambda: device.crash(rng))
     try:
-        meta.drop_version(older)
+        meta.layout.drop(older)
         completed = True
     except PowerFailure:
         completed = False
@@ -147,8 +147,8 @@ def test_meta_geometry_survives_padded_region():
     # Force a second MIndex generation so the newest frame sits in the B
     # slot — the slot the old size-derived probe would miss.
     older = 1 - meta.read_flags().newest_done()
-    meta.drop_version(older)
-    meta.ensure_regions()
+    meta.layout.drop(older)
+    meta.layout.recreate()
     current_addrs = meta.mindex.version_addrs
 
     reopened = ModelMeta.open(pool, meta.meta.addr)

@@ -70,7 +70,7 @@ def test_restart_loop_keeps_both_nics_mr_counts_flat(monkeypatch):
 def test_a_dead_daemons_slot_rkey_is_refused():
     cluster = PaperCluster(seed=1, ampere_nodes=0)
     cluster.run(lambda env: cluster.portus_register("alexnet"))
-    region = cluster.daemon.model_map["alexnet"].meta.data_regions[0]
+    region = cluster.daemon.model_map["alexnet"].meta.layout.regions[0]
     rkey = region.mr.rkey
     cluster.kill_daemon()
     assert region.mr is None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.consistency import valid_checkpoint
-from repro.core.repack import repack
+from repro.core.repack import repack_daemon
 from repro.errors import (CheckpointInProgress, ModelNotFound,
                           NoValidCheckpoint, PortusError)
 from repro.harness.cluster import PaperCluster
@@ -282,15 +282,48 @@ def test_repack_after_finished_job(cluster):
         yield from session.checkpoint(1)
         session.model.update_step(2)
         yield from session.checkpoint(2)
+        return session
 
-    cluster.run(scenario)
+    session = cluster.run(scenario)
     used_before = cluster.portus_pool.used_bytes
-    report = repack(cluster.portus_pool, cluster.daemon.table)
+    report = repack_daemon(cluster.daemon)
     assert report.models_compacted == ["alexnet"]
     assert report.bytes_reclaimed > 0
     assert cluster.portus_pool.used_bytes < used_before
-    # The surviving version is still restorable.
-    entry_meta = cluster.daemon.model_map["alexnet"].meta
-    reopened = type(entry_meta).open(cluster.portus_pool,
-                                     entry_meta.meta.addr)
-    assert valid_checkpoint(reopened)[1] == 2
+    # The daemon's own entry was compacted: the surviving version is
+    # still restorable, and the next checkpoint re-creates the slot.
+    assert valid_checkpoint(cluster.daemon.model_map["alexnet"].meta) \
+        == (1, 2)
+
+    def after(env):
+        session.model.update_step(3)
+        yield from session.checkpoint(3)
+        session.model.update_step(4)  # diverge, then roll back
+        return (yield from session.restore())
+
+    assert cluster.run(after) == 3
+    contents = {t.name: t.content() for t in session.model.tensors}
+    assert session.model.verify_against(contents, step=3) == []
+
+
+def test_repack_drops_a_model_from_the_live_daemon(cluster):
+    """A never-checkpointed model is dropped for good: the next
+    checkpoint and LIST no longer see it, and its tenant's byte charge
+    is released, so the name registers again."""
+    session = cluster.run(
+        lambda env: cluster.portus_register("alexnet", tenant="acme"))
+    charged = cluster.tenants.charged("acme")
+    assert charged > 0
+    report = repack_daemon(cluster.daemon)
+    assert report.models_dropped == ["alexnet"]
+    assert cluster.tenants.charged("acme") == 0
+
+    def after(env):
+        with pytest.raises(ModelNotFound):
+            yield from session.checkpoint(1)
+        return (yield from cluster.portus_client().list_models())
+
+    assert cluster.run(after) == []
+    cluster.run(lambda env: cluster.portus_register("alexnet",
+                                                    tenant="acme"))
+    assert cluster.tenants.charged("acme") == charged

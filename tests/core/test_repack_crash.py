@@ -41,7 +41,7 @@ def build():
         version = begin_checkpoint(meta)
         commit_checkpoint(meta, version, step)
     newest = meta.read_flags().newest_done()
-    region = meta.data_regions[newest]
+    region = meta.layout.regions[newest]
     region.write_bytes(0, MARKER)
     region.persist()
     return env, pool, table, newest
@@ -53,7 +53,7 @@ def _check_intact(pool, step=6):
     newest = flags.newest_done()
     assert newest is not None
     assert flags.steps[newest] == step
-    region = meta.data_regions[newest]
+    region = meta.layout.regions[newest]
     assert region is not None
     assert region.read_bytes(0, len(MARKER)) == MARKER
     return meta, newest
@@ -70,12 +70,12 @@ def _migration_duration():
 def test_clean_migration_moves_data_down_and_preserves_it():
     env, pool, table, newest = build()
     old_addr = ModelMeta.open(
-        pool, table.lookup("m")).data_regions[newest].addr
+        pool, table.lookup("m")).layout.regions[newest].addr
     report = env.run_process(env.process(repack_live(env, pool, table)))
     assert report.models_migrated == ["m"]
     assert report.bytes_moved > 0
     meta, new_newest = _check_intact(pool)
-    assert meta.data_regions[new_newest].addr < old_addr
+    assert meta.layout.regions[new_newest].addr < old_addr
 
 
 def test_interrupt_mid_move_commits_nothing():
@@ -83,9 +83,9 @@ def test_interrupt_mid_move_commits_nothing():
     env, pool, table, newest = build()
     used_before = pool.used_bytes
     stale_size = ModelMeta.open(
-        pool, table.lookup("m")).data_regions[1 - newest].size
+        pool, table.lookup("m")).layout.regions[1 - newest].size
     old_addr = ModelMeta.open(
-        pool, table.lookup("m")).data_regions[newest].addr
+        pool, table.lookup("m")).layout.regions[newest].addr
 
     proc = env.process(repack_live(env, pool, table))
 
@@ -100,7 +100,7 @@ def test_interrupt_mid_move_commits_nothing():
 
     # The old region is still the committed truth, bit-exact.
     meta, new_newest = _check_intact(pool)
-    assert meta.data_regions[new_newest].addr == old_addr
+    assert meta.layout.regions[new_newest].addr == old_addr
     # The fresh extent was handed back: only the stale slot's
     # reclamation shows in the accounting — no leak on a live pool.
     assert pool.used_bytes == used_before - stale_size
@@ -129,7 +129,7 @@ def test_pool_death_mid_move_stops_before_touching_dead_media():
     duration = _migration_duration()
     env, pool, table, newest = build()
     old_addr = ModelMeta.open(
-        pool, table.lookup("m")).data_regions[newest].addr
+        pool, table.lookup("m")).layout.regions[newest].addr
 
     def die(env):
         yield env.timeout(duration // 2)
@@ -145,7 +145,7 @@ def test_pool_death_mid_move_stops_before_touching_dead_media():
     # the old region is still the committed, bit-exact truth.
     reopened = PmemPool.open(pool.device)
     meta, new_newest = _check_intact(reopened)
-    assert meta.data_regions[new_newest].addr == old_addr
+    assert meta.layout.regions[new_newest].addr == old_addr
 
 
 def test_chaos_schedule_interrupts_anywhere_in_the_move_window():
@@ -157,7 +157,7 @@ def test_chaos_schedule_interrupts_anywhere_in_the_move_window():
         env, pool, table, newest = build()
         used_before = pool.used_bytes
         stale_size = ModelMeta.open(
-            pool, table.lookup("m")).data_regions[1 - newest].size
+            pool, table.lookup("m")).layout.regions[1 - newest].size
         proc = env.process(repack_live(env, pool, table))
 
         def crash(env, proc=proc, at=rng.randrange(1, duration)):

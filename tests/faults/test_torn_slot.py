@@ -70,7 +70,7 @@ def _assert_done_slots_bit_exact(meta, instance, context):
     for version in (0, 1):
         if flags.states[version] != FLAG_DONE:
             continue
-        if meta.data_regions[version] is None:
+        if meta.layout.regions[version] is None:
             continue
         step = flags.steps[version]
         assert step > 0, f"DONE slot without a step: {context}"

@@ -22,6 +22,7 @@ from repro.dnn.layout import gpt_layout
 from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.core.consistency import valid_checkpoint
 from repro.core.group import register_group as bind_group
+from repro.core.index import ChunkLayout
 from repro.errors import (AdmissionReject, GroupError, GroupNotFound,
                           MigrationIncomplete, ModelAlreadyRegistered,
                           NoValidCheckpoint, ReproError,
@@ -421,7 +422,8 @@ def test_dedup_model_migrates_bit_exact_and_releases_source_refs():
     assert moved == session.model.total_bytes
     assert fleet.shard_of("acme", "resnet18").name == dst.name
     assert src.daemon.model_map.get("resnet18") is None
-    assert dst.daemon.model_map["resnet18"].meta.dedup
+    assert isinstance(dst.daemon.model_map["resnet18"].meta.layout,
+                      ChunkLayout)
     # Evicting the source dropped this model's references, and it was
     # the store's only user.
     assert ChunkStore.attach(src.pool).chunk_count == 0
@@ -457,7 +459,7 @@ def test_dedup_migration_moves_only_the_chunks_the_destination_lacks():
     version, _step = valid_checkpoint(entry.meta)
     store = ChunkStore.attach(dst.pool)
     lacking = {}
-    for digest, span in zip(entry.meta.read_manifest(version),
+    for digest, span in zip(entry.meta.layout.read_manifest(version),
                             entry.meta.layout.spans()):
         if store.lookup(digest) is None:
             lacking.setdefault(digest,
@@ -729,7 +731,8 @@ def test_mixed_dedup_group_migrates_and_restores():
     for member in layout.members:
         assert home.daemon.model_map.get(member) is None
         assert dst.daemon.model_map.get(member) is not None
-    assert dst.daemon.model_map[layout.members[0]].meta.dedup
+    assert isinstance(dst.daemon.model_map[layout.members[0]].meta.layout,
+                      ChunkLayout)
 
     def recover(env):
         for session in sessions:

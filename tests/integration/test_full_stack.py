@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import CheckFreqPolicy, TorchSaveCheckpointer
 from repro.core.async_ckpt import PortusAsyncPolicy
-from repro.core.repack import repack
+from repro.core.repack import repack_daemon
 from repro.dnn.gpt import GPT_CONFIGS, shard_gpt
 from repro.dnn.models import build_model
 from repro.dnn.tensor import ModelInstance
@@ -139,12 +139,11 @@ def test_repack_with_live_jobs_skips_them():
             yield from session.checkpoint(2)
 
     cluster.run(scenario)
-    report = repack(cluster.portus_pool, cluster.daemon.table,
-                    skip=["alexnet"])
+    report = repack_daemon(cluster.daemon, skip=["alexnet"])
     assert report.models_compacted == ["resnet50"]
     # The live job keeps both versions for the next ping-pong.
     entry = cluster.daemon.model_map["alexnet"]
-    assert all(region is not None for region in entry.meta.data_regions)
+    assert all(region is not None for region in entry.meta.layout.regions)
 
 
 def test_multi_tenant_concurrent_training_all_verified():

@@ -95,7 +95,7 @@ def test_done_slot_with_zero_addr_is_found():
     # is zeroed and the extent freed while the flag still says DONE.
     flags = meta.read_flags()
     victim = flags.newest_done()
-    region = meta.data_regions[victim]
+    region = meta.layout.regions[victim]
     addrs = list(meta.mindex.version_addrs)
     addrs[victim] = 0
     meta.mindex.version_addrs = tuple(addrs)
@@ -117,14 +117,14 @@ def test_done_slot_with_missing_extent_is_demoted():
     flags = meta.read_flags()
     victim = flags.newest_done()
     # Free the extent but leave the MIndex pointing at it.
-    pool.free(meta.data_regions[victim])
+    pool.free(meta.layout.regions[victim])
 
     # Strict open refuses the dangling address; lenient (fsck) maps it
     # to a missing region so the rest of the model stays inspectable.
     with pytest.raises(Exception):
         ModelMeta.open(pool, meta.meta.addr)
     lenient = ModelMeta.open(pool, meta.meta.addr, lenient=True)
-    assert lenient.data_regions[victim] is None
+    assert lenient.layout.regions[victim] is None
 
     report = fsck(pool)
     assert report.kinds().get(K_VERSION_EXTENT_MISSING) == 1

@@ -117,10 +117,10 @@ def test_manifest_missing_chunk_demotes_slot(cluster):
     store = _store(cluster)
     flags = entry_map.meta.read_flags()
     newest = flags.newest_done()
-    other = set(entry_map.meta.read_manifest(1 - newest))
+    other = set(entry_map.meta.layout.read_manifest(1 - newest))
     # A digest only the newest version holds (its fine-tuned head), so
     # the other slot must survive the demotion.
-    victim = next(d for d in entry_map.meta.read_manifest(newest)
+    victim = next(d for d in entry_map.meta.layout.read_manifest(newest)
                   if d not in other)
     store.drop_entry(victim)
 
@@ -132,7 +132,7 @@ def test_manifest_missing_chunk_demotes_slot(cluster):
     assert result.exit_code == EXIT_REPAIRED
     after = entry_map.meta.read_flags()
     assert after.states[newest] == 0  # demoted to EMPTY
-    assert entry_map.meta.read_manifest(newest) == []
+    assert entry_map.meta.layout.read_manifest(newest) == []
     # The surviving version still verifies: the pool ends clean.
     assert repair(cluster.portus_pool).exit_code == EXIT_CLEAN
     assert after.newest_done() is not None
@@ -162,8 +162,8 @@ def test_truncated_manifest_is_bad_and_demoted(cluster):
     entry_map = cluster.daemon.model_map["m"]
     flags = entry_map.meta.read_flags()
     newest = flags.newest_done()
-    digests = entry_map.meta.read_manifest(newest)
-    entry_map.meta.write_manifest(newest, digests[:-1])
+    digests = entry_map.meta.layout.read_manifest(newest)
+    entry_map.meta.layout.write_manifest(newest, digests[:-1])
 
     report = fsck(cluster.portus_pool)
     assert K_MANIFEST_BAD in report.kinds()
