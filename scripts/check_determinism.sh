@@ -3,7 +3,9 @@
 # schedules twice with the same seed and diff the per-schedule traces.
 # Any divergence (different fault plan, different acked set, different
 # restored step) means a hidden source of nondeterminism crept into the
-# simulator or the fault injector.
+# simulator or the fault injector.  The suite is the chaos, operator,
+# fleet, group-crash and torn-slot sweeps (the last exercises the
+# checkpoint abort's torn test and repack_live's compaction move).
 #
 # Usage: scripts/check_determinism.sh [examples] [seed]
 set -euo pipefail
@@ -30,11 +32,14 @@ run() {
     PORTUS_FLEET_EXAMPLES="$FLEET_EXAMPLES" \
     PORTUS_CRASHPOINT_STRIDE="$GROUP_STRIDE" \
     PORTUS_CHAOS_SEED="$SEED" \
+    PORTUS_TORN_EXAMPLES="$EXAMPLES" \
+    PORTUS_TORN_SEED="$SEED" \
     CHAOS_TRACE="$trace" \
         python -m pytest tests/faults/test_chaos_properties.py \
             tests/faults/test_operator_chaos.py \
             tests/faults/test_fleet_chaos.py \
-            tests/faults/test_group_crash.py -q -x \
+            tests/faults/test_group_crash.py \
+            tests/faults/test_torn_slot.py -q -x \
             -p no:cacheprovider >"$trace.log" 2>&1 || {
         echo "chaos suite failed; last lines of $trace.log:" >&2
         tail -20 "$trace.log" >&2

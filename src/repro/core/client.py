@@ -345,18 +345,11 @@ class ModelSession:
 
     # -- operations ---------------------------------------------------------------
 
-    def checkpoint(self, step: Optional[int] = None,
-                   dirty: Optional[List[str]] = None) -> Generator:
+    def checkpoint(self, step: Optional[int] = None) -> Generator:
         """Process: one checkpoint; returns the daemon's reply.
 
-        With *dirty* (a list of tensor names) only those tensors are
-        pulled over RDMA; the daemon fills the rest of the new version by
-        copying from the previous one locally on PMem — incremental
-        checkpointing for fine-tuning-style workloads where most
-        parameters are frozen.
-
-        Dedup sessions instead ship a chunk manifest (digests over the
-        whole region, recomputed only where the dirty flags say bytes
+        Dedup sessions ship a chunk manifest (digests over the whole
+        region, recomputed only where the dirty flags say bytes
         changed); the daemon pulls just the chunks its store is missing.
         """
         if step is None:
@@ -366,7 +359,7 @@ class ModelSession:
             manifest = self.compute_manifest()
         reply = yield from self._call(
             lambda: protocol.do_checkpoint(self.model.name, step,
-                                           dirty=dirty, manifest=manifest),
+                                           manifest=manifest),
             protocol.OP_CHECKPOINT_DONE)
         self.checkpoints += 1
         self.last_checkpoint_ns = reply["duration_ns"]

@@ -49,10 +49,10 @@ def abort_checkpoint(meta: ModelMeta, version: int,
     """Roll the target slot back after a failed pull (client vanished).
 
     *data_dirty* says whether any bytes already landed in the slot's
-    TensorData region (an engine pull, or the incremental path's
-    clean-tensor prefill).  A dirty slot can no longer be trusted at its
-    old step — part of its bytes belong to the aborted checkpoint — so
-    it is invalidated (EMPTY, step 0) rather than rolled back to DONE;
+    TensorData region (a completed pull WR).  A dirty slot can no
+    longer be trusted at its old step — part of its bytes belong to the
+    aborted checkpoint — so it is invalidated (EMPTY, step 0) rather
+    than rolled back to DONE;
     the sibling slot's last DONE version keeps the model restorable.
     Only an untouched slot may return to DONE at its old step.
     """

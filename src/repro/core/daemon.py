@@ -53,8 +53,7 @@ from typing import Dict, Generator, List, Optional
 from repro.core import protocol
 from repro.core.consistency import checkpoint_at_step, valid_checkpoint
 from repro.core.engine import (ENGINE_CHUNK_BYTES, IngestLimiter,
-                               LocalCopyEngine, RemoteRun, TransferEngine,
-                               plan_items)
+                               RemoteRun, TransferEngine, plan_items)
 from repro.core.group import GroupStore
 from repro.core.index import ModelMeta, ModelTable
 from repro.core.modelmap import ModelMap
@@ -569,12 +568,6 @@ class PortusDaemon:
 
     def _handle_checkpoint(self, message: Dict) -> Generator:
         entry = self._entry(message["model"])
-        if self.tenants is not None and entry.tenant is not None:
-            # Token-bucket bandwidth budget: debit the logical size (the
-            # bytes this dump *represents*); over-budget tenants get a
-            # typed reject with an exact deterministic retry-after.
-            self.tenants.reserve_bandwidth(
-                entry.tenant, entry.meta.mindex.total_bytes, self.env.now)
         if self.admission is None:
             return (yield from self._checkpoint_gated(message, entry))
         self.admission.enter("ingest")
@@ -591,39 +584,43 @@ class PortusDaemon:
         persists, commits — or, on any failure, aborts."""
         name = message["model"]
         step = message["step"]
-        write = entry.meta.layout.new_version(
-            manifest=message.get("manifest"), dirty=message.get("dirty"))
+        write = entry.meta.layout.new_version(message.get("manifest"))
         if not entry.attached:
             raise NotAttached(f"{name}: no attached client to pull from")
         self._claim(entry)
+        if self.tenants is not None and entry.tenant is not None:
+            # Token-bucket bandwidth budget, debited only once the dump
+            # is admitted, attached and claimed: the logical size (the
+            # bytes this dump *represents*); over-budget tenants get a
+            # typed reject with an exact deterministic retry-after.
+            try:
+                self.tenants.reserve_bandwidth(
+                    entry.tenant, entry.meta.mindex.total_bytes,
+                    self.env.now)
+            except ReproError:
+                self._release(entry)
+                raise
         # Pin the stripe set and the client's tensors: a re-attach
         # mid-pull must not redirect us.
         qps, runs = list(entry.qps), entry.client_runs
         trace_id = protocol.trace_of(message)
         started = self.env.now
         engine = None
-        prefilled = 0
         try:
             with self.obs.tracer.span(self.env, "ckpt.begin", cat="ckpt",
                                       trace_id=trace_id, track="daemon",
                                       model=name):
                 target = write.begin()
-            if write.kept is not None:
-                with self.obs.tracer.span(self.env, "ckpt.local_copy",
-                                          cat="ckpt", trace_id=trace_id,
-                                          track="daemon", model=name,
-                                          tensors=len(write.kept)):
-                    prefilled = yield from self._carry_forward(write)
             items = yield from plan_items(write.targets, runs,
                                           self.node.nic,
                                           self.engine_chunk_bytes,
                                           self.obs, trace_id, "daemon")
             # The engine charges PER_WQE_CPU_NS per WR actually posted —
-            # an incremental or dedup pull pays for what it moves (and
-            # its segmentation), not the whole layer count.  On a WR
-            # error or an interrupt it flushes the whole stripe set
-            # before raising, so no in-flight read can land stale bytes
-            # in a slot the next checkpoint may claim.
+            # a dedup pull pays for what it moves (and its segmentation),
+            # not the whole layer count.  On a WR error or an interrupt
+            # it flushes the whole stripe set before raising, so no
+            # in-flight read can land stale bytes in a slot the next
+            # checkpoint may claim.
             engine = self._engine(qps, ingest=True, trace_id=trace_id)
             pulled = yield from engine.pull(items, f"pull:{name}")
             if self.pool.closed:
@@ -641,12 +638,11 @@ class PortusDaemon:
         except ReproError:
             self._count("checkpoints_aborted")
             if not self.pool.closed:
-                # Any byte already landed in the target — the incremental
-                # prefill or a completed pull WR — makes a slot torn at
-                # its old step: the write invalidates it rather than
-                # roll back to DONE (the torn-slot bug).
-                landed = prefilled > 0 or (engine is not None
-                                           and engine.bytes_landed > 0)
+                # Once a pull WR completed, its bytes landed in the
+                # target and the slot is torn at its old step: the write
+                # invalidates it rather than roll back to DONE (the
+                # torn-slot bug).
+                landed = engine is not None and engine.bytes_landed > 0
                 if write.abort(landed):
                     self._count("checkpoints_aborted_dirty")
             raise
@@ -664,20 +660,6 @@ class PortusDaemon:
                               step=step, version=target,
                               duration_ns=duration, bytes_pulled=pulled,
                               **report)
-
-    def _carry_forward(self, write) -> Generator:
-        """Incremental mode: complete the new version by copying the
-        unchanged tensors from the previous DONE version — a local
-        PMem-to-PMem move, no network involved.  Returns the bytes
-        actually written into the target region (the abort path's
-        data-dirty signal: an interrupt during the simulated move lands
-        nothing, so the slot is still clean)."""
-        total = sum(d.size for d in write.kept)
-        copier = LocalCopyEngine(self.env, self.pool.device,
-                                 chunk_bytes=self.engine_chunk_bytes)
-        yield from copier.move(total, label="incremental-local-copy")
-        write.carry_forward()
-        return total
 
     # -- DO_RESTORE -----------------------------------------------------------------------
 

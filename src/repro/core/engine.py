@@ -1,9 +1,7 @@
 """The transfer engine: pipelined, multi-QP posting for the datapath.
 
 Every one-sided transfer the daemon makes — checkpoint pulls, restore
-pushes, a migration's server-to-server pull — runs through this module,
-and the incremental fill's and repacking's local moves through its
-:class:`LocalCopyEngine`:
+pushes, a migration's server-to-server pull — runs through this module:
 
 * **Credit-based sliding window** — each QP ("lane") keeps up to *depth*
   WRs in flight; the moment a completion returns a credit the next WR is
@@ -45,7 +43,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence
 from repro.core.index import overlaps
 from repro.errors import ReproError
 from repro.obs import NULL_SPAN, Observability
-from repro.sim import AllOf, AnyOf, Environment, Event, Transfer
+from repro.sim import AllOf, AnyOf, Environment, Event
 from repro.units import mib
 
 #: Segmentation threshold/chunk size for striped transfers.  4 MiB keeps
@@ -134,7 +132,7 @@ def plan_items(targets, runs: List[RemoteRun], nic,
         mr = yield from nic.pin(extent.allocation, obs, trace_id, track)
         name = (run.name if extent.label is None
                 else f"{extent.label}:{run.name}")
-        whole.append(WorkItem(name, extent.base + lo - extent.offset,
+        whole.append(WorkItem(name, lo - extent.offset,
                               run.addr + lo - run.offset, run.rkey,
                               hi - lo, mr))
     return build_items(whole, chunk_bytes)
@@ -494,56 +492,3 @@ class TransferEngine:
                     span.finish(ok=False, drained=True)
         inflight.clear()
 
-
-class LocalCopyEngine:
-    """Chunked device-local moves (incremental fill, repacking).
-
-    Times the byte movement through the device's own read/write channels
-    with up to *streams* chunk flows in flight; the content relocation
-    itself is applied by the caller after the move (exactly like the
-    one-sided verbs, content follows the simulated transfer).  The
-    default single stream is timing-identical to one large transfer, so
-    the incremental datapath keeps the seed's behaviour while sharing
-    the engine's chunking/pipelining machinery.
-    """
-
-    def __init__(self, env: Environment, device,
-                 chunk_bytes: Optional[int] = ENGINE_CHUNK_BYTES,
-                 streams: int = 1) -> None:
-        if streams < 1:
-            raise ReproError(f"need at least one stream, got {streams}")
-        self.env = env
-        self.device = device
-        self.chunk_bytes = chunk_bytes
-        self.streams = streams
-        self.chunks_moved = 0
-
-    def move(self, total_bytes: int, label: str = "local-copy") -> Generator:
-        """Process: move *total_bytes* across the device channels."""
-        if total_bytes <= 0:
-            return
-        chunk = self.chunk_bytes or total_bytes
-        sizes = deque()
-        done = 0
-        while done < total_bytes:
-            length = min(chunk, total_bytes - done)
-            sizes.append(length)
-            done += length
-        channels = [self.device.read_channel, self.device.write_channel]
-        inflight: List[Transfer] = []
-        while sizes or inflight:
-            while sizes and len(inflight) < self.streams:
-                inflight.append(Transfer(self.env, channels,
-                                         sizes.popleft(), label=label))
-            condition = AnyOf(self.env, list(inflight))
-            try:
-                yield condition
-            except BaseException:
-                condition.defuse()
-                for transfer in inflight:
-                    if not transfer.triggered or not transfer.ok:
-                        transfer.defuse()
-                raise
-            settled = [t for t in inflight if t.triggered]
-            inflight = [t for t in inflight if not t.triggered]
-            self.chunks_moved += len(settled)

@@ -168,20 +168,19 @@ def region_extent(descriptors: List[TensorDescriptor]) -> int:
 class Extent:
     """A run of a version's region bytes held in one PMem allocation.
 
-    Region bytes ``[offset, offset + size)`` live at *base* inside
+    Region bytes ``[offset, offset + size)`` live at the start of
     *allocation*.  *label*, when set, prefixes the names of the work
     requests that move the run (the chunk layout labels each chunk with
     its digest).
     """
 
-    __slots__ = ("offset", "size", "allocation", "base", "label")
+    __slots__ = ("offset", "size", "allocation", "label")
 
     def __init__(self, offset: int, size: int, allocation: Allocation,
-                 base: int = 0, label: Optional[str] = None) -> None:
+                 label: Optional[str] = None) -> None:
         self.offset = offset
         self.size = size
         self.allocation = allocation
-        self.base = base
         self.label = label
 
 
@@ -473,8 +472,7 @@ class ModelMeta:
         """A tensor's bytes in *version*, gathered from the layout's
         extents (raises when the version holds no bytes)."""
         return concat([
-            extent.allocation.read(extent.base + lo - extent.offset,
-                                   hi - lo)
+            extent.allocation.read(lo - extent.offset, hi - lo)
             for extent, _run, lo, hi in overlaps(
                 self.layout.extents(version), [descriptor])])
 
@@ -493,8 +491,8 @@ class StorageLayout:
     model holds.
 
     * ``extents(v)`` — the PMem runs holding version *v*'s bytes;
-    * ``new_version(manifest, dirty)`` — a :class:`VersionWrite` of the
-      next version; ``replica_write(v, replica)`` — one copying *v*
+    * ``new_version(manifest)`` — a :class:`VersionWrite` of the next
+      version; ``replica_write(v, replica)`` — one copying *v*
       onto a migration's replica;
     * ``pinned_regions()`` — what REGISTER pins for the daemon's life;
     * ``unlink(v)`` — forget *v*'s storage in the metadata;
@@ -571,8 +569,8 @@ class SlotLayout(StorageLayout):
                 f"repacked away")
         return [Extent(0, region.size, region)]
 
-    def new_version(self, manifest=None, dirty=None) -> "SlotWrite":
-        return SlotWrite(self.meta, dirty)
+    def new_version(self, manifest=None) -> "SlotWrite":
+        return SlotWrite(self.meta)
 
     def replica_write(self, version: int,
                       replica: ModelMeta) -> "SlotWrite":
@@ -774,9 +772,9 @@ class ChunkLayout(StorageLayout):
                                   label=digest.hex()[:8]))
         return extents
 
-    def new_version(self, manifest=None, dirty=None) -> "ChunkWrite":
-        """A write of the version *manifest* describes; *dirty* is moot
-        (unchanged chunks are shared by reference)."""
+    def new_version(self, manifest=None) -> "ChunkWrite":
+        """A write of the version *manifest* describes (unchanged
+        chunks are shared by reference)."""
         name = self.meta.mindex.model_name
         if manifest is None:
             raise ProtocolError(
@@ -893,9 +891,6 @@ class VersionWrite:
         self.target: Optional[int] = None
         #: Where the pulled bytes land, region-ordered.
         self.targets: List[Extent] = []
-        #: Incremental slot writes: the tensors carried over from the
-        #: previous version by a local copy (None: nothing is carried).
-        self.kept: Optional[List[TensorDescriptor]] = None
 
     def begin(self) -> int:
         """Stamp the free slot ACTIVE; returns its version index."""
@@ -927,41 +922,17 @@ class VersionWrite:
 
 
 class SlotWrite(VersionWrite):
-    """A new version of a :class:`SlotLayout` model: the pull lands in
-    the free slot's region; with *dirty* (incremental mode) only those
-    tensors are pulled and the rest are carried over from the previous
-    version by a local PMem copy."""
-
-    def __init__(self, meta: ModelMeta, dirty) -> None:
-        super().__init__(meta)
-        self.dirty = dirty
-        self.previous: Optional[int] = None
+    """A new version of a :class:`SlotLayout` model: the pull fills the
+    free slot's whole region."""
 
     def begin(self) -> int:
         # A slot the repacking tool reclaimed is re-created first; the
         # pull pins it on first use.
         self.meta.layout.recreate()
-        self.previous = self.meta.read_flags().newest_done()
         target = super().begin()
         region = self.meta.layout.regions[target]
-        if self.dirty is None or self.previous is None:
-            self.targets = [Extent(0, region.size, region)]
-            return target
-        wanted = set(self.dirty)
-        descriptors = self.meta.mindex.descriptors
-        self.kept = [d for d in descriptors if d.name not in wanted]
-        self.targets = [Extent(d.offset, d.size, region, d.offset)
-                        for d in descriptors if d.name in wanted]
+        self.targets = [Extent(0, region.size, region)]
         return target
-
-    def carry_forward(self) -> None:
-        """Copy the kept tensors' bytes from the previous version (the
-        content move that follows the timed local copy)."""
-        regions = self.meta.layout.regions
-        source, target = regions[self.previous], regions[self.target]
-        for descriptor in self.kept:
-            target.write(descriptor.offset,
-                         source.read(descriptor.offset, descriptor.size))
 
     def persist(self) -> None:
         self.meta.layout.regions[self.target].persist()

@@ -88,21 +88,13 @@ def register(model_name: str, tensors: List[Dict[str, Any]],
 
 
 def do_checkpoint(model_name: str, step: int,
-                  dirty: List[str] = None,
                   manifest: List[bytes] = None
                   ) -> Tuple[Dict[str, Any], int]:
-    """*dirty* (optional) lists the tensors that changed since the last
-    checkpoint — the incremental mode (Check-N-Run-style); the daemon
-    completes the new version with local copies for the rest.
-
-    *manifest* (dedup models) carries the content digest of every chunk
-    of the would-be region; the daemon pulls only the chunks absent from
-    its store and bumps refcounts for the rest."""
+    """*manifest* (dedup models) carries the content digest of every
+    chunk of the would-be region; the daemon pulls only the chunks
+    absent from its store and bumps refcounts for the rest."""
     message = {"op": OP_DO_CHECKPOINT, "model": model_name, "step": step}
     size = 64
-    if dirty is not None:
-        message["dirty"] = list(dirty)
-        size += 40 * len(dirty)
     if manifest is not None:
         message["manifest"] = list(manifest)
         size += _PER_CHUNK_SIZE * len(manifest)

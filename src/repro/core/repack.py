@@ -25,14 +25,13 @@ from contextlib import contextmanager
 from typing import Callable, Generator, List, Optional
 
 from repro.core.consistency import valid_checkpoint
-from repro.core.engine import (LocalCopyEngine, RemoteRun, TransferEngine,
-                               plan_items)
+from repro.core.engine import RemoteRun, TransferEngine, plan_items
 from repro.core.index import ModelMeta, ModelTable, overlaps
 from repro.errors import ModelAlreadyRegistered, ModelNotFound, PortusError
 from repro.obs import Observability
 from repro.pmem.pool import PmemPool
 from repro.rdma.verbs import connect
-from repro.sim import Environment
+from repro.sim import Environment, Transfer
 
 
 class RepackReport:
@@ -133,21 +132,17 @@ def repack_live(env: Environment, pool: PmemPool,
                 table: Optional[ModelTable] = None,
                 drop_invalid: bool = True,
                 skip: Optional[List[str]] = None,
-                compact: bool = True,
-                chunk_bytes: Optional[int] = None,
-                streams: int = 1,
                 obs: Optional[Observability] = None) -> Generator:
     """Process: repack with timed compaction, straight on the pool.
 
-    Runs the same reclamation as :func:`repack`, then (with *compact*)
-    migrates each survivor's newest DONE private region (the slot
-    layout's TensorData; a chunk model has none) into a freshly
-    allocated extent.  First-fit allocation places the copy in the
-    lowest hole — including the ones reclamation just opened — so the
-    live data packs toward the front of the device and the free list
-    coalesces into large holes (the Fig. 7 "aggregate valid
-    checkpoints" effect, now with the move's PMem read+write bandwidth
-    actually charged through the :class:`LocalCopyEngine`).
+    Runs the same reclamation as :func:`repack`, then migrates each
+    survivor's newest DONE private region (the slot layout's TensorData;
+    a chunk model has none) into a freshly allocated extent.  First-fit
+    allocation places the copy in the lowest hole — including the ones
+    reclamation just opened — so the live data packs toward the front
+    of the device and the free list coalesces into large holes (the
+    Fig. 7 "aggregate valid checkpoints" effect, with the move timed as
+    one transfer over the device's read and write channels).
 
     Crash-safe ordering per model: allocate the new extent, copy,
     persist, commit the MIndex record, then free the old extent.  A
@@ -167,10 +162,7 @@ def repack_live(env: Environment, pool: PmemPool,
         len(report.models_dropped))
     obs.metrics.counter("repack.bytes_reclaimed").inc(
         report.bytes_reclaimed)
-    if not compact:
-        return report
-    copier = LocalCopyEngine(env, pool.device, chunk_bytes=chunk_bytes,
-                             streams=streams)
+    channels = [pool.device.read_channel, pool.device.write_channel]
     skip_set = set(skip or ())
     pass_span = obs.tracer.span(env, "repack.compact", cat="repack",
                                 track="repack")
@@ -190,9 +182,11 @@ def repack_live(env: Environment, pool: PmemPool,
             continue
         span = obs.tracer.span(env, "repack.migrate", cat="repack",
                                track="repack", model=name, bytes=old.size)
+        move = Transfer(env, channels, old.size, label=f"repack:{name}")
         try:
-            yield from copier.move(old.size, label=f"repack:{name}")
+            yield move
         except BaseException:
+            move.defuse()
             # Interrupted mid-move (daemon crash, power loss, a kill):
             # nothing was committed, the MIndex still points at the
             # intact old region.  Hand the fresh extent back while the
@@ -288,7 +282,7 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
                     extent.allocation, obs, track="fleet")
                 runs.append(RemoteRun(
                     descriptor.name, lo, hi - lo,
-                    mr.addr + extent.base + lo - extent.offset, mr.rkey))
+                    mr.addr + lo - extent.offset, mr.rkey))
             items = yield from plan_items(write.targets, runs,
                                           dst_daemon.node.nic,
                                           dst_daemon.engine_chunk_bytes,

@@ -70,7 +70,7 @@ class Tensor:
         self.step = -1
         #: Set on every content write, cleared by the checkpoint client
         #: once the bytes are safely on the daemon — the per-tensor delta
-        #: signal the incremental/dedup datapaths ship.
+        #: signal that bounds a dedup client's manifest rehash.
         self.dirty = True
 
     @property
@@ -141,8 +141,8 @@ class ModelInstance:
 
         Without *only*, every parameter gets new bytes; with *only* (a
         collection of tensor names), the rest keep their current content —
-        the fine-tuning / frozen-backbone case that incremental
-        checkpointing exploits.
+        the fine-tuning / frozen-backbone case that delta (dedup)
+        checkpoints exploit.
         """
         names = None if only is None else set(only)
         for tensor in self.tensors:

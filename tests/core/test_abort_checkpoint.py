@@ -2,10 +2,9 @@
 
 The original abort always rolled an ACTIVE slot back to DONE at its old
 step.  That is only safe while the slot's TensorData is untouched: once
-any bytes of the aborted checkpoint landed (engine pull or the
-incremental path's clean-tensor prefill), the slot holds a mix of two
-steps and must be invalidated instead.  ``data_dirty`` carries that
-signal from the daemon's abort path.
+any bytes of the aborted checkpoint landed (a completed pull WR), the
+slot holds a mix of two steps and must be invalidated instead.
+``data_dirty`` carries that signal from the daemon's abort path.
 """
 
 import pytest

@@ -13,12 +13,11 @@ import pytest
 
 from repro.core import protocol
 from repro.core.engine import (ENGINE_CHUNK_BYTES, IngestLimiter,
-                               LocalCopyEngine, TransferEngine, WorkItem,
-                               build_items, stripe_items)
+                               TransferEngine, WorkItem, build_items,
+                               stripe_items)
 from repro.errors import ReproError, WorkRequestError
 from repro.harness.cluster import PaperCluster
 from repro.rdma.verbs import connect
-from repro.sim import Transfer
 from repro.units import kib, mib
 
 
@@ -263,28 +262,6 @@ def test_engine_abort_rescues_hung_wrs_on_sibling_lanes():
     assert nic.wrs_inflight == 0
 
 
-def test_local_copy_engine_single_stream_matches_one_transfer():
-    total = mib(24)
-    durations = []
-    for chunked in (True, False):
-        cluster = PaperCluster(seed=2, ampere_nodes=0, start_daemon=False)
-        device = cluster.server.pmem_devdax
-
-        def scenario(env, chunked=chunked, device=device):
-            start = env.now
-            if chunked:
-                copier = LocalCopyEngine(env, device)
-                yield from copier.move(total, label="probe")
-            else:
-                yield Transfer(env, [device.read_channel,
-                                     device.write_channel], total,
-                               label="probe")
-            return env.now - start
-
-        durations.append(cluster.run(scenario))
-    assert durations[0] == durations[1]
-
-
 # -- daemon-level behaviour ----------------------------------------------------
 
 
@@ -322,27 +299,30 @@ def test_striped_checkpoint_restore_roundtrip_bit_exact():
 
 
 def test_incremental_checkpoint_posts_only_dirty_wrs():
-    # Satellite 1: the per-WR CPU charge follows WRs actually posted —
-    # an incremental pull posts (and pays for) the dirty subset's
-    # segments, not one WQE per model layer.
+    # The per-WR CPU charge follows WRs actually posted: a head-only
+    # dedup dump posts (and pays for) one WR per tensor piece of the
+    # chunks the head dirtied, not one WQE per model layer.
     cluster = PaperCluster(seed=41)
+    head = ["fc.weight", "fc.bias"]
 
     def scenario(env):
-        session = yield from cluster.portus_register("resnet50")
+        session = yield from cluster.portus_register(
+            "resnet50", dedup=True, chunk_bytes=mib(4))
         model = session.model
         model.update_step(1)
         yield from session.checkpoint(1)
         nic = cluster.server.nic
         posted_before = nic.wrs_posted
-        dirty = ["fc.weight", "fc.bias"]
-        model.update_step(2, only=dirty)
-        yield from session.checkpoint(2, dirty=dirty)
-        expected = sum(_segments(t.size_bytes) for t in model.tensors
-                       if t.name in dirty)
-        return nic.wrs_posted - posted_before, expected, model
+        model.update_step(2, only=head)
+        reply = yield from session.checkpoint(2)
+        return nic.wrs_posted - posted_before, reply, model
 
-    posted, expected, model = cluster.run(scenario)
-    assert posted == expected
+    posted, reply, model = cluster.run(scenario)
+    spans = cluster.daemon.model_map["resnet50"].meta.layout.spans()
+    dirtied = [span for span in spans
+               if any(piece.tensor in head for piece in span.pieces)]
+    assert reply["chunks_new"] == len(dirtied)
+    assert posted == sum(len(span.pieces) for span in dirtied)
     assert posted < len(model.tensors)  # far fewer than one per layer
 
 

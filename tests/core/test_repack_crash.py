@@ -1,8 +1,9 @@
 """Crash-window coverage for the online repack's migration pass.
 
 ``repack_live`` moves a survivor's newest DONE TensorData into a lower
-extent through the LocalCopyEngine.  The simulated move takes real
-(simulated) time, so a daemon crash or power loss can land inside it.
+extent as one transfer over the device's read and write channels.  The
+simulated move takes real (simulated) time, so a daemon crash or power
+loss can land inside it.
 The guard contract: nothing is committed until the move finishes on a
 still-open pool — an interrupted or pool-dead move leaves the MIndex
 pointing at the intact old region, bit-exact, and leaks at most the

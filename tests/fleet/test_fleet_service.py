@@ -305,6 +305,57 @@ def test_admission_backpressure_absorbs_a_thundering_herd():
     assert cluster.daemon.admission.inflight("ingest") == 0
 
 
+def test_only_an_admitted_claimed_checkpoint_is_charged_to_the_bucket():
+    """A dump that never runs (admission reject) costs its tenant no
+    tokens; a dump that runs is charged once; an over-budget dump is
+    refused with its exact retry-after and leaves no claim or abort."""
+    cluster = PaperCluster(seed=37, ampere_nodes=0,
+                           admission=dict(max_ingests=1))
+    cluster.tenants.register_tenant("acme", bandwidth_bps=1 << 30)
+
+    def tokens(tenant):
+        return cluster.tenants.snapshot()[tenant]["tokens"]
+
+    def scenario(env):
+        running = yield from cluster.portus_register("resnet18",
+                                                     tenant="acme")
+        turned_away = yield from cluster.portus_register("alexnet",
+                                                         tenant="acme")
+        full = tokens("acme")
+        running.model.update_step(1)
+        turned_away.model.update_step(1)
+        inflight = env.process(running.checkpoint(1))
+        yield env.timeout(usecs(100))  # resnet18 holds the ingest slot
+        for _attempt in range(2):
+            with pytest.raises(AdmissionReject):
+                yield from turned_away.checkpoint(1)
+        yield inflight
+        return full - tokens("acme"), running.model.total_bytes
+
+    spent, running_bytes = cluster.run(scenario)
+    assert cluster.obs.metrics.value("fleet.admission.rejects.ingest") == 2
+    assert spent == running_bytes
+
+    # A bucket drained far below zero: the reject carries the exact
+    # time until it is positive again.
+    cluster.tenants.register_tenant("lean", bandwidth_bps=1_000_000)
+    cluster.tenants.reserve_bandwidth("lean", 1 << 30, cluster.env.now)
+
+    def over_budget(env):
+        session = yield from cluster.portus_register("resnet34",
+                                                     tenant="lean")
+        session.model.update_step(1)
+        with pytest.raises(AdmissionReject) as refused:
+            yield from session.checkpoint(1)
+        return refused.value.retry_after_ns
+
+    retry_after = cluster.run(over_budget)
+    deficit = 1 - tokens("lean")
+    assert retry_after == (deficit * 10**9 + 1_000_000 - 1) // 1_000_000
+    assert not cluster.daemon.model_map["resnet34"].busy
+    assert cluster.obs.metrics.value("daemon.checkpoints_aborted") == 0
+
+
 # -- migration ----------------------------------------------------------------
 
 

@@ -145,7 +145,8 @@ def test_mr_register_spans_explain_the_first_dumps_chunk_pinning():
 
 def test_stamp_trace_does_not_change_wire_sizes():
     for make in (lambda: protocol.do_checkpoint("m", 1),
-                 lambda: protocol.do_checkpoint("m", 1, dirty=["a", "b"]),
+                 lambda: protocol.do_checkpoint(
+                     "m", 1, manifest=[b"\x00" * 20, b"\x01" * 20]),
                  lambda: protocol.do_restore("m"),
                  lambda: protocol.heartbeat("m"),
                  lambda: protocol.list_models()):
