@@ -19,7 +19,6 @@ import random
 
 import pytest
 
-from repro.core.consistency import valid_checkpoint
 from repro.core.retry import RetryPolicy
 from repro.faults import FaultInjector
 from repro.harness.cluster import PaperCluster
@@ -58,7 +57,7 @@ def _run_steps(cluster, rate):
 
     cluster.run(scenario)
     entry = cluster.daemon.model_map["alexnet"]
-    assert valid_checkpoint(entry.meta)[1] == STEPS  # every step committed
+    assert entry.meta.restorable()[1] == STEPS  # every step committed
     return {"per_ckpt_ns": holder["elapsed_ns"] // STEPS,
             "retries": holder["retries"]}
 

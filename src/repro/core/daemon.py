@@ -46,12 +46,9 @@ the fast path pays nothing for them.
 
 from __future__ import annotations
 
-import logging
-
 from typing import Dict, Generator, List, Optional
 
 from repro.core import protocol
-from repro.core.consistency import checkpoint_at_step, valid_checkpoint
 from repro.core.engine import (ENGINE_CHUNK_BYTES, IngestLimiter,
                                RemoteRun, TransferEngine, plan_items)
 from repro.core.group import GroupStore
@@ -62,9 +59,9 @@ from repro.dnn.tensor import TensorSpec
 from repro.dnn.dtypes import DType
 from repro.errors import (CheckpointInProgress, ConnectionClosed,
                           GroupCommitRefused, ModelNotFound,
-                          NoValidCheckpoint, NotAttached, PortusError,
-                          ProcessInterrupted, ProtocolError, ReproError,
-                          RequestTimeout)
+                          NoValidCheckpoint, NotAttached, PmemError,
+                          PortusError, ProcessInterrupted, ProtocolError,
+                          ReproError, RequestTimeout)
 from repro.hw.node import CpuSet, StorageNode
 from repro.obs import Observability
 from repro.net.tcp import TcpStack
@@ -73,6 +70,8 @@ from repro.sim import AnyOf, Environment
 from repro.units import usecs
 
 DEFAULT_PORT = 9900
+#: Request worker cores: every handler dispatch and WR post runs on them.
+WORKERS = 16
 #: Handler dispatch cost per request.
 PER_REQUEST_CPU_NS = usecs(5)
 #: Posting one RDMA work request (WQE build + doorbell amortized).
@@ -119,13 +118,11 @@ class PortusDaemon:
 
     def __init__(self, env: Environment, node: StorageNode, pool: PmemPool,
                  tcp: TcpStack, port: int = DEFAULT_PORT,
-                 workers: int = 16,
                  request_timeout_ns: Optional[int] = None,
                  lease_ns: Optional[int] = None,
                  reaper_interval_ns: Optional[int] = None,
                  engine: Optional[Dict] = None,
                  obs: Optional[Observability] = None,
-                 slow_request_ns: Optional[int] = None,
                  admission=None, tenants=None) -> None:
         if node.nic is None:
             raise PortusError(f"{node.name} has no RNIC")
@@ -134,7 +131,7 @@ class PortusDaemon:
         self.pool = pool
         self.tcp = tcp
         self.port = port
-        self.workers = CpuSet(env, workers, name=f"{node.name}.portus")
+        self.workers = CpuSet(env, WORKERS, name=f"{node.name}.portus")
         self.request_timeout_ns = request_timeout_ns
         self.lease_ns = lease_ns
         self.reaper_interval_ns = reaper_interval_ns
@@ -158,11 +155,6 @@ class PortusDaemon:
         #: Fleet-wide :class:`repro.fleet.tenants.TenantRegistry`
         #: (shared across shards and daemon restarts), or None.
         self.tenants = tenants
-        #: Requests slower than this (simulated ns) are logged and kept
-        #: in :attr:`slow_requests`; None disables the check.
-        self.slow_request_ns = slow_request_ns
-        self.slow_requests: List[Dict] = []
-        self._log = logging.getLogger("repro.portus.daemon")
         self._pmem_streams = (
             IngestLimiter(env, capacity=max_pmem_streams,
                           metrics=self.obs.metrics)
@@ -302,7 +294,6 @@ class PortusDaemon:
                                     trace_id=trace_id, track="daemon",
                                     model=message.get("model"))
         self._count(f"requests.{op}")
-        started = self.env.now
         failed = False
         try:
             if handler is None:
@@ -323,7 +314,6 @@ class PortusDaemon:
             self._count(f"errors.{op}")
             reply, size = protocol.error_reply(exc)
         span.finish(error=failed)
-        self._note_slow(op, message, started, failed)
         protocol.stamp_trace(reply, trace_id)
         if rid is not None:
             reply["rid"] = rid
@@ -333,24 +323,6 @@ class PortusDaemon:
             # The client died or the connection dropped mid-reply; the
             # work is done (or aborted) either way — drop the reply.
             self._count("dropped_replies")
-
-    def _note_slow(self, op: str, message: Dict, started: int,
-                   failed: bool) -> None:
-        """Record (and log) any request over the slow threshold."""
-        if self.slow_request_ns is None:
-            return
-        duration = self.env.now - started
-        if duration <= self.slow_request_ns:
-            return
-        record = {"op": op, "model": message.get("model"),
-                  "started_ns": started, "duration_ns": duration,
-                  "error": failed}
-        self.slow_requests.append(record)
-        self._count("slow_requests")
-        self._log.warning(
-            "slow request: %s model=%s took %d ns (threshold %d ns)%s",
-            op, message.get("model"), duration, self.slow_request_ns,
-            " [failed]" if failed else "")
 
     def _run_with_timeout(self, op: str, handler, message: Dict) -> Generator:
         """Process: run *handler* but bound its wall time.
@@ -495,15 +467,12 @@ class PortusDaemon:
             try:
                 # The chunk store is pool-wide: the first dedup model
                 # formats it and later ones must agree on the chunk size.
-                meta = ModelMeta.create(self.pool, name, specs,
-                                        chunk_bytes=chunk_bytes)
+                entry = self.adopt_model(name, ModelMeta.create(
+                    self.pool, name, specs, chunk_bytes=chunk_bytes))
             except ReproError:
                 if tenant is not None and self.tenants is not None:
                     self.tenants.release_bytes(tenant, name)
                 raise
-            entry = ModelEntry(meta)
-            self.model_map.insert(name, entry)
-            self.table.insert(name, meta.meta.addr)
         else:
             self._validate_attach(entry, specs, chunk_bytes)
         # A re-attach to a live daemon finds these in the pin table.
@@ -524,6 +493,23 @@ class PortusDaemon:
         entry.last_seen_ns = self.env.now
         return protocol.reply(protocol.OP_REGISTERED, model=name,
                               layers=len(tensors), num_qps=len(entry.qps))
+
+    def adopt_model(self, name: str, meta: ModelMeta) -> ModelEntry:
+        """Make the new model *meta* known to this daemon (REGISTER, a
+        migration's destination): its ModelTable entry first, then its
+        ModelMap entry, so no model lives only in DRAM.  When the table
+        refuses it (full), *meta* is freed on a live pool before the
+        error propagates (REGISTER then releases the tenant's byte
+        charge)."""
+        try:
+            self.table.insert(name, meta.meta.addr)
+        except PmemError:
+            if not self.pool.closed:
+                meta.free()
+            raise
+        entry = ModelEntry(meta)
+        self.model_map.insert(name, entry)
+        return entry
 
     def _validate_attach(self, entry: ModelEntry, specs: List[TensorSpec],
                          chunk_bytes: Optional[int]) -> None:
@@ -663,20 +649,12 @@ class PortusDaemon:
 
     # -- DO_RESTORE -----------------------------------------------------------------------
 
-    @staticmethod
-    def _restore_version(entry: ModelEntry, message: Dict):
-        """The version a restore should push: newest DONE by default, or
-        the DONE slot at the exact pinned ``step`` (group restores pin
-        every member to the committed group step)."""
-        pinned = message.get("step")
-        if pinned is None:
-            return valid_checkpoint(entry.meta)
-        return checkpoint_at_step(entry.meta, pinned), pinned
-
     def _handle_restore(self, message: Dict) -> Generator:
-        """Push a version back, whatever the layout: the engine writes
-        every overlap of the version's extents with the client's
-        tensors, straight from PMem (bit-exact, one stripe set)."""
+        """Push a version back, whatever the layout: the newest DONE
+        one, or the one at the message's pinned ``step`` (a group
+        restore).  The engine writes every overlap of the version's
+        extents with the client's tensors, straight from PMem
+        (bit-exact, one stripe set)."""
         name = message["model"]
         entry = self._entry(name)
         if not entry.attached:
@@ -686,7 +664,7 @@ class PortusDaemon:
         trace_id = protocol.trace_of(message)
         started = self.env.now
         try:
-            version, step = self._restore_version(entry, message)
+            version, step = entry.meta.restorable(message.get("step"))
             items = yield from plan_items(entry.meta.layout.extents(version),
                                           entry.client_runs, self.node.nic,
                                           self.engine_chunk_bytes,
@@ -794,7 +772,7 @@ class PortusDaemon:
                     f"group {name!r}: member {member!r} vanished from "
                     f"the index")
             try:
-                checkpoint_at_step(entry.meta, step)
+                entry.meta.restorable(step)
             except NoValidCheckpoint:
                 raise GroupCommitRefused(
                     f"group {name!r}: member {member!r} has no DONE "
@@ -890,7 +868,7 @@ class PortusDaemon:
                 "errors": metrics.sum_counters("daemon.errors.",
                                                shard=shard),
                 **{key: metrics.value(f"daemon.{key}", shard=shard)
-                   for key in ("slow_requests", "checkpoints_completed",
+                   for key in ("checkpoints_completed",
                                "checkpoints_aborted", "restores_completed",
                                "restores_aborted", "dropped_replies",
                                "reaped_sessions")},

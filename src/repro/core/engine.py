@@ -279,7 +279,7 @@ class TransferEngine:
         #: includes WRs that completed OK while the lane was already
         #: draining (the one-sided verbs deposit content at completion
         #: time), which ``bytes_moved`` never sees.  This is the
-        #: "did the pull dirty the slot" signal for abort_checkpoint.
+        #: "did the pull dirty the slot" signal for ``ModelMeta.abort``.
         self.bytes_landed = 0
         self._inflight_now = 0
         self._aborted = False

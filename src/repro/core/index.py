@@ -7,8 +7,12 @@ paper), stored as one crash-atomic committed record.
 Level 2 — :class:`ModelMeta` / :class:`MIndex`: per model, a metadata
 region holding (a) the *version flags* record — two checkpoint slots with
 EMPTY/ACTIVE/DONE states and step stamps, the paper's double-mapping
-mechanism — and (b) the MIndex record: per-tensor name, dtype, shape,
-size and region offset.
+mechanism (§III-D2, Fig. 6) — and (b) the MIndex record: per-tensor
+name, dtype, shape, size and region offset.  :class:`ModelMeta` makes
+every transition of the flags record: a checkpoint stamps ACTIVE the
+slot that does *not* hold the newest DONE version, lands its bytes, and
+stamps it DONE at its step, so a crash anywhere in between leaves the
+other slot's last DONE version restorable.
 
 Level 3 — where each version's bytes live: the model's *storage layout*,
 :class:`SlotLayout` for the paper's two contiguous TensorData regions
@@ -30,9 +34,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.dedup import chunk_spans
 from repro.dnn.tensor import TensorSpec
 from repro.dnn.dtypes import DType
-from repro.errors import (InvalidAddressError, ModelNotFound,
-                          NoValidCheckpoint, PmemError, PortusError,
-                          ProtocolError)
+from repro.errors import (CheckpointInProgress, InvalidAddressError,
+                          ModelNotFound, NoValidCheckpoint, PmemError,
+                          PortusError, ProtocolError)
 from repro.hw.content import concat
 from repro.hw.device import Allocation
 from repro.pmem.chunks import ChunkStore
@@ -430,6 +434,53 @@ class ModelMeta:
             instance.layout = SlotLayout.open(instance, lenient)
         return instance
 
+    def free(self) -> int:
+        """Release the layout's storage, then the metadata region
+        (unregister, repack); returns the bytes freed."""
+        freed = self.layout.free()
+        self.pool.free(self.meta)
+        return freed + self.meta.size
+
+    # -- the version slots --------------------------------------------------------------
+
+    def begin(self) -> int:
+        """Stamp ACTIVE the slot that does not hold the newest DONE
+        version (a restore never trusts it from here on); returns its
+        version index."""
+        flags = self.read_flags()
+        target = flags.checkpoint_target()
+        flags.states[target] = FLAG_ACTIVE
+        self.write_flags(flags)
+        return target
+
+    def commit(self, version: int, step: int) -> None:
+        """Stamp the ACTIVE *version* DONE at *step*: it is restorable."""
+        flags = self.read_flags()
+        if flags.states[version] != FLAG_ACTIVE:
+            raise CheckpointInProgress(
+                f"commit of version {version} which is not ACTIVE "
+                f"(flags: {flags!r})")
+        flags.states[version] = FLAG_DONE
+        flags.steps[version] = step
+        self.write_flags(flags)
+
+    def abort(self, version: int, landed: bool) -> None:
+        """Roll the ACTIVE *version* back after a failed write (a slot
+        that is not ACTIVE is left alone).  Once any byte *landed* the
+        slot holds a mix of two steps, so it is invalidated (EMPTY, step
+        0) and the sibling's last DONE version keeps the model
+        restorable; an untouched slot returns to DONE at its old step
+        (EMPTY if it never held one)."""
+        flags = self.read_flags()
+        if flags.states[version] != FLAG_ACTIVE:
+            return
+        if landed or flags.steps[version] == 0:
+            flags.states[version] = FLAG_EMPTY
+            flags.steps[version] = 0
+        else:
+            flags.states[version] = FLAG_DONE
+        self.write_flags(flags)
+
     def demote(self, version: int) -> None:
         """Invalidate one version slot (EMPTY, step 0) with one flags
         write; its data is never touched."""
@@ -438,12 +489,32 @@ class ModelMeta:
         flags.steps[version] = 0
         self.write_flags(flags)
 
-    def free(self) -> int:
-        """Release the layout's storage, then the metadata region
-        (unregister, repack); returns the bytes freed."""
-        freed = self.layout.free()
-        self.pool.free(self.meta)
-        return freed + self.meta.size
+    def restorable(self, step: Optional[int] = None) -> Tuple[int, int]:
+        """The version a restore reads, as ``(version, step)``: the
+        newest DONE slot, or with *step* the DONE slot at exactly that
+        step.  A group restore pins every member to the group's
+        committed step; the target rule of :meth:`begin` keeps it there
+        until a later group commit.  With both slots DONE at one step the
+        newest lookup answers slot 0, the pinned one slot 1.
+
+        Raises :class:`NoValidCheckpoint` when no slot qualifies — e.g.
+        after a crash during the very first checkpoint.
+        """
+        flags = self.read_flags()
+        name = self.mindex.model_name
+        if step is None:
+            newest = flags.newest_done()
+            if newest is None:
+                raise NoValidCheckpoint(
+                    f"{name}: no completed checkpoint (flags: {flags!r})")
+            return newest, flags.steps[newest]
+        for version in (1, 0):
+            if (flags.states[version] == FLAG_DONE
+                    and flags.steps[version] == step):
+                return version, step
+        raise NoValidCheckpoint(
+            f"{name}: no completed checkpoint at step {step} "
+            f"(flags: {flags!r})")
 
     # -- flags ------------------------------------------------------------------------
 
@@ -894,26 +965,20 @@ class VersionWrite:
 
     def begin(self) -> int:
         """Stamp the free slot ACTIVE; returns its version index."""
-        from repro.core.consistency import begin_checkpoint
-
-        self.target = begin_checkpoint(self.meta)
+        self.target = self.meta.begin()
         return self.target
 
     def commit(self, step: int) -> None:
         """Stamp the slot DONE at *step*: the version is restorable."""
-        from repro.core.consistency import commit_checkpoint
-
-        commit_checkpoint(self.meta, self.target, step)
+        self.meta.commit(self.target, step)
 
     def abort(self, landed: bool) -> bool:
         """Roll the slot back after a failure.  Once any byte *landed*
         the slot is torn, so it is invalidated instead of returning to
         DONE at its old step; returns whether it was."""
-        from repro.core.consistency import abort_checkpoint
-
         if self.target is None:
             return False
-        abort_checkpoint(self.meta, self.target, data_dirty=landed)
+        self.meta.abort(self.target, landed)
         return landed
 
     def report(self) -> Dict[str, int]:

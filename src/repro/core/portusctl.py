@@ -50,11 +50,9 @@ def view(pool: PmemPool) -> List[Dict]:
 
 def dump(pool: PmemPool, model_name: str) -> Content:
     """Export the newest valid checkpoint as a generic file image."""
-    from repro.core.consistency import valid_checkpoint
-
     table = ModelTable.open(pool)
     meta = ModelMeta.open(pool, table.lookup(model_name))
-    version, _step = valid_checkpoint(meta)
+    version, _step = meta.restorable()
     entries = [(descriptor.to_spec(),
                 meta.read_tensor(descriptor, version))
                for descriptor in meta.mindex.descriptors]

@@ -8,7 +8,7 @@ repacking tool reclaims the slack:
 * a model with at least one DONE version keeps exactly its newest DONE
   slot; the stale/incomplete slot's TensorData is freed;
 * a model with *no* DONE version has nothing restorable — the whole model
-  is dropped (optional, on by default for crashed-first-checkpoint jobs);
+  is dropped (a job that crashed during its first checkpoint);
 * allocator-level leakage from crash windows was already reclaimed at
   pool open; freeing extents coalesces holes in the device free list,
   which is the "aggregate valid checkpoints" effect of Fig. 7.
@@ -24,7 +24,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Generator, List, Optional
 
-from repro.core.consistency import valid_checkpoint
 from repro.core.engine import RemoteRun, TransferEngine, plan_items
 from repro.core.index import ModelMeta, ModelTable, overlaps
 from repro.errors import ModelAlreadyRegistered, ModelNotFound, PortusError
@@ -54,7 +53,6 @@ class RepackReport:
 
 
 def repack(pool: PmemPool, table: Optional[ModelTable] = None,
-           drop_invalid: bool = True,
            skip: Optional[List[str]] = None) -> RepackReport:
     """Reclaim stale checkpoint versions offline, straight on the pool;
     returns a report.
@@ -70,7 +68,7 @@ def repack(pool: PmemPool, table: Optional[ModelTable] = None,
     def hold(name):
         yield ModelMeta.open(pool, table.lookup(name))
 
-    return _reclaim(table.names(), hold, table.drop, drop_invalid, skip)
+    return _reclaim(table.names(), hold, table.drop, skip)
 
 
 def repack_daemon(daemon,
@@ -97,15 +95,14 @@ def repack_daemon(daemon,
             daemon._release(entry)
 
     return _reclaim(daemon.models(), hold,
-                    lambda name, _meta: daemon.unregister_model(name),
-                    True, skip)
+                    lambda name, _meta: daemon.unregister_model(name), skip)
 
 
 def _reclaim(names: List[str], hold,
-             drop: Callable[[str, ModelMeta], int], drop_invalid: bool,
+             drop: Callable[[str, ModelMeta], int],
              skip: Optional[List[str]]) -> RepackReport:
     """The reclamation pass: keep each model's newest DONE version and
-    drop the other; drop (with *drop_invalid*) a model that has none.
+    drop the other; drop a model that has none.
     ``hold(name)`` holds a model for its step and yields its meta;
     ``drop(name, meta)`` deletes a model and returns the bytes freed."""
     skip_set = set(skip or ())
@@ -119,7 +116,7 @@ def _reclaim(names: List[str], hold,
             # definition, either older, incomplete (ACTIVE at crash), or
             # empty: reclaim it.
             reclaimed = 0 if newest is None else meta.layout.drop(1 - newest)
-        if newest is None and drop_invalid:
+        if newest is None:
             reclaimed = drop(name, meta)
             report.models_dropped.append(name)
         elif reclaimed:
@@ -130,7 +127,6 @@ def _reclaim(names: List[str], hold,
 
 def repack_live(env: Environment, pool: PmemPool,
                 table: Optional[ModelTable] = None,
-                drop_invalid: bool = True,
                 skip: Optional[List[str]] = None,
                 obs: Optional[Observability] = None) -> Generator:
     """Process: repack with timed compaction, straight on the pool.
@@ -157,7 +153,7 @@ def repack_live(env: Environment, pool: PmemPool,
     if table is None:
         table = ModelTable.open(pool)
     obs = obs if obs is not None else Observability()
-    report = repack(pool, table=table, drop_invalid=drop_invalid, skip=skip)
+    report = repack(pool, table=table, skip=skip)
     obs.metrics.counter("repack.models_dropped").inc(
         len(report.models_dropped))
     obs.metrics.counter("repack.bytes_reclaimed").inc(
@@ -240,7 +236,8 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
        crash here leaks dst extents; the source is untouched);
     3. the copy lands, persists, and commits DONE through the layout's
        own ordering (a chunk model commits its reference delta before
-       its manifest) — only now does the dst ModelTable learn the name;
+       its manifest) — only now does the dst daemon adopt the name,
+       ModelTable first (a full table frees the copy);
     4. the caller flips the placement-ring pin, then evicts the source
        copy (:func:`evict_model`, which drops only this model's chunk
        references) — a crash between 3 and 4 leaves two committed
@@ -248,7 +245,7 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
 
     Returns ``(step, bytes_moved)``.
     """
-    from repro.core.daemon import FLUSH_BARRIER_NS, ModelEntry, QP_DEPTH
+    from repro.core.daemon import FLUSH_BARRIER_NS, QP_DEPTH
 
     obs = obs if obs is not None else Observability()
     entry = src_daemon.model_map.get(name)
@@ -262,7 +259,7 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
                            track="fleet", model=name)
     qps = []
     try:
-        version, step = valid_checkpoint(entry.meta)
+        version, step = entry.meta.restorable()
         source = entry.meta.layout.extents(version)
         meta_dst = entry.meta.replicate(dst_daemon.pool)
         write = None
@@ -310,8 +307,7 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
                     write.abort(landed=True)
                 meta_dst.free()
             raise
-        dst_daemon.model_map.insert(name, ModelEntry(meta_dst))
-        dst_daemon.table.insert(name, meta_dst.meta.addr)
+        dst_daemon.adopt_model(name, meta_dst)
     finally:
         for qp in qps:
             if qp.error is None:

@@ -37,9 +37,3 @@ def optimizer_state_specs(param_specs: List[TensorSpec],
             state.append(TensorSpec(f"optimizer.step.{spec.name}", (1,),
                                     int64))
     return state
-
-
-def checkpoint_specs(param_specs: List[TensorSpec],
-                     optimizer: str = "sgd") -> List[TensorSpec]:
-    """Parameters plus (optionally) optimizer state, in checkpoint order."""
-    return list(param_specs) + optimizer_state_specs(param_specs, optimizer)

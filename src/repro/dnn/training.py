@@ -148,7 +148,3 @@ class TrainingJob:
         if self.started_at is None or self.finished_at is None:
             raise ValueError("job has not finished")
         return self.finished_at - self.started_at
-
-    def throughput_iters_per_sec(self) -> float:
-        """Completed iterations per second of wall clock."""
-        return self.iterations_done / (self.elapsed_ns / 1e9)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.core.consistency import valid_checkpoint
 from repro.core.group import register_group as bind_group
 from repro.core.repack import evict_model, migrate_model
 from repro.errors import GroupError, MigrationIncomplete, ReproError
@@ -249,7 +248,7 @@ class FleetClient:
                     f"group {group_name!r}: member {member!r} is not on "
                     f"{src_shard.name}")
             if record.committed_step > 0:
-                _, newest = valid_checkpoint(entry.meta)
+                _, newest = entry.meta.restorable()
                 if newest != record.committed_step:
                     raise GroupError(
                         f"group {group_name!r}: member {member!r} newest "

@@ -7,8 +7,8 @@ own hash.  Two properties matter here and both are tested:
 * **determinism** — points come from BLAKE2b digests, never the salted
   builtin ``hash``, so the mapping is bit-identical across runs *and*
   across ``PYTHONHASHSEED`` values;
-* **stability** — adding or removing one shard only moves the keys
-  whose clockwise successor changed, roughly ``1/n`` of the keyspace.
+* **stability** — adding one shard only moves the keys whose
+  clockwise successor changed, roughly ``1/n`` of the keyspace.
 
 Migration uses the **pin table**: :meth:`PlacementRing.assign` pins a
 key to an explicit owner, overriding the hash mapping.  The fleet
@@ -78,21 +78,6 @@ class PlacementRing:
             self._owners.insert(idx, node)
             points.append(point)
         self._nodes[node] = points
-        self.version += 1
-
-    def remove_node(self, node: str) -> None:
-        points = self._nodes.pop(node, None)
-        if points is None:
-            raise ReproError(f"ring does not contain node {node!r}")
-        if not self._nodes:
-            self._nodes[node] = points
-            raise ReproError("cannot remove the last ring node")
-        for point in points:
-            idx = bisect.bisect_left(self._points, point)
-            del self._points[idx]
-            del self._owners[idx]
-        # Pins onto a departed shard would dangle; fall back to hashing.
-        self._pins = {k: v for k, v in self._pins.items() if v != node}
         self.version += 1
 
     # -- lookup -----------------------------------------------------------

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.units import fmt_bandwidth, fmt_time
-
 
 def render_table(title: str, headers: Sequence[str],
                  rows: Sequence[Sequence[str]]) -> str:
@@ -78,15 +76,3 @@ def render_metrics(title: str, snapshot: Dict[str, Dict]) -> str:
             detail = repr(data)
         rows.append([name, kind, detail])
     return render_table(title, ["metric", "type", "detail"], rows)
-
-
-def fmt_speedup(value: float) -> str:
-    return f"{value:.2f}x"
-
-
-def fmt_seconds(ns: int) -> str:
-    return fmt_time(ns)
-
-
-def fmt_gbps(bps: float) -> str:
-    return fmt_bandwidth(bps)

@@ -252,24 +252,6 @@ class MemoryDevice:
         raise InvalidAddressError(
             f"{self.name}: address {addr:#x} is not allocated")
 
-    def read_at(self, addr: int, length: int) -> Content:
-        """Address-based read; must fall inside one allocation."""
-        allocation = self.allocation_at(addr)
-        if addr + length > allocation.end:
-            raise InvalidAddressError(
-                f"{self.name}: read [{addr:#x}, {addr + length:#x}) crosses "
-                f"allocation end {allocation.end:#x}")
-        return allocation.read(addr - allocation.addr, length)
-
-    def write_at(self, addr: int, content: Content) -> None:
-        """Address-based write; must fall inside one allocation."""
-        allocation = self.allocation_at(addr)
-        if addr + content.size > allocation.end:
-            raise InvalidAddressError(
-                f"{self.name}: write [{addr:#x}, {addr + content.size:#x}) "
-                f"crosses allocation end {allocation.end:#x}")
-        allocation.write(addr - allocation.addr, content)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} " \
                f"{self.used_bytes}/{self.capacity}B used>"

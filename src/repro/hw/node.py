@@ -12,7 +12,7 @@ from typing import Generator, List, Optional
 
 from repro.hw.devices import DramDevice, GpuMemory, NvmeDevice, PmemDimm
 from repro.sim import Environment, Resource
-from repro.units import gbytes, gib, transfer_time_ns
+from repro.units import gbytes, gib
 
 
 class CpuSet:
@@ -37,11 +37,6 @@ class CpuSet:
             self.busy_ns += cpu_time_ns
         finally:
             self._pool.release(req)
-
-    def execute_throughput(self, size_bytes: int,
-                           bytes_per_second: float) -> Generator:
-        """Process: single-core streaming work over *size_bytes*."""
-        yield from self.execute(transfer_time_ns(size_bytes, bytes_per_second))
 
 
 class Node:

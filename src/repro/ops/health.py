@@ -8,7 +8,7 @@ sample — plus the previous sample, for counter deltas — into one of five
 states:
 
 * ``healthy`` — serving, no fault signal;
-* ``degraded`` — serving, but faults are accumulating (error/abort/slow
+* ``degraded`` — serving, but faults are accumulating (error/abort
   bursts since the last sample, dropped replies, or the pool is nearly
   full) — the operator steers clients onto the DRAM failover path;
 * ``wedged`` — an in-flight request has held a model's CAS guard longer
@@ -43,7 +43,7 @@ SEVERITY = {state: index for index, state in enumerate(STATES)}
 #: Counter keys whose *delta* between two samples counts as fault burst
 #: evidence for the degraded state.
 FAULT_COUNTERS = ("errors", "checkpoints_aborted", "restores_aborted",
-                  "dropped_replies", "slow_requests", "reaped_sessions")
+                  "dropped_replies", "reaped_sessions")
 
 
 class HealthThresholds:

@@ -28,8 +28,3 @@ class RandomStreams:
             derived = zlib.crc32(name.encode("utf-8")) ^ (self.master_seed * 0x9E3779B1)
             self._streams[name] = random.Random(derived & 0xFFFFFFFFFFFF)
         return self._streams[name]
-
-    def reseed(self, master_seed: int) -> None:
-        """Reset every stream under a new master seed."""
-        self.master_seed = int(master_seed)
-        self._streams.clear()

@@ -72,19 +72,9 @@ def to_seconds(ns: int) -> float:
 # --- bandwidth --------------------------------------------------------------
 
 
-def gbps(n: float) -> float:
-    """Network-style gigabits per second -> bytes per second."""
-    return n * 1e9 / 8
-
-
 def gbytes(n: float) -> float:
     """Gigabytes (1e9) per second -> bytes per second."""
     return n * 1e9
-
-
-def mbytes(n: float) -> float:
-    """Megabytes (1e6) per second -> bytes per second."""
-    return n * 1e6
 
 
 def transfer_time_ns(size_bytes: int, bandwidth_bps: float) -> int:
@@ -99,13 +89,6 @@ def transfer_time_ns(size_bytes: int, bandwidth_bps: float) -> int:
     if size_bytes == 0:
         return 0
     return max(1, math.ceil(size_bytes * SECOND / bandwidth_bps))
-
-
-def bandwidth_achieved(size_bytes: int, elapsed_ns: int) -> float:
-    """Observed bandwidth in bytes/second for a completed transfer."""
-    if elapsed_ns <= 0:
-        raise ValueError(f"non-positive elapsed time: {elapsed_ns}")
-    return size_bytes * SECOND / elapsed_ns
 
 
 def fmt_bytes(n: int) -> str:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.async_ckpt import PortusAsyncPolicy, PortusSyncPolicy
-from repro.core.consistency import valid_checkpoint
 from repro.dnn.training import TrainingJob
 from repro.harness.cluster import PaperCluster
 from repro.ops.policy import AdaptiveIntervalController
@@ -56,7 +55,7 @@ def test_async_checkpoints_are_consistent_not_torn():
         iteration_ns=msecs(100), frequency=2)
     assert policy.checkpoints_taken == 3
     entry = cluster.daemon.model_map["vgg19_bn"]
-    version, step = valid_checkpoint(entry.meta)
+    version, step = entry.meta.restorable()
     assert step == 6
     for tensor, descriptor in zip(session.model.tensors,
                                   entry.meta.mindex.descriptors):
@@ -99,7 +98,7 @@ def test_job_end_drains_outstanding_checkpoint():
     # completed it before the job ended.
     assert cluster.obs.metrics.value("daemon.checkpoints_completed") == 1
     entry = cluster.daemon.model_map["alexnet"]
-    assert valid_checkpoint(entry.meta)[1] == 4
+    assert entry.meta.restorable()[1] == 4
 
 
 def test_policy_rejects_bad_frequency():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.client import PortusClient
-from repro.core.consistency import valid_checkpoint
 from repro.core.daemon import PortusDaemon
 from repro.errors import RkeyViolation
 from repro.harness.cluster import PaperCluster
@@ -70,8 +69,8 @@ def test_dram_fallback_mode():
     assert step == 3
     assert mismatched == []
     entry = dram_daemon.model_map["resnet50"]
-    assert valid_checkpoint(entry.meta) == (entry.meta.read_flags()
-                                            .newest_done(), 3)
+    assert entry.meta.restorable() == (entry.meta.read_flags()
+                                       .newest_done(), 3)
     # Same speed as PMem: the network path is the bottleneck either way
     # (the paper's Fig. 10 point).
     rate = entry.meta.mindex.total_bytes / to_seconds(elapsed)
@@ -105,7 +104,7 @@ def test_client_vanishing_mid_pull_aborts_cleanly():
     assert isinstance(reply["error"], RkeyViolation)
     entry = cluster.daemon.model_map["vgg19_bn"]
     assert not entry.busy  # the CAS guard was released
-    assert valid_checkpoint(entry.meta)[1] == 1  # old version intact
+    assert entry.meta.restorable()[1] == 1  # old version intact
 
 
 def test_error_does_not_wedge_daemon():

@@ -3,7 +3,6 @@ refcounts across versions/tenants, bit-exact restores."""
 
 import pytest
 
-from repro.core.consistency import valid_checkpoint
 from repro.core.repack import repack_live
 from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.errors import PortusError

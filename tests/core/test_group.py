@@ -11,7 +11,6 @@ import importlib
 
 import pytest
 
-from repro.core.consistency import begin_checkpoint, commit_checkpoint
 from repro.core.group import (GroupRecord, GroupStore, group_tag,
                               register_group)
 from repro.core.index import ModelMeta, ModelTable
@@ -48,8 +47,8 @@ def populate_members(pool, steps=(10, 20)):
         table.insert(shard.name, meta.meta.addr)
         metas[shard.name] = meta
         for step in steps:
-            version = begin_checkpoint(meta)
-            commit_checkpoint(meta, version, step=step)
+            version = meta.begin()
+            meta.commit(version, step=step)
     return table, metas
 
 

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.core.consistency import (abort_checkpoint, begin_checkpoint,
-                                    commit_checkpoint, valid_checkpoint)
 from repro.core.index import (FLAG_ACTIVE, FLAG_DONE, FLAG_EMPTY, Extent,
                               MIndex, ModelMeta, ModelTable,
                               TensorDescriptor, VersionFlags,
@@ -95,8 +93,8 @@ def test_model_meta_full_model_scale(pool):
 
 def test_drop_and_ensure_regions(pool):
     meta = ModelMeta.create(pool, "m", SPECS)
-    begin = begin_checkpoint(meta)
-    commit_checkpoint(meta, begin, step=5)
+    begin = meta.begin()
+    meta.commit(begin, step=5)
     reclaimed = meta.layout.drop(1 - begin)
     assert reclaimed > 0
     assert meta.layout.regions[1 - begin] is None
@@ -107,62 +105,75 @@ def test_drop_and_ensure_regions(pool):
     assert reopened.mindex.version_addrs[1 - begin] != 0
 
 
-# --- version flags / consistency protocol ---------------------------------------------
+# --- version slots (double mapping) ---------------------------------------------------
 
 
 def test_double_mapping_alternates_targets(pool):
     meta = ModelMeta.create(pool, "m", SPECS)
-    first = begin_checkpoint(meta)
-    commit_checkpoint(meta, first, step=1)
-    second = begin_checkpoint(meta)
+    first = meta.begin()
+    meta.commit(first, step=1)
+    second = meta.begin()
     assert second == 1 - first
-    commit_checkpoint(meta, second, step=2)
-    third = begin_checkpoint(meta)
+    meta.commit(second, step=2)
+    third = meta.begin()
     assert third == first  # ping-pong
 
 
 def test_valid_checkpoint_prefers_newest_step(pool):
     meta = ModelMeta.create(pool, "m", SPECS)
-    v1 = begin_checkpoint(meta)
-    commit_checkpoint(meta, v1, step=10)
-    v2 = begin_checkpoint(meta)
-    commit_checkpoint(meta, v2, step=20)
-    assert valid_checkpoint(meta) == (v2, 20)
+    v1 = meta.begin()
+    meta.commit(v1, step=10)
+    v2 = meta.begin()
+    meta.commit(v2, step=20)
+    assert meta.restorable() == (v2, 20)
+    # A pinned lookup (a group restore) finds the older DONE slot.
+    assert meta.restorable(step=10) == (v1, 10)
+    with pytest.raises(NoValidCheckpoint, match="at step 15"):
+        meta.restorable(step=15)
+
+
+def test_restorable_tie_newest_is_slot0_pinned_is_slot1(pool):
+    meta = ModelMeta.create(pool, "m", SPECS)
+    for _ in range(2):
+        meta.commit(meta.begin(), step=5)
+    assert meta.read_flags().states == [FLAG_DONE, FLAG_DONE]
+    assert meta.restorable() == (0, 5)
+    assert meta.restorable(step=5) == (1, 5)
 
 
 def test_active_version_never_restorable(pool):
     meta = ModelMeta.create(pool, "m", SPECS)
-    v1 = begin_checkpoint(meta)
-    commit_checkpoint(meta, v1, step=10)
-    v2 = begin_checkpoint(meta)  # crashes mid-pull: stays ACTIVE
+    v1 = meta.begin()
+    meta.commit(v1, step=10)
+    v2 = meta.begin()  # crashes mid-pull: stays ACTIVE
     assert meta.read_flags().states[v2] == FLAG_ACTIVE
-    assert valid_checkpoint(meta) == (v1, 10)
+    assert meta.restorable() == (v1, 10)
 
 
 def test_no_valid_checkpoint_initially(pool):
     meta = ModelMeta.create(pool, "m", SPECS)
     with pytest.raises(NoValidCheckpoint):
-        valid_checkpoint(meta)
-    begin_checkpoint(meta)  # crash during the very first checkpoint
+        meta.restorable()
+    meta.begin()  # crash during the very first checkpoint
     with pytest.raises(NoValidCheckpoint):
-        valid_checkpoint(meta)
+        meta.restorable()
 
 
 def test_commit_requires_active(pool):
     meta = ModelMeta.create(pool, "m", SPECS)
     with pytest.raises(CheckpointInProgress):
-        commit_checkpoint(meta, 0, step=1)
+        meta.commit(0, step=1)
 
 
 def test_abort_rolls_back_to_previous_state(pool):
     meta = ModelMeta.create(pool, "m", SPECS)
-    v1 = begin_checkpoint(meta)
-    commit_checkpoint(meta, v1, step=7)
-    v2 = begin_checkpoint(meta)
-    abort_checkpoint(meta, v2)
+    v1 = meta.begin()
+    meta.commit(v1, step=7)
+    v2 = meta.begin()
+    meta.abort(v2, landed=False)
     flags = meta.read_flags()
     assert flags.states[v2] != FLAG_ACTIVE
-    assert valid_checkpoint(meta) == (v1, 7)
+    assert meta.restorable() == (v1, 7)
 
 
 def test_flags_pack_roundtrip():

@@ -20,8 +20,6 @@ import random
 
 import pytest
 
-from repro.core.consistency import (begin_checkpoint, commit_checkpoint,
-                                    valid_checkpoint)
 from repro.core.index import (FLAG_DONE, META_TAG, ModelMeta, ModelTable)
 from repro.dnn.tensor import TensorSpec
 from repro.errors import PmemError, PowerFailure
@@ -47,8 +45,8 @@ def checkpointed_model(pool, table, name="model"):
     meta = ModelMeta.create(pool, name, SPECS)
     table.insert(name, meta.meta.addr)
     for step in (1, 2):
-        version = begin_checkpoint(meta)
-        commit_checkpoint(meta, version, step=step)
+        version = meta.begin()
+        meta.commit(version, step=step)
     return meta
 
 
@@ -98,7 +96,7 @@ def test_drop_version_sweep_never_strands_a_done_flag():
             assert recovered.allocator.lookup(addr) is not None, \
                 f"DONE flag over freed extent: {context}"
         # The newest checkpoint survives every cut.
-        assert valid_checkpoint(meta) == (flags.newest_done(), 2), context
+        assert meta.restorable() == (flags.newest_done(), 2), context
         # A crash mid-drop may leak, never corrupt: no fsck errors, and
         # repair always converges.
         report = fsck(recovered)
@@ -155,7 +153,7 @@ def test_meta_geometry_survives_padded_region():
     assert reopened.mindex.version_addrs == current_addrs
     assert reopened.flags_slot == meta.flags_slot
     assert reopened.mindex_slot == meta.mindex_slot
-    assert valid_checkpoint(reopened)[1] == 2
+    assert reopened.restorable()[1] == 2
     assert fsck(pool).clean
 
 

@@ -11,7 +11,6 @@ guard.
 
 import pytest
 
-from repro.core.consistency import valid_checkpoint
 from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.errors import ReproError, RequestTimeout
 from repro.faults import FaultInjector
@@ -64,7 +63,7 @@ def test_healthy_pull_outlasting_short_lease_is_not_reaped():
     assert cluster.obs.metrics.value("daemon.reaped_sessions") == 0
     assert cluster.daemon.model_map["model"].attached
     entry = cluster.daemon.model_map["model"]
-    _version, step = valid_checkpoint(entry.meta)
+    _version, step = entry.meta.restorable()
     assert step == 1
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.consistency import valid_checkpoint
 from repro.core.repack import repack_daemon
 from repro.errors import (CheckpointInProgress, ModelNotFound,
                           NoValidCheckpoint, PortusError)
@@ -41,7 +40,7 @@ def test_checkpoint_persists_exact_bytes(cluster):
     session, reply = cluster.run(scenario)
     assert reply["step"] == 5
     entry = cluster.daemon.model_map["alexnet"]
-    version, step = valid_checkpoint(entry.meta)
+    version, step = entry.meta.restorable()
     assert step == 5
     # Every tensor's bytes on PMem match the step-5 weights exactly.
     for tensor, descriptor in zip(session.model.tensors,
@@ -79,7 +78,7 @@ def test_double_mapping_keeps_previous_version(cluster):
     flags = entry.meta.read_flags()
     # Both versions are DONE, holding steps 1 and 2.
     assert sorted(flags.steps) == [1, 2]
-    version, step = valid_checkpoint(entry.meta)
+    version, step = entry.meta.restorable()
     assert step == 2
 
 
@@ -292,7 +291,7 @@ def test_repack_after_finished_job(cluster):
     assert cluster.portus_pool.used_bytes < used_before
     # The daemon's own entry was compacted: the surviving version is
     # still restorable, and the next checkpoint re-creates the slot.
-    assert valid_checkpoint(cluster.daemon.model_map["alexnet"].meta) \
+    assert cluster.daemon.model_map["alexnet"].meta.restorable() \
         == (1, 2)
 
     def after(env):

@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.core.consistency import begin_checkpoint, commit_checkpoint
 from repro.core.index import ModelMeta, ModelTable
 from repro.core.repack import repack_live
 from repro.dnn.tensor import TensorSpec
@@ -39,8 +38,8 @@ def build():
     meta = ModelMeta.create(pool, "m", SPECS)
     table.insert("m", meta.meta.addr)
     for step in (5, 6):
-        version = begin_checkpoint(meta)
-        commit_checkpoint(meta, version, step)
+        version = meta.begin()
+        meta.commit(version, step)
     newest = meta.read_flags().newest_done()
     region = meta.layout.regions[newest]
     region.write_bytes(0, MARKER)

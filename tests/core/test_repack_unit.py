@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.consistency import begin_checkpoint, commit_checkpoint
 from repro.core.index import ModelMeta, ModelTable
 from repro.core.repack import RepackReport, repack
 from repro.dnn.tensor import TensorSpec
@@ -27,8 +26,8 @@ def add_model(pool, table, name, committed_steps):
     meta = ModelMeta.create(pool, name, SPECS)
     table.insert(name, meta.meta.addr)
     for step in committed_steps:
-        version = begin_checkpoint(meta)
-        commit_checkpoint(meta, version, step)
+        version = meta.begin()
+        meta.commit(version, step)
     return meta
 
 
@@ -49,20 +48,12 @@ def test_repack_drops_never_checkpointed_model(pool_and_table):
     assert report.bytes_reclaimed > 0
 
 
-def test_repack_keeps_invalid_model_when_asked(pool_and_table):
-    pool, table = pool_and_table
-    add_model(pool, table, "maybe-recoverable", committed_steps=[])
-    report = repack(pool, table, drop_invalid=False)
-    assert report.models_dropped == []
-    assert "maybe-recoverable" in table
-
-
 def test_repack_compacts_interrupted_checkpoint(pool_and_table):
     """Scenario (2) of §III-D2: crash mid-checkpoint leaves an ACTIVE
     slot; repack reclaims it and keeps the valid one."""
     pool, table = pool_and_table
     meta = add_model(pool, table, "m", committed_steps=[5])
-    begin_checkpoint(meta)  # crashes: stays ACTIVE
+    meta.begin()  # crashes: stays ACTIVE
     report = repack(pool, table)
     assert report.models_compacted == ["m"]
     reopened = ModelMeta.open(pool, table.lookup("m"))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dnn.dtypes import float16, float32
 from repro.dnn.models import build_model
-from repro.dnn.optimizer import checkpoint_specs, optimizer_state_specs
+from repro.dnn.optimizer import optimizer_state_specs
 from repro.dnn.serialize import (deserialize_state_dict, file_size_for,
                                  serialization_time_ns,
                                  serialize_state_dict)
@@ -145,7 +145,7 @@ def test_adam_state_triples_plus_steps():
 
 def test_plain_sgd_adds_nothing():
     params = [TensorSpec("w", (8, 8))]
-    assert checkpoint_specs(params, "sgd") == params
+    assert optimizer_state_specs(params, "sgd") == []
 
 
 def test_unknown_optimizer_rejected():

@@ -103,7 +103,6 @@ def test_run_for_duration():
     job = make_job(env, iteration_ns=msecs(100))
     env.run_process(env.process(job.run_for(1 * SECOND)))
     assert job.iterations_done == 10
-    assert job.throughput_iters_per_sec() == pytest.approx(10.0, rel=0.01)
 
 
 def test_phase_fractions_validated():

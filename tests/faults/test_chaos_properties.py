@@ -26,7 +26,6 @@ import random
 
 import pytest
 
-from repro.core.consistency import valid_checkpoint
 from repro.core.index import FLAG_DONE
 from repro.core.retry import RetryPolicy
 from repro.dnn.tensor import ModelInstance, TensorSpec
@@ -151,7 +150,7 @@ def run_chaos_schedule(seed, events=5, num_qps=1, engine=None,
         assert restored in attempted, \
             f"restored step {restored} was never written: {context}"
         entry = cluster.daemon.model_map["model"]
-        version, step = valid_checkpoint(entry.meta)
+        version, step = entry.meta.restorable()
         assert step == restored
         flags = entry.meta.read_flags()
         assert flags.states[version] == FLAG_DONE  # never ACTIVE/torn

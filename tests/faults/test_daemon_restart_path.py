@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from repro.core.consistency import valid_checkpoint
 from repro.core.index import FLAG_ACTIVE, FLAG_DONE
 from repro.core.retry import RetryPolicy
 from repro.dnn.tensor import ModelInstance, TensorSpec
@@ -94,7 +93,7 @@ def test_restart_with_interrupted_pull_leaves_active_slot_untrusted():
     instance, reply = cluster.run(before)
     assert reply["step"] == 2
     entry = cluster.daemon.model_map["model"]
-    version, step = valid_checkpoint(entry.meta)
+    version, step = entry.meta.restorable()
     assert step == 2
     for tensor, descriptor in zip(instance.tensors,
                                   entry.meta.mindex.descriptors):

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core.consistency import valid_checkpoint
 from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.errors import (ConnectionClosed, LinkDown, NetworkError,
                           QpStateError, ReproError, WorkRequestError)
@@ -121,7 +120,7 @@ def test_wr_fault_rate_fails_checkpoint_and_aborts_cleanly(cluster):
     entry = cluster.daemon.model_map["model"]
     assert not entry.busy
     # The failed pull aborted: recovery still exposes step 1, bit-exact.
-    version, step = valid_checkpoint(entry.meta)
+    version, step = entry.meta.restorable()
     assert step == 1
     injector.set_wr_fault_rate("server", rate=0.0)
     assert cluster.server.nic.fault_hook is None

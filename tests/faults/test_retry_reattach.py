@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.core.consistency import valid_checkpoint
 from repro.core import protocol
 from repro.core.failover import FailoverCheckpointer
 from repro.core.retry import RetryPolicy
@@ -96,7 +95,7 @@ def test_checkpoint_during_daemon_restart_succeeds_transparently():
     # The committed bytes are the step-2 weights, bit-exact, on the
     # recovered index.
     entry = cluster.daemon.model_map["model"]
-    version, step = valid_checkpoint(entry.meta)
+    version, step = entry.meta.restorable()
     assert step == 2
     for tensor, descriptor in zip(session.model.tensors,
                                   entry.meta.mindex.descriptors):
@@ -189,7 +188,7 @@ def test_request_timeout_releases_wedged_entry():
     entry = cluster.daemon.model_map["model"]
     assert not entry.busy
     # The timed-out pull aborted; step 1 is still the restorable truth.
-    assert valid_checkpoint(entry.meta)[1] == 1
+    assert entry.meta.restorable()[1] == 1
     injector.set_wr_fault_rate("server", rate=0.0)
 
     def retry(env):
@@ -234,7 +233,7 @@ def test_reaper_reclaims_entry_of_vanished_client():
     assert not entry.busy
     # The interrupted pull aborted: step 1 survives, the half-pulled
     # step 2 was never committed.
-    assert valid_checkpoint(entry.meta)[1] == 1
+    assert entry.meta.restorable()[1] == 1
     injector.set_wr_fault_rate("server", rate=0.0)
     # A successor client re-attaches to the reclaimed entry and works.
     successor = register_model(cluster, seed=3)

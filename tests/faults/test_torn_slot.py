@@ -18,7 +18,7 @@ Each seeded schedule drives begin → partial-pull → abort interleavings
 and an aftermath (daemon crash, power loss, offline repack, or a
 combination), then asserts the invariant *directly on the slots* —
 every DONE slot's TensorData must be bit-exact for its stamped step —
-rather than only through ``valid_checkpoint``, which the newest DONE
+rather than only through ``ModelMeta.restorable``, which the newest DONE
 slot would shadow.
 
 Knobs: PORTUS_TORN_EXAMPLES (default 200), PORTUS_TORN_SEED (default 0),

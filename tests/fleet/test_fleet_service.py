@@ -20,17 +20,20 @@ import pytest
 from repro.dnn.gpt import shard_gpt, tiny_gpt
 from repro.dnn.layout import gpt_layout
 from repro.dnn.tensor import ModelInstance, TensorSpec
-from repro.core.consistency import valid_checkpoint
+from repro.core.client import PortusClient
+from repro.core.daemon import PortusDaemon
 from repro.core.group import register_group as bind_group
-from repro.core.index import ChunkLayout
+from repro.core.index import ChunkLayout, ModelTable
+from repro.core.repack import migrate_model
 from repro.errors import (AdmissionReject, GroupError, GroupNotFound,
                           MigrationIncomplete, ModelAlreadyRegistered,
-                          NoValidCheckpoint, ReproError,
+                          NoValidCheckpoint, PmemError, ReproError,
                           TenantQuotaExceeded)
 from repro.core.retry import RetryPolicy
 from repro.fleet import (AdmissionController, FleetClient, PlacementRing,
                          TenantRegistry, generate_tenants)
 from repro.harness.cluster import PaperCluster
+from repro.pmem import PmemPool
 from repro.pmem.chunks import ChunkStore
 from repro.pmem.fsck import fsck
 from repro.units import kib, msecs, secs, usecs
@@ -245,6 +248,50 @@ def test_rejected_register_leaks_no_pool_bytes():
     assert fsck(cluster.portus_pool).clean
 
 
+def _full_table_daemon(cluster):
+    """A daemon on shard 1's node over a fresh pool whose ModelTable was
+    created with ``max_models=2``, with ``m1`` and ``m2`` (tenant
+    ``acme``) registered on it; returns it and a client of it."""
+    shard = cluster.shards[1]
+    pool = PmemPool.format(shard.node.dram)
+    ModelTable.create(pool, max_models=2)
+    daemon = PortusDaemon(cluster.env, shard.node, pool, shard.tcp,
+                          port=9901, obs=cluster.obs,
+                          tenants=cluster.tenants)
+    daemon.start()
+    client = PortusClient(cluster.env, cluster.volta, cluster.volta_tcp,
+                          daemon)
+
+    def fill(env):
+        for seed, name in enumerate(("m1", "m2")):
+            instance = ModelInstance.materialize(
+                name, SPECS, cluster.volta.gpus[0], model_seed=seed)
+            yield from client.register(instance, tenant="acme")
+
+    cluster.run(fill)
+    return daemon, client
+
+
+def test_register_refused_by_a_full_model_table_leaves_no_state():
+    cluster = PaperCluster(seed=20, ampere_nodes=0, storage_nodes=2)
+    daemon, client = _full_table_daemon(cluster)
+
+    def scenario(env):
+        instance = ModelInstance.materialize("m3", SPECS,
+                                             cluster.volta.gpus[0],
+                                             model_seed=3)
+        # The retry must not attach to a model only DRAM knows and ack
+        # checkpoints no restarted daemon could find.
+        for _attempt in range(2):
+            with pytest.raises(PmemError, match="full"):
+                yield from client.register(instance, tenant="acme")
+
+    cluster.run(scenario)
+    assert daemon.models() == daemon.table.names() == ["m1", "m2"]
+    assert cluster.tenants.charged("acme") == 2 * 2 * SPECS_BYTES
+    assert fsck(daemon.pool).clean
+
+
 def test_bandwidth_throttle_delays_but_never_fails_checkpoints():
     policy = RetryPolicy(rng=random.Random(23), max_attempts=12,
                          deadline_ns=secs(8), reply_timeout_ns=msecs(8))
@@ -423,6 +470,29 @@ def test_migrating_to_the_home_shard_is_an_error():
         cluster.run(migrate)
 
 
+def test_migration_refused_by_a_full_model_table_leaves_no_copy():
+    cluster = PaperCluster(seed=38, ampere_nodes=0, storage_nodes=2)
+    dst, _client = _full_table_daemon(cluster)
+
+    def scenario(env):
+        instance = ModelInstance.materialize("m3", SPECS,
+                                             cluster.volta.gpus[0],
+                                             model_seed=3)
+        session = yield from cluster.portus_register(instance)
+        instance.update_step(2)
+        yield from session.checkpoint(2)
+        # A retry meets the same full table, not a copy that exists
+        # only in the destination's DRAM.
+        for _attempt in range(2):
+            with pytest.raises(PmemError, match="full"):
+                yield from migrate_model(env, cluster.daemon, dst, "m3")
+
+    cluster.run(scenario)
+    assert dst.models() == dst.table.names() == ["m1", "m2"]
+    assert fsck(dst.pool).clean
+    assert cluster.daemon.model_map["m3"].meta.restorable()[1] == 2
+
+
 HEAD = ["fc.weight", "fc.bias"]
 
 
@@ -507,7 +577,7 @@ def test_dedup_migration_moves_only_the_chunks_the_destination_lacks():
     # step-2 head chunks.
     _register_dedup(cluster, fleet, "beta", "b-model", dst, [(1, None)])
     entry = src.daemon.model_map["a-model"]
-    version, _step = valid_checkpoint(entry.meta)
+    version, _step = entry.meta.restorable()
     store = ChunkStore.attach(dst.pool)
     lacking = {}
     for digest, span in zip(entry.meta.layout.read_manifest(version),

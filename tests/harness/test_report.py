@@ -1,9 +1,7 @@
 """Tests for the paper-style report rendering."""
 
-from repro.harness.report import (fmt_gbps, fmt_seconds, fmt_speedup,
-                                  render_breakdown, render_series,
+from repro.harness.report import (render_breakdown, render_series,
                                   render_table)
-from repro.units import secs
 
 
 def test_render_table_alignment():
@@ -36,9 +34,3 @@ def test_render_series():
                          ["p", "q"], fmt=str)
     assert "p" in text and "q" in text
     assert "3" in text and "4" in text
-
-
-def test_formatters():
-    assert fmt_speedup(8.492) == "8.49x"
-    assert fmt_seconds(secs(1.5)) == "1.500s"
-    assert fmt_gbps(5.8e9) == "5.80GB/s"

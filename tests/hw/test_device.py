@@ -6,7 +6,7 @@ from repro.errors import InvalidAddressError, OutOfMemoryError
 from repro.hw import ByteContent, DramDevice, GpuMemory, MemoryDevice, PmemDimm
 from repro.hw.node import ComputeNode, CpuSet, StorageNode
 from repro.sim import Environment
-from repro.units import SECOND, gbytes, gib, mib
+from repro.units import gbytes, gib, mib
 
 
 @pytest.fixture
@@ -60,21 +60,6 @@ def test_use_after_free_detected(device):
         a.write(0, ByteContent(b"x"))
     with pytest.raises(InvalidAddressError):
         a.free()
-
-
-def test_address_based_read_write(device):
-    a = device.alloc(100)
-    device.write_at(a.addr + 10, ByteContent(b"abc"))
-    assert device.read_at(a.addr + 10, 3).to_bytes() == b"abc"
-    assert a.read_bytes(10, 3) == b"abc"
-
-
-def test_address_access_outside_allocation_rejected(device):
-    a = device.alloc(100)
-    with pytest.raises(InvalidAddressError):
-        device.read_at(a.end + 64, 1)
-    with pytest.raises(InvalidAddressError):
-        device.write_at(a.addr + 98, ByteContent(b"abcd"))
 
 
 def test_allocation_at_finds_covering_region(device):
@@ -136,17 +121,6 @@ def test_cpuset_serializes_when_saturated():
         env.process(job(env, tag))
     env.run()
     assert [t for _tag, t in done_at] == [100, 100, 200, 200]
-
-
-def test_cpuset_throughput_work():
-    env = Environment()
-    cpus = CpuSet(env, cores=1)
-
-    def job(env):
-        yield from cpus.execute_throughput(gbytes(1), gbytes(1))
-        return env.now
-
-    assert env.run_process(env.process(job(env))) == SECOND
 
 
 def test_dram_device_defaults():

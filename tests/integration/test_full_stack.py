@@ -88,8 +88,6 @@ def test_portus_training_survives_daemon_restart_between_epochs():
 def test_gpt_distributed_training_with_portus_checkpoints():
     """Sixteen shards train in lockstep with async Portus checkpointing;
     every shard's persisted data matches the checkpointed step."""
-    from repro.core.consistency import valid_checkpoint
-
     cluster = PaperCluster(seed=32)
     config = GPT_CONFIGS["gpt-1.5b"]
     state = {}
@@ -117,7 +115,7 @@ def test_gpt_distributed_training_with_portus_checkpoints():
     assert cluster.obs.metrics.value("daemon.checkpoints_completed") == 2 * 16
     for instance in state["instances"]:
         entry = cluster.daemon.model_map[instance.name]
-        version, step = valid_checkpoint(entry.meta)
+        version, step = entry.meta.restorable()
         assert step == 4
         descriptor = entry.meta.mindex.descriptors[0]
         stored = entry.meta.read_tensor(descriptor, version)
@@ -149,8 +147,6 @@ def test_repack_with_live_jobs_skips_them():
 def test_multi_tenant_concurrent_training_all_verified():
     """Three tenants with different models/frequencies; every persisted
     checkpoint bit-matches its tenant's weights."""
-    from repro.core.consistency import valid_checkpoint
-
     cluster = PaperCluster(seed=34)
     tenants = [("alexnet", 0, 1), ("resnet50", 1, 2), ("swin_b", 2, 3)]
     state = {}
@@ -172,7 +168,7 @@ def test_multi_tenant_concurrent_training_all_verified():
     cluster.run(scenario)
     for model_name, _gpu, freq in tenants:
         entry = cluster.daemon.model_map[model_name]
-        version, step = valid_checkpoint(entry.meta)
+        version, step = entry.meta.restorable()
         assert step == (6 // freq) * freq
         session = state["sessions"][model_name]
         for tensor, descriptor in zip(session.model.tensors,

@@ -9,9 +9,9 @@ from repro.units import msecs
 
 def sample(up=True, closed=False, utilization=0.1, oldest_inflight=0,
            **counters):
-    base = {"requests": 10, "errors": 0, "slow_requests": 0,
-            "checkpoints_aborted": 0, "restores_aborted": 0,
-            "dropped_replies": 0, "reaped_sessions": 0}
+    base = {"requests": 10, "errors": 0, "checkpoints_aborted": 0,
+            "restores_aborted": 0, "dropped_replies": 0,
+            "reaped_sessions": 0}
     base.update(counters)
     return {"time_ns": 0, "up": up, "port": 9900, "models": 1,
             "attached": 1, "inflight": 1 if oldest_inflight else 0,

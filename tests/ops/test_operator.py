@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core.consistency import valid_checkpoint
 from repro.core.failover import FailoverCheckpointer
 from repro.core.retry import RetryPolicy
 from repro.dnn.tensor import ModelInstance, TensorSpec
@@ -82,7 +81,7 @@ def test_operator_restarts_dead_daemon_and_drains_clients_back():
     # Step 1 rode out the crash and the drained-back step 2 re-covered
     # it with a durable Portus checkpoint.
     entry = cluster.daemon.model_map["model"]
-    _version, step = valid_checkpoint(entry.meta)
+    _version, step = entry.meta.restorable()
     assert step == 2
 
 
@@ -123,7 +122,7 @@ def test_operator_repairs_injected_pool_corruption():
     assert fsck(cluster.portus_pool).clean
     assert any("action=fsck-repair" in line for line in operator.decisions)
     entry = cluster.daemon.model_map["model"]
-    _version, step = valid_checkpoint(entry.meta)
+    _version, step = entry.meta.restorable()
     assert step == 1  # repair only demoted/reclaimed, never the newest
 
 
@@ -140,7 +139,7 @@ def test_operator_never_runs_fsck_while_a_pull_is_in_flight():
     cluster.run(scenario)
     assert not any("stale-active" in line for line in operator.decisions)
     entry = cluster.daemon.model_map["model"]
-    _version, step = valid_checkpoint(entry.meta)
+    _version, step = entry.meta.restorable()
     assert step == 1
 
 

@@ -4,8 +4,6 @@ without losing any genuinely-DONE checkpoint."""
 
 import pytest
 
-from repro.core.consistency import (begin_checkpoint, commit_checkpoint,
-                                    valid_checkpoint)
 from repro.core.index import (DATA_TAG, FLAG_DONE, FLAG_EMPTY, META_TAG,
                               ModelMeta, ModelTable)
 from repro.dnn.tensor import TensorSpec
@@ -36,8 +34,8 @@ def add_model(pool, table, name, steps=(1, 2)):
     meta = ModelMeta.create(pool, name, SPECS)
     table.insert(name, meta.meta.addr)
     for step in steps:
-        version = begin_checkpoint(meta)
-        commit_checkpoint(meta, version, step=step)
+        version = meta.begin()
+        meta.commit(version, step=step)
     return meta
 
 
@@ -68,13 +66,13 @@ def test_dangling_meta_entry_is_found_and_dropped():
     assert result.clean, result.describe()
     table2, metas = reopen_meta(pool)
     assert table2.names() == ["model"]
-    assert valid_checkpoint(metas["model"])[1] == 2
+    assert metas["model"].restorable()[1] == 2
 
 
 def test_stale_active_slot_is_demoted_not_lost():
     pool, table = setup_pool()
     meta = add_model(pool, table, "model")
-    begin_checkpoint(meta)  # crash mid-pull: slot stays ACTIVE
+    meta.begin()  # crash mid-pull: slot stays ACTIVE
     report = fsck(pool)
     assert report.kinds().get(K_STALE_ACTIVE) == 1
     assert not report.errors()  # redundancy loss, not corruption
@@ -85,7 +83,7 @@ def test_stale_active_slot_is_demoted_not_lost():
     flags = metas["model"].read_flags()
     assert FLAG_EMPTY in flags.states
     # The newest DONE checkpoint survived the repair untouched.
-    assert valid_checkpoint(metas["model"])[1] == 2
+    assert metas["model"].restorable()[1] == 2
 
 
 def test_done_slot_with_zero_addr_is_found():
@@ -108,7 +106,7 @@ def test_done_slot_with_zero_addr_is_found():
     assert result.clean, result.describe()
     _table, metas = reopen_meta(pool)
     # The older DONE checkpoint is what recovery falls back to.
-    assert valid_checkpoint(metas["model"])[1] == 1
+    assert metas["model"].restorable()[1] == 1
 
 
 def test_done_slot_with_missing_extent_is_demoted():
@@ -131,7 +129,7 @@ def test_done_slot_with_missing_extent_is_demoted():
     result = repair(pool)
     assert result.clean, result.describe()
     _table, metas = reopen_meta(pool)
-    assert valid_checkpoint(metas["model"])[1] == 1
+    assert metas["model"].restorable()[1] == 1
 
 
 def test_leaked_portus_extents_are_reclaimed_foreign_kept():
@@ -195,7 +193,7 @@ def test_extent_claimed_by_two_models_is_found():
     assert result.clean, result.describe()
     _table, metas = reopen_meta(pool)
     # aaa keeps its extents and newest checkpoint; bbb lost one slot.
-    assert valid_checkpoint(metas["aaa"])[1] == 2
+    assert metas["aaa"].restorable()[1] == 2
     assert metas["aaa"].mindex.version_addrs[0] not in \
         (metas["bbb"].mindex.version_addrs)
 
@@ -214,7 +212,7 @@ def test_unreadable_meta_header_drops_the_model():
     assert result.passes >= 1  # entry dropped and orphans reclaimed
     table2, metas = reopen_meta(pool)
     assert table2.names() == ["good"]
-    assert valid_checkpoint(metas["good"])[1] == 2
+    assert metas["good"].restorable()[1] == 2
 
 
 def test_fsck_emits_observability_counters():

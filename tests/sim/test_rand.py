@@ -32,15 +32,6 @@ def test_master_seed_changes_everything():
     assert a != b
 
 
-def test_reseed_resets_streams():
-    streams = RandomStreams(1)
-    first = streams.stream("x").random()
-    streams.reseed(1)
-    assert streams.stream("x").random() == first
-    streams.reseed(2)
-    assert streams.stream("x").random() != first
-
-
 def test_same_stream_object_returned():
     streams = RandomStreams(0)
     assert streams.stream("a") is streams.stream("a")
