@@ -5,30 +5,53 @@ serialization + cuMemcpy contribute 46.5 % to ext4-NVMe and 57.2 % to
 BeeGFS-PMem; ext4-NVMe spends 53.7 % of its time interacting with block
 devices through kernel crossings; and Portus's one-sided transport beats
 BeeGFS's two-sided RPCoRDMA.
+
+Every phase of all three storage options comes from the spans of one
+traced run each; fig13_bert_breakdown() itself asserts that each traced
+run is bit-identical in simulated time to an untraced twin.  With
+``--trace-out DIR`` the three Chrome traces are written there as
+``fig13_<option>.json``.
 """
 
 import json
 import os
 
-from repro.harness.experiments import (fig13_bert_breakdown,
-                                       fig13_portus_traced)
+from repro.harness.experiments import fig13_bert_breakdown
 from repro.harness.report import render_breakdown, render_metrics
 from repro.units import fmt_time
 
 from conftest import run_once
 
+#: Span names each option's trace must hold: every layer of its path.
+TRACE_NAMES = {
+    "ext4_nvme": {"torch_save.gpu_to_dram", "torch_save.serialization",
+                  "torch_save.fs_write", "fs.syscall", "fs.page_cache",
+                  "fs.block_io"},
+    "beegfs_pmem": {"torch_save.gpu_to_dram", "torch_save.serialization",
+                    "torch_save.fs_write", "fs.syscall", "fs.staging",
+                    "fs.dax_write"},
+    "portus": {"client.DO_CHECKPOINT", "daemon.DO_CHECKPOINT",
+               "engine.read", "wr.read"},
+}
 
-def test_fig13_bert_breakdown(benchmark, shared_results):
+
+def test_fig13_bert_breakdown(benchmark, shared_results, trace_out_dir):
     result = run_once(benchmark, "fig13", fig13_bert_breakdown,
                       shared_results)
-    for option in ("ext4_nvme", "beegfs_pmem", "portus"):
+    for option in TRACE_NAMES:
         total = result[f"{option}_total_ns"]
         print(render_breakdown(
             f"Fig. 13: BERT checkpoint via {option} "
             f"(total {fmt_time(total)})", result[option]))
+    print(render_metrics("Portus deployment metrics",
+                         result["metrics"]["portus"]))
 
-    # Portus is one phase: the RDMA pull is the whole checkpoint.
-    assert result["portus"] == {"rdma_pull": 1.0}
+    # Every phase accounted, nothing negative.
+    for option in TRACE_NAMES:
+        assert all(share >= 0 for share in result[option].values())
+        assert abs(sum(result[option].values()) - 1.0) < 1e-9
+    # The RDMA pull *is* the Portus checkpoint.
+    assert result["portus"]["rdma_pull"] > 0.95
     # Portus total is far below both baselines.
     assert result["portus_total_ns"] * 5 < result["ext4_nvme_total_ns"]
     assert result["portus_total_ns"] * 5 < result["beegfs_pmem_total_ns"]
@@ -45,43 +68,18 @@ def test_fig13_bert_breakdown(benchmark, shared_results):
     # (paper: 53.7%).
     assert abs(result["ext4_nvme"]["block_io_kernel"] - 0.537) < 0.13
 
-
-def test_fig13_portus_traced_breakdown(benchmark, shared_results,
-                                       trace_out_dir):
-    """The same Portus checkpoint, phase-resolved from the span tree.
-
-    fig13_portus_traced() itself asserts the zero-cost contract (traced
-    and untraced runs are bit-identical in simulated time); here we
-    check the span-derived phases reproduce the paper's story — the
-    RDMA pull *is* the checkpoint — and that the exported Chrome trace
-    is valid, loadable JSON.
-    """
-    result = run_once(benchmark, "fig13_traced", fig13_portus_traced,
-                      shared_results)
-    print(render_breakdown(
-        f"Fig. 13 (traced): Portus BERT checkpoint phases "
-        f"(total {fmt_time(result['total_ns'])})", result["shares"]))
-    print(render_metrics("Portus deployment metrics",
-                         result["metrics"]))
-
-    assert result["bit_identical"]
-    # The pull dominates; every phase accounted, nothing negative.
-    assert result["shares"]["rdma_pull"] > 0.95
-    assert all(share >= 0 for share in result["shares"].values())
-    assert abs(sum(result["shares"].values()) - 1.0) < 1e-9
-    # The trace is valid Chrome trace_event JSON with span + metadata
-    # events for every layer of the path.
-    trace = json.loads(result["chrome_trace_json"])
-    events = trace["traceEvents"]
-    names = {e["name"] for e in events}
-    assert {"client.DO_CHECKPOINT", "daemon.DO_CHECKPOINT",
-            "engine.read", "wr.read"} <= names
-    assert all({"ph", "pid", "tid", "name"} <= set(e) for e in events)
-    # Metrics made it into the result for report merging.
-    assert result["metrics"]["daemon.checkpoints_completed"]["value"] == 1
-    assert result["metrics"]["daemon.checkpoint_latency_ns"]["count"] == 1
-    if trace_out_dir is not None:
-        path = os.path.join(trace_out_dir, "fig13_portus.json")
-        with open(path, "w") as handle:
-            handle.write(result["chrome_trace_json"])
-        print(f"chrome trace written to {path}")
+    # Each trace is valid Chrome trace_event JSON with span + metadata
+    # events for every layer of its path.
+    for option, names in TRACE_NAMES.items():
+        text = result["chrome_trace_json"][option]
+        events = json.loads(text)["traceEvents"]
+        assert names <= {e["name"] for e in events}, option
+        assert all({"ph", "pid", "tid", "name"} <= set(e) for e in events)
+        if trace_out_dir is not None:
+            path = os.path.join(trace_out_dir, f"fig13_{option}.json")
+            with open(path, "w") as handle:
+                handle.write(text)
+            print(f"chrome trace written to {path}")
+    metrics = result["metrics"]["portus"]
+    assert metrics["daemon.checkpoints_completed"]["value"] == 1
+    assert metrics["daemon.checkpoint_latency_ns"]["count"] == 1

@@ -69,8 +69,7 @@ def main() -> None:
 
     print("tenant results:")
     for name, (spec, job, policy) in jobs.items():
-        util = job.recorders[0].utilization(job.started_at,
-                                            job.finished_at)
+        util = job.utilization(job.started_at, job.finished_at)
         shard = fleet.shard_of(spec.name, spec.instance_name)
         print(f"  {name} {spec.model:14} {job.iterations_done} iters in "
               f"{fmt_time(job.elapsed_ns)}  ckpts={policy.checkpoints_taken}"

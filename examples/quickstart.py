@@ -45,7 +45,7 @@ def main() -> None:
     print(f"trained {job.iterations_done} iterations in "
           f"{fmt_time(job.elapsed_ns)} with {policy.checkpoints_taken} "
           f"checkpoints (total stall: {fmt_time(policy.stall_ns)})")
-    util = job.recorders[0].utilization(job.started_at, job.finished_at)
+    util = job.utilization(job.started_at, job.finished_at)
     print(f"GPU utilization: {util * 100:.1f}%  — checkpointing is "
           "effectively free")
 

@@ -24,7 +24,8 @@
 #      repeatability check fails here, not only in the benchmark run;
 #   3. trace smoke: a traced benchmark run must emit loadable Chrome
 #      trace_event JSON + a metrics snapshot at zero simulated-time
-#      cost (the observability layer's contract);
+#      cost (the observability layer's contract), and the Fig. 13
+#      bench's three exported traces (ext4, BeeGFS, Portus) must load;
 #   4. determinism: identical chaos schedules twice, traces diffed
 #      (scripts/check_determinism.sh).
 #
@@ -123,17 +124,18 @@ TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
 PYTHONPATH=src python -m pytest \
     "benchmarks/bench_smoke.py::test_smoke_traced_run_emits_valid_chrome_trace" \
-    "benchmarks/bench_fig13_bert_breakdown.py::test_fig13_portus_traced_breakdown" \
+    "benchmarks/bench_fig13_bert_breakdown.py::test_fig13_bert_breakdown" \
     --trace-out "$TRACE_DIR" -q
-python - "$TRACE_DIR/fig13_portus.json" <<'EOF'
+python - "$TRACE_DIR"/fig13_{ext4_nvme,beegfs_pmem,portus}.json <<'EOF'
 import json, sys
-with open(sys.argv[1]) as handle:
-    trace = json.load(handle)
-events = trace["traceEvents"]
-assert events, "empty trace"
-assert all("ph" in e and "name" in e for e in events), "malformed event"
-print(f"OK: {sys.argv[1]} loads as Chrome trace JSON "
-      f"({len(events)} events)")
+for path in sys.argv[1:]:
+    with open(path) as handle:
+        trace = json.load(handle)
+    events = trace["traceEvents"]
+    assert events, f"empty trace {path}"
+    assert all("ph" in e and "name" in e for e in events), \
+        f"malformed event in {path}"
+    print(f"OK: {path} loads as Chrome trace JSON ({len(events)} events)")
 EOF
 
 step "chaos determinism"

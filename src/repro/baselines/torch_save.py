@@ -11,7 +11,9 @@ The checkpointer writes to ``<dir>/<model>.pt`` via the classic
 tmp-file + rename pattern for crash safety, and emits one write per
 tensor record (zipfile-style), which is what makes many-small-tensor
 models pay proportionally more in per-op overhead — the paper's ResNet50
-observation.
+observation.  Each phase is a ``torch_save.<phase>`` span on its
+filesystem's tracer, next to the filesystem's own ``fs.*`` spans: the
+Table I and Fig. 13 breakdowns read both from one traced run.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from repro.dnn.tensor import ModelInstance
 from repro.hw.content import Content
 from repro.hw.devices import GpuMemory
 from repro.hw.node import CpuSet
-from repro.metrics import CostLedger
 from repro.sim import Environment, Transfer
 from repro.units import gbytes
 
@@ -48,9 +49,11 @@ class TorchSaveCheckpointer:
         self.cpus = cpus
         self.directory = directory.rstrip("/") or "/checkpoints"
         self.use_gds_restore = use_gds_restore
-        self.ledger = CostLedger()
-        self.checkpoints_written = 0
         self._prepared = False
+
+    def _span(self, phase: str):
+        return self.fs.obs.tracer.span(self.env, f"torch_save.{phase}",
+                                       cat="torch_save", track="torch_save")
 
     def _path_for(self, model_name: str) -> str:
         safe = model_name.replace("/", "_")
@@ -76,13 +79,13 @@ class TorchSaveCheckpointer:
         gpu_tensors = [t for t in model.tensors
                        if isinstance(t.device, GpuMemory)]
         total = sum(t.size_bytes for t in gpu_tensors)
-        start = self.env.now
-        if total:
-            device = gpu_tensors[0].device
-            yield Transfer(
-                self.env, [device.read_channel, device.pcie_read], total,
-                rate_cap_bps=CUDA_D2H_PAGEABLE_BPS, label="cuMemcpyDtoH")
-        self.ledger.add("gpu_to_dram", self.env.now - start)
+        with self._span("gpu_to_dram"):
+            if total:
+                device = gpu_tensors[0].device
+                yield Transfer(
+                    self.env, [device.read_channel, device.pcie_read],
+                    total, rate_cap_bps=CUDA_D2H_PAGEABLE_BPS,
+                    label="cuMemcpyDtoH")
         return {t.name: (t.spec, t.content()) for t in model.tensors}
 
     # -- persist phase -------------------------------------------------------------
@@ -95,26 +98,23 @@ class TorchSaveCheckpointer:
         total = sum(spec.size_bytes for spec in specs)
         count = tensor_count if tensor_count is not None else len(specs)
 
-        start = self.env.now
-        yield from self.cpus.execute(serialization_time_ns(total, count))
-        self.ledger.add("serialization", self.env.now - start)
+        with self._span("serialization"):
+            yield from self.cpus.execute(serialization_time_ns(total, count))
 
-        start = self.env.now
         path = self._path_for(model_name)
         tmp_path = path + ".tmp"
-        handle = yield from self.fs.open(tmp_path, create=True,
-                                         truncate=True)
-        # Zipfile-style image: one header record, then one write per
-        # tensor payload.
-        image = _build_image(snapshot)
-        yield from handle.write(image.header)
-        for payload in image.payloads:
-            yield from handle.write(payload)
-        yield from handle.fsync()
-        yield from handle.close()
-        yield from self.fs.rename(tmp_path, path)
-        self.ledger.add("fs_write", self.env.now - start)
-        self.checkpoints_written += 1
+        with self._span("fs_write"):
+            handle = yield from self.fs.open(tmp_path, create=True,
+                                             truncate=True)
+            # Zipfile-style image: one header record, then one write per
+            # tensor payload.
+            image = _build_image(snapshot)
+            yield from handle.write(image.header)
+            for payload in image.payloads:
+                yield from handle.write(payload)
+            yield from handle.fsync()
+            yield from handle.close()
+            yield from self.fs.rename(tmp_path, path)
 
     def checkpoint(self, model: ModelInstance) -> Generator:
         """Process: the full blocking torch.save path for one model."""
@@ -133,29 +133,27 @@ class TorchSaveCheckpointer:
         """
         path = self._path_for(model.name)
         handle = yield from self.fs.open(path)
-        start = self.env.now
-        content = yield from handle.read(handle.size,
-                                         direct=self.use_gds_restore)
-        yield from handle.close()
-        self.ledger.add("fs_read", self.env.now - start)
+        with self._span("fs_read"):
+            content = yield from handle.read(handle.size,
+                                             direct=self.use_gds_restore)
+            yield from handle.close()
 
         parsed = deserialize_state_dict(content)
         total = sum(spec.size_bytes for spec, _c in parsed.values())
-        start = self.env.now
-        yield from self.cpus.execute(
-            deserialization_time_ns(total, len(parsed)))
-        self.ledger.add("deserialization", self.env.now - start)
+        with self._span("deserialization"):
+            yield from self.cpus.execute(
+                deserialization_time_ns(total, len(parsed)))
 
         gpu_tensors = [t for t in model.tensors
                        if isinstance(t.device, GpuMemory)]
-        start = self.env.now
-        if gpu_tensors:
-            device = gpu_tensors[0].device
-            total_gpu = sum(t.size_bytes for t in gpu_tensors)
-            yield Transfer(
-                self.env, [device.pcie_write, device.write_channel],
-                total_gpu, rate_cap_bps=CUDA_H2D_BPS, label="cuMemcpyHtoD")
-        self.ledger.add("dram_to_gpu", self.env.now - start)
+        with self._span("dram_to_gpu"):
+            if gpu_tensors:
+                device = gpu_tensors[0].device
+                total_gpu = sum(t.size_bytes for t in gpu_tensors)
+                yield Transfer(
+                    self.env, [device.pcie_write, device.write_channel],
+                    total_gpu, rate_cap_bps=CUDA_H2D_BPS,
+                    label="cuMemcpyHtoD")
 
         restored: Dict[str, Content] = {}
         for tensor in model.tensors:

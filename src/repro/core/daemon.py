@@ -58,10 +58,10 @@ from repro.dnn.layout import ShardedLayout
 from repro.dnn.tensor import TensorSpec
 from repro.dnn.dtypes import DType
 from repro.errors import (CheckpointInProgress, ConnectionClosed,
-                          GroupCommitRefused, ModelNotFound,
-                          NoValidCheckpoint, NotAttached, PmemError,
-                          PortusError, ProcessInterrupted, ProtocolError,
-                          ReproError, RequestTimeout)
+                          GroupCommitRefused, ModelAlreadyRegistered,
+                          ModelNotFound, NoValidCheckpoint, NotAttached,
+                          PmemError, PortusError, ProcessInterrupted,
+                          ProtocolError, ReproError, RequestTimeout)
 from repro.hw.node import CpuSet, StorageNode
 from repro.obs import Observability
 from repro.net.tcp import TcpStack
@@ -498,12 +498,17 @@ class PortusDaemon:
         """Make the new model *meta* known to this daemon (REGISTER, a
         migration's destination): its ModelTable entry first, then its
         ModelMap entry, so no model lives only in DRAM.  When the table
-        refuses it (full), *meta* is freed on a live pool before the
-        error propagates (REGISTER then releases the tenant's byte
-        charge)."""
+        refuses it — full, or already holding *name* (a REGISTER that
+        raced a migration's pull) — *meta* is freed on a live pool
+        before the error propagates (REGISTER then releases the tenant's
+        byte charge)."""
         try:
+            if name in self.table:
+                raise ModelAlreadyRegistered(
+                    f"{name}: this daemon already holds a model of "
+                    f"that name")
             self.table.insert(name, meta.meta.addr)
-        except PmemError:
+        except (PmemError, ModelAlreadyRegistered):
             if not self.pool.closed:
                 meta.free()
             raise

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Tuple
 
+from repro.errors import ModelAlreadyRegistered
+
 RED = True
 BLACK = False
 
@@ -66,14 +68,13 @@ class ModelMap:
     # -- insert ------------------------------------------------------------------
 
     def insert(self, key: str, value: Any) -> None:
-        """Insert or replace."""
+        """Insert a new key; an existing one is refused, never replaced."""
         parent = self._nil
         node = self._root
         while node is not self._nil:
             parent = node
             if key == node.key:
-                node.value = value
-                return
+                raise ModelAlreadyRegistered(key)
             node = node.left if key < node.key else node.right
         fresh = _Node(key, value, RED, self._nil)
         fresh.parent = parent

@@ -13,16 +13,16 @@ loop exposes two hook points:
   layer will hand it torn content).
 * ``after_update``: where checkpoint policies trigger new checkpoints.
 
-GPU busy time is recorded per rank; stalls inside hooks show up as idle —
-that is the Fig. 16 utilization signal.
+The ranks run in lockstep, so the job keeps one GPU-busy record for all
+of them; stalls inside hooks show up as idle — that is the Fig. 16
+utilization signal.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.dnn.tensor import ModelInstance
-from repro.metrics import IntervalRecorder
 from repro.sim import Environment
 
 
@@ -47,16 +47,6 @@ class CheckpointHook:
         yield  # pragma: no cover
 
 
-class TrainingRank:
-    """One model shard on one GPU, with its utilization recorder."""
-
-    def __init__(self, model: ModelInstance) -> None:
-        self.model = model
-        device = model.tensors[0].device if model.tensors else None
-        self.device = device
-        self.recorder = IntervalRecorder(name=model.name)
-
-
 class TrainingJob:
     """Synchronous training of one or more ranks with one hook."""
 
@@ -75,7 +65,7 @@ class TrainingJob:
             raise ValueError(f"iteration time must be positive, "
                              f"got {iteration_ns}")
         self.env = env
-        self.ranks = [TrainingRank(model) for model in models]
+        self.models: List[ModelInstance] = list(models)
         self.iteration_ns = iteration_ns
         forward, backward, update = phase_fractions
         self.forward_ns = int(iteration_ns * forward)
@@ -86,39 +76,19 @@ class TrainingJob:
         self.iterations_done = 0
         self.started_at: Optional[int] = None
         self.finished_at: Optional[int] = None
-
-    @property
-    def models(self) -> List[ModelInstance]:
-        return [rank.model for rank in self.ranks]
-
-    @property
-    def recorders(self) -> List[IntervalRecorder]:
-        return [rank.recorder for rank in self.ranks]
+        #: GPU-busy intervals, closed, then the open one's start (if any).
+        self._busy_intervals: List[Tuple[int, int]] = []
+        self._busy_since: Optional[int] = None
 
     def _busy(self, duration_ns: int) -> Generator:
-        for rank in self.ranks:
-            rank.recorder.begin(self.env.now)
+        self._busy_since = self.env.now
         yield self.env.timeout(duration_ns)
-        for rank in self.ranks:
-            rank.recorder.end(self.env.now)
+        self._busy_intervals.append((self._busy_since, self.env.now))
+        self._busy_since = None
 
     def run(self, iterations: int) -> Generator:
         """Process: train for *iterations* steps."""
-        self.started_at = self.env.now
-        yield from self.hook.on_job_start(self)
-        for iteration in range(1, iterations + 1):
-            # Forward + backward: parameters are stable.
-            yield from self._busy(self.forward_ns + self.backward_ns)
-            # Consistency barrier: snapshots of this step end here.
-            yield from self.hook.after_backward(self, iteration)
-            # Update: every parameter is rewritten at the start of U.
-            for rank in self.ranks:
-                rank.model.update_step(iteration)
-            yield from self._busy(self.update_ns)
-            self.iterations_done = iteration
-            yield from self.hook.after_update(self, iteration)
-        yield from self.hook.on_job_end(self)
-        self.finished_at = self.env.now
+        yield from self._train(lambda done: done < iterations)
 
     def run_for(self, duration_ns: int) -> Generator:
         """Process: train until the clock passes ``start + duration_ns``.
@@ -127,21 +97,50 @@ class TrainingJob:
         question is "how many iterations fit in 500 s", not "how long do
         N iterations take".
         """
-        self.started_at = self.env.now
         deadline = self.env.now + duration_ns
+        yield from self._train(lambda _done: self.env.now < deadline)
+
+    def _train(self, more: Callable[[int], bool]) -> Generator:
+        """The loop both runs share: iterate while ``more(done)``."""
+        self.started_at = self.env.now
         yield from self.hook.on_job_start(self)
         iteration = 0
-        while self.env.now < deadline:
+        while more(iteration):
             iteration += 1
+            # Forward + backward: parameters are stable.
             yield from self._busy(self.forward_ns + self.backward_ns)
+            # Consistency barrier: snapshots of this step end here.
             yield from self.hook.after_backward(self, iteration)
-            for rank in self.ranks:
-                rank.model.update_step(iteration)
+            # Update: every parameter is rewritten at the start of U.
+            for model in self.models:
+                model.update_step(iteration)
             yield from self._busy(self.update_ns)
             self.iterations_done = iteration
             yield from self.hook.after_update(self, iteration)
         yield from self.hook.on_job_end(self)
         self.finished_at = self.env.now
+
+    def utilization(self, start: int, end: int) -> float:
+        """Fraction of ``[start, end)`` the GPUs spent busy (an open
+        busy interval counts up to *end*)."""
+        if end < start:
+            raise ValueError("window end before start")
+        if end == start:
+            return 0.0
+        intervals = list(self._busy_intervals)
+        if self._busy_since is not None:
+            intervals.append((self._busy_since, end))
+        busy = sum(max(0, min(hi, end) - max(lo, start))
+                   for lo, hi in intervals)
+        return busy / (end - start)
+
+    def trace(self, start: int, end: int,
+              bin_ns: int) -> List[Tuple[int, float]]:
+        """Per-bin ``(bin start, utilization)`` over ``[start, end)``."""
+        if bin_ns <= 0:
+            raise ValueError(f"bin must be positive, got {bin_ns}")
+        return [(lo, self.utilization(lo, min(lo + bin_ns, end)))
+                for lo in range(start, end, bin_ns)]
 
     @property
     def elapsed_ns(self) -> int:

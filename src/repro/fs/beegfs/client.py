@@ -21,7 +21,7 @@ from repro.fs.beegfs.server import BeegfsServer
 from repro.fs.vfs import DEFAULT_SYSCALL_NS
 from repro.hw.content import Content
 from repro.hw.node import Node
-from repro.metrics import CostLedger
+from repro.obs import Observability
 from repro.rdma.rpc import RpcClient
 from repro.rdma.verbs import connect
 from repro.sim import Environment, SharedChannel, Transfer
@@ -99,21 +99,22 @@ class BeegfsClient:
 
     def __init__(self, env: Environment, node: Node, rpc: RpcClient,
                  server: Optional[BeegfsServer] = None,
-                 name: str = "beegfs") -> None:
+                 name: str = "beegfs",
+                 obs: Optional[Observability] = None) -> None:
         self.env = env
         self.node = node
         self.rpc = rpc
         self.server = server
         self.name = name
-        self.ledger = CostLedger()
-        self.syscall_count = 0
+        self.obs = obs if obs is not None else Observability()
         self.syscall_ns = DEFAULT_SYSCALL_NS
         self._staging = SharedChannel(env, STAGING_COPY_BPS,
                                       f"{name}.staging")
 
     @classmethod
     def mount(cls, env: Environment, node: Node, server: BeegfsServer,
-              name: str = "beegfs") -> Generator:
+              name: str = "beegfs",
+              obs: Optional[Observability] = None) -> Generator:
         """Process: connect the node's NIC to the daemon and mount."""
         if node.nic is None:
             raise FsError(f"{node.name} has no RNIC to mount BeeGFS over")
@@ -121,22 +122,24 @@ class BeegfsClient:
                                                   server.node.nic)
         server.serve(server_qp)
         return cls(env, node, RpcClient(env, client_qp), server=server,
-                   name=name)
+                   name=name, obs=obs)
 
-    # -- cost helpers ---------------------------------------------------------
+    # -- cost helpers: one fs.<category> span each, as in the VFS -------------
+
+    def _span(self, category: str):
+        return self.obs.tracer.span(self.env, f"fs.{category}", cat="fs",
+                                    track=self.name)
 
     def _syscall(self) -> Generator:
-        self.syscall_count += 1
-        self.ledger.add("syscall", self.syscall_ns)
-        yield self.env.timeout(self.syscall_ns)
+        with self._span("syscall"):
+            yield self.env.timeout(self.syscall_ns)
 
     def _stage(self, size: int) -> Generator:
         if size == 0:
             return
-        start = self.env.now
-        yield Transfer(self.env, [self._staging], size,
-                       label=f"{self.name}:staging")
-        self.ledger.add("staging", self.env.now - start)
+        with self._span("staging"):
+            yield Transfer(self.env, [self._staging], size,
+                           label=f"{self.name}:staging")
 
     # -- operation surface (mirrors Filesystem) -----------------------------------
 

@@ -12,11 +12,12 @@ attractive in the first place.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.fs.vfs import FileHandle, Filesystem
 from repro.hw.content import Content
 from repro.hw.devices import PmemDimm
+from repro.obs import Observability
 from repro.sim import Environment, SharedChannel, Transfer
 from repro.units import gbytes, usecs
 
@@ -34,8 +35,9 @@ class DaxFilesystem(Filesystem):
     def __init__(self, env: Environment, device: PmemDimm,
                  name: str = "ext4-dax",
                  copy_bw_bps: float = DAX_COPY_BPS,
-                 read_bw_bps: float = DAX_READ_BPS) -> None:
-        super().__init__(env, name)
+                 read_bw_bps: float = DAX_READ_BPS,
+                 obs: Optional[Observability] = None) -> None:
+        super().__init__(env, name, obs=obs)
         self.device = device
         self._copy_channel = SharedChannel(env, copy_bw_bps,
                                            f"{name}.dax-copy")
@@ -46,25 +48,21 @@ class DaxFilesystem(Filesystem):
                     content: Content) -> Generator:
         if content.size == 0:
             return
-        start = self.env.now
-        transfer = Transfer(
-            self.env, [self._copy_channel, self.device.write_channel],
-            content.size, label=f"{self.name}:dax-write")
-        yield transfer
-        self.ledger.add("dax_write", self.env.now - start)
+        with self._span("dax_write"):
+            yield Transfer(
+                self.env, [self._copy_channel, self.device.write_channel],
+                content.size, label=f"{self.name}:dax-write")
 
     def _read_data(self, handle: FileHandle, offset: int,
                    length: int, direct: bool = False) -> Generator:
         if length == 0:
             return
-        start = self.env.now
-        transfer = Transfer(
-            self.env, [self.device.read_channel, self._read_channel],
-            length, label=f"{self.name}:dax-read")
-        yield transfer
-        self.ledger.add("dax_read", self.env.now - start)
+        with self._span("dax_read"):
+            yield Transfer(
+                self.env, [self.device.read_channel, self._read_channel],
+                length, label=f"{self.name}:dax-read")
 
     def _fsync_file(self, handle: FileHandle) -> Generator:
         # sfence + journal inode update: sub-microsecond, charge a token.
-        yield self.env.timeout(usecs(0.5))
-        self.ledger.add("dax_write", usecs(0.5))
+        with self._span("dax_write"):
+            yield self.env.timeout(usecs(0.5))

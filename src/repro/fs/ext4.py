@@ -12,11 +12,12 @@ I/Os) after any remaining data.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.fs.vfs import FileHandle, Filesystem
 from repro.hw.content import Content
 from repro.hw.devices import NvmeDevice
+from repro.obs import Observability
 from repro.sim import Environment, Transfer
 from repro.units import gbytes, mib, transfer_time_ns
 
@@ -30,8 +31,9 @@ class LocalExtFilesystem(Filesystem):
     """ext4 over one local NVMe device."""
 
     def __init__(self, env: Environment, device: NvmeDevice,
-                 name: str = "ext4-nvme") -> None:
-        super().__init__(env, name)
+                 name: str = "ext4-nvme",
+                 obs: Optional[Observability] = None) -> None:
+        super().__init__(env, name, obs=obs)
         self.device = device
 
     def _write_data(self, handle: FileHandle, offset: int,
@@ -40,41 +42,36 @@ class LocalExtFilesystem(Filesystem):
         if size == 0:
             return
         # User -> page cache copy.
-        copy_ns = transfer_time_ns(size, PAGE_CACHE_COPY_BPS)
-        self.ledger.add("page_cache", copy_ns)
-        yield self.env.timeout(copy_ns)
+        with self._span("page_cache"):
+            yield self.env.timeout(transfer_time_ns(size,
+                                                    PAGE_CACHE_COPY_BPS))
         # Block-layer writeback: one request stream; each request pays the
         # device's submission latency, data shares the device channel.
         requests = -(-size // BLOCK_REQUEST_BYTES)
-        start = self.env.now
-        transfer = Transfer(
-            self.env, [self.device.write_channel], size,
-            latency_ns=self.device.io_latency_ns * requests,
-            label=f"{self.name}:writeback")
-        yield transfer
-        self.ledger.add("block_io", self.env.now - start)
+        with self._span("block_io"):
+            yield Transfer(
+                self.env, [self.device.write_channel], size,
+                latency_ns=self.device.io_latency_ns * requests,
+                label=f"{self.name}:writeback")
 
     def _read_data(self, handle: FileHandle, offset: int,
                    length: int, direct: bool = False) -> Generator:
         if length == 0:
             return
         requests = -(-length // BLOCK_REQUEST_BYTES)
-        start = self.env.now
-        transfer = Transfer(
-            self.env, [self.device.read_channel], length,
-            latency_ns=self.device.io_latency_ns * requests,
-            label=f"{self.name}:readahead")
-        yield transfer
-        self.ledger.add("block_io", self.env.now - start)
+        with self._span("block_io"):
+            yield Transfer(
+                self.env, [self.device.read_channel], length,
+                latency_ns=self.device.io_latency_ns * requests,
+                label=f"{self.name}:readahead")
         if not direct:
             # Buffered read: device -> page cache -> user copy.
-            copy_ns = transfer_time_ns(length, PAGE_CACHE_COPY_BPS)
-            self.ledger.add("page_cache", copy_ns)
-            yield self.env.timeout(copy_ns)
+            with self._span("page_cache"):
+                yield self.env.timeout(transfer_time_ns(length,
+                                                        PAGE_CACHE_COPY_BPS))
 
     def _fsync_file(self, handle: FileHandle) -> Generator:
         # Data is already on the device (write-through model); the journal
         # commit is two small ordered I/Os.
-        start = self.env.now
-        yield self.env.timeout(2 * self.device.io_latency_ns)
-        self.ledger.add("block_io", self.env.now - start)
+        with self._span("block_io"):
+            yield self.env.timeout(2 * self.device.io_latency_ns)

@@ -7,18 +7,19 @@ exactly these for ResNet50's poor small-file checkpoint performance), and
 whatever the concrete filesystem charges for data movement via the
 ``_write_data`` / ``_read_data`` / ``_fsync_file`` hooks.
 
-Costs are also accumulated into ``self.ledger`` by category so breakdown
-experiments (Table I, Fig. 13) can read exact shares.
+Each charge is a span on the filesystem's tracer (``fs.<category>``,
+tracked by filesystem name), so the breakdown experiments (Table I,
+Fig. 13) read exact shares from one traced run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
+from typing import Dict, Generator, List, Optional
 
 from repro.errors import (FileExists, FileNotFound, FsError, IsADirectory,
                           NotADirectory)
 from repro.hw.content import Content, SegmentBuffer, ZeroContent
-from repro.metrics import CostLedger
+from repro.obs import Observability
 from repro.sim import Environment
 from repro.units import usecs
 
@@ -158,26 +159,29 @@ class Filesystem:
 
     def __init__(self, env: Environment, name: str,
                  syscall_ns: int = DEFAULT_SYSCALL_NS,
-                 path_component_ns: int = DEFAULT_PATH_COMPONENT_NS) -> None:
+                 path_component_ns: int = DEFAULT_PATH_COMPONENT_NS,
+                 obs: Optional[Observability] = None) -> None:
         self.env = env
         self.name = name
         self.syscall_ns = syscall_ns
         self.path_component_ns = path_component_ns
+        self.obs = obs if obs is not None else Observability()
         self.root = Inode("dir", "/")
-        self.ledger = CostLedger()
-        self.syscall_count = 0
 
     # -- cost hooks (overridden by concrete filesystems) ---------------------------
 
+    def _span(self, category: str):
+        """A span over one charged interval: ``fs.<category>``."""
+        return self.obs.tracer.span(self.env, f"fs.{category}", cat="fs",
+                                    track=self.name)
+
     def _charge_syscall(self, _op: str) -> Generator:
-        self.syscall_count += 1
-        self.ledger.add("syscall", self.syscall_ns)
-        yield self.env.timeout(self.syscall_ns)
+        with self._span("syscall"):
+            yield self.env.timeout(self.syscall_ns)
 
     def _charge_path(self, components: int) -> Generator:
-        ns = (components + 1) * self.path_component_ns
-        self.ledger.add("metadata", ns)
-        yield self.env.timeout(ns)
+        with self._span("metadata"):
+            yield self.env.timeout((components + 1) * self.path_component_ns)
 
     def _write_data(self, handle: FileHandle, offset: int,
                     content: Content) -> Generator:

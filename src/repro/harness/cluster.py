@@ -86,7 +86,7 @@ class PaperCluster:
         self.fabric = Fabric(env)
         #: One observability bundle for the whole deployment — every
         #: daemon (and its successors across restarts), every client,
-        #: and the fault injector all share it.
+        #: the baseline filesystems and the fault injector all share it.
         self.obs = obs if obs is not None else Observability(tracing=tracing)
         #: Fleet-wide tenant quotas/budgets, shared by all shards and
         #: surviving daemon restarts.
@@ -135,10 +135,12 @@ class PaperCluster:
             daemon0.start()
         self.shards: List[StorageShard] = [
             StorageShard(0, server, server_tcp, pool0, daemon0)]
-        self.beegfs_backing = DaxFilesystem(env, server.pmem_fsdax)
+        self.beegfs_backing = DaxFilesystem(env, server.pmem_fsdax,
+                                            obs=self.obs)
         self.beegfs_server = BeegfsServer(env, server, self.beegfs_backing)
         self._beegfs_mounts: Dict[str, BeegfsClient] = {}
-        self.volta_ext4 = LocalExtFilesystem(env, self.volta.nvme)
+        self.volta_ext4 = LocalExtFilesystem(env, self.volta.nvme,
+                                             obs=self.obs)
 
         # Extra shards (server1..serverN-1) come after the seed wiring
         # so the storage_nodes=1 event/RNG order is untouched.
@@ -215,7 +217,8 @@ class PaperCluster:
         mount = self._beegfs_mounts.get(node.name)
         if mount is None:
             mount = yield from BeegfsClient.mount(self.env, node,
-                                                  self.beegfs_server)
+                                                  self.beegfs_server,
+                                                  obs=self.obs)
             self._beegfs_mounts[node.name] = mount
         return mount
 

@@ -8,7 +8,7 @@ for the experiment index and EXPERIMENTS.md for paper-vs-measured.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.baselines.checkfreq import CheckFreqPolicy
 from repro.baselines.policies import SyncCheckpointPolicy
@@ -21,7 +21,6 @@ from repro.dnn.tensor import ModelInstance
 from repro.dnn.training import TrainingJob
 from repro.harness.cluster import PaperCluster
 from repro.hw.content import PatternContent
-from repro.metrics import aggregate_utilization
 from repro.rdma.verbs import connect
 from repro.sim import AllOf
 from repro.units import kib, mib, secs, to_seconds
@@ -30,34 +29,65 @@ SEVEN_MODELS = ["alexnet", "convnext_base", "resnet50", "swin_b",
                 "vgg19_bn", "vit_l_32", "bert_large"]
 
 
+# --- traced runs: the breakdowns' one timing record -------------------------------
+
+
+def _traced_run(seed: int, scenario: Callable[..., Generator]):
+    """Run ``scenario(env, cluster)`` untraced, then traced, on fresh
+    clusters; return the traced cluster and the scenario's result.
+
+    Both runs must agree on the result (a measured duration), the
+    simulated end time and the metrics snapshot — the zero-cost contract
+    (DESIGN.md §8): observability never perturbs what it measures.
+    """
+    observed = []
+    for tracing in (False, True):
+        cluster = PaperCluster(seed=seed, tracing=tracing)
+        result = cluster.run(lambda env: scenario(env, cluster))
+        observed.append((result, cluster.env.now,
+                         cluster.obs.metrics.snapshot()))
+    if observed[0] != observed[1]:
+        raise AssertionError(
+            f"tracing perturbed simulated time: untraced {observed[0]}, "
+            f"traced {observed[1]}")
+    return cluster, result
+
+
+def _torch_save_checkpoint(fs_kind: str,
+                           model_name: str = "bert_large"
+                           ) -> Callable[..., Generator]:
+    """Scenario: one *model_name* checkpoint via torch.save to *fs_kind*."""
+    def scenario(env, cluster):
+        if fs_kind == "beegfs":
+            fs = yield from cluster.beegfs_mount()
+        else:
+            fs = cluster.volta_ext4
+        checkpointer = TorchSaveCheckpointer(env, fs, cluster.volta.cpus)
+        model = cluster.materialize(model_name)
+        model.update_step(1)
+        start = env.now
+        yield from checkpointer.checkpoint(model)
+        return env.now - start
+    return scenario
+
+
 # --- Table I: traditional checkpoint breakdown --------------------------------------
 
 
 def table1_breakdown(model_name: str = "bert_large") -> Dict[str, float]:
     """BERT checkpoint via torch.save -> BeeGFS-PMem, phase shares."""
-    cluster = PaperCluster(seed=100)
-    holder: Dict[str, float] = {}
-
-    def scenario(env):
-        mount = yield from cluster.beegfs_mount()
-        checkpointer = TorchSaveCheckpointer(env, mount,
-                                             cluster.volta.cpus)
-        model = cluster.materialize(model_name)
-        model.update_step(1)
-        dax_before = cluster.beegfs_backing.ledger.get("dax_write")
-        yield from checkpointer.checkpoint(model)
-        dax = cluster.beegfs_backing.ledger.get("dax_write") - dax_before
-        ledger = checkpointer.ledger
-        holder.update(
-            gpu_to_dram=ledger.get("gpu_to_dram"),
-            serialization=ledger.get("serialization"),
-            transmission=ledger.get("fs_write") - dax,
-            dax_write=dax,
-        )
-
-    cluster.run(scenario)
-    total = sum(holder.values())
-    return {phase: ns / total for phase, ns in holder.items()}
+    cluster, _total = _traced_run(
+        100, _torch_save_checkpoint("beegfs", model_name))
+    tracer = cluster.obs.tracer
+    dax = tracer.total_ns("fs.dax_write")
+    phases = {
+        "gpu_to_dram": tracer.total_ns("torch_save.gpu_to_dram"),
+        "serialization": tracer.total_ns("torch_save.serialization"),
+        "transmission": tracer.total_ns("torch_save.fs_write") - dax,
+        "dax_write": dax,
+    }
+    total = sum(phases.values())
+    return {phase: ns / total for phase, ns in phases.items()}
 
 
 # --- Fig. 2: checkpoint share of training time ----------------------------------------
@@ -262,129 +292,63 @@ def speedups(times: Dict, kind: str) -> Dict[str, List[float]]:
 # --- Fig. 13: BERT checkpoint breakdown per storage option -------------------------------
 
 
-def fig13_bert_breakdown() -> Dict[str, Dict[str, float]]:
-    """Stacked phase shares for ext4-NVMe, BeeGFS-PMem, and Portus."""
-    results: Dict[str, Dict[str, float]] = {}
+def fig13_bert_breakdown() -> Dict:
+    """Stacked phase shares for ext4-NVMe, BeeGFS-PMem, and Portus.
 
-    # Baselines: reuse the Table I instrumentation.
+    Each storage option is one traced BERT checkpoint, asserted
+    bit-identical to an untraced twin, and every phase is read from its
+    spans.  Per option the result holds the shares, the total
+    (``<option>_total_ns``), and its Chrome trace and metrics snapshot
+    (under ``chrome_trace_json`` and ``metrics``).
+    """
+    results: Dict = {"chrome_trace_json": {}, "metrics": {}}
+
+    def record(option: str, cluster: PaperCluster, phases_ns: Dict[str, int],
+               total: int) -> None:
+        results[option] = {k: v / total for k, v in phases_ns.items()}
+        results[f"{option}_total_ns"] = total
+        results["chrome_trace_json"][option] = (
+            cluster.obs.tracer.chrome_trace_json())
+        results["metrics"][option] = cluster.obs.metrics.snapshot()
+
     for option, fs_kind in (("ext4_nvme", "ext4"),
                             ("beegfs_pmem", "beegfs")):
-        cluster = PaperCluster(seed=105)
-        holder: Dict[str, int] = {}
-
-        def scenario(env, fs_kind=fs_kind, holder=holder,
-                     cluster=cluster):
-            if fs_kind == "beegfs":
-                fs = yield from cluster.beegfs_mount()
-            else:
-                fs = cluster.volta_ext4
-            checkpointer = TorchSaveCheckpointer(env, fs,
-                                                 cluster.volta.cpus)
-            model = cluster.materialize("bert_large")
-            model.update_step(1)
-            yield from checkpointer.checkpoint(model)
-            holder.update(checkpointer.ledger.asdict())
-            holder.update(fs.ledger.asdict())
-
-        cluster.run(scenario)
-        serial_and_copy = holder.get("serialization", 0) + holder.get(
-            "gpu_to_dram", 0)
+        cluster, _elapsed = _traced_run(105, _torch_save_checkpoint(fs_kind))
+        tracer = cluster.obs.tracer
+        fs_write = tracer.total_ns("torch_save.fs_write")
+        phases_ns = {"serialization+cuMemcpy": (
+            tracer.total_ns("torch_save.serialization")
+            + tracer.total_ns("torch_save.gpu_to_dram"))}
         if fs_kind == "ext4":
-            io = holder.get("block_io", 0) + holder.get("page_cache", 0)
-            rest = holder.get("fs_write", 0) - io
-            breakdown = {"serialization+cuMemcpy": serial_and_copy,
-                         "block_io_kernel": io, "other": max(rest, 0)}
+            io = (tracer.total_ns("fs.block_io")
+                  + tracer.total_ns("fs.page_cache"))
+            phases_ns.update(block_io_kernel=io, other=max(fs_write - io, 0))
         else:
-            breakdown = {"serialization+cuMemcpy": serial_and_copy,
-                         "rdma_rpc": holder.get("fs_write", 0)}
-        total = sum(breakdown.values())
-        results[option] = {k: v / total for k, v in breakdown.items()}
-        results[f"{option}_total_ns"] = total
+            phases_ns["rdma_rpc"] = fs_write
+        record(option, cluster, phases_ns, sum(phases_ns.values()))
 
-    # Portus: the pull *is* the checkpoint.
-    cluster = PaperCluster(seed=106)
-    holder = {}
-
-    def portus_scenario(env):
+    # Portus: the daemon's spans split the client's checkpoint request.
+    def portus_checkpoint(env, cluster):
         session = yield from cluster.portus_register("bert_large")
         session.model.update_step(1)
         start = env.now
         yield from session.checkpoint(1)
-        holder["total"] = env.now - start
+        return env.now - start
 
-    cluster.run(portus_scenario)
-    results["portus"] = {"rdma_pull": 1.0}
-    results["portus_total_ns"] = holder["total"]
-    return results
-
-
-def fig13_portus_traced(trace_out: Optional[str] = None,
-                        metrics_out: Optional[str] = None) -> Dict:
-    """Fig. 13-style Portus breakdown from the observability layer.
-
-    Runs the same single-model checkpoint twice — tracing off, then on —
-    asserts simulated timings and metrics are bit-identical (the zero-cost
-    contract: observability must never perturb what it measures), and
-    derives the phase breakdown from the daemon's spans instead of the
-    wall-clock subtraction the baseline breakdowns need.  Optionally
-    writes the Chrome trace and the metrics snapshot to host files.
-    """
-    def run(tracing: bool):
-        cluster = PaperCluster(seed=106, tracing=tracing)
-        holder: Dict[str, int] = {}
-
-        def scenario(env):
-            session = yield from cluster.portus_register("bert_large")
-            session.model.update_step(1)
-            start = env.now
-            yield from session.checkpoint(1)
-            holder["total"] = env.now - start
-            holder["end"] = env.now
-
-        cluster.run(scenario)
-        holder["metrics"] = cluster.obs.metrics.snapshot()
-        return cluster, holder
-
-    _base_cluster, base = run(tracing=False)
-    cluster, traced = run(tracing=True)
-    identical = (base["total"] == traced["total"]
-                 and base["end"] == traced["end"]
-                 and base["metrics"] == traced["metrics"])
-    if not identical:
-        raise AssertionError(
-            f"tracing perturbed simulated time: untraced {base}, "
-            f"traced {traced}")
-
+    cluster, total = _traced_run(106, portus_checkpoint)
     tracer = cluster.obs.tracer
-    client_span = tracer.one("client.DO_CHECKPOINT")
-    daemon_span = tracer.one("daemon.DO_CHECKPOINT")
-    pull_span = tracer.one("engine.read")
-    begin_span = tracer.one("ckpt.begin")
-    commit_span = tracer.one("ckpt.persist_commit")
-    total = client_span.duration_ns
-    phases_ns = {
-        "begin": begin_span.duration_ns,
-        "rdma_pull": pull_span.duration_ns,
-        "persist_commit": commit_span.duration_ns,
-        "daemon_dispatch": (daemon_span.duration_ns
-                            - begin_span.duration_ns
-                            - pull_span.duration_ns
-                            - commit_span.duration_ns),
-        "control_plane": total - daemon_span.duration_ns,
-    }
-    if trace_out is not None:
-        tracer.write(trace_out)
-    if metrics_out is not None:
-        cluster.obs.metrics.write(metrics_out)
-    return {
-        "total_ns": total,
-        "phases_ns": phases_ns,
-        "shares": {phase: ns / total for phase, ns in phases_ns.items()},
-        "bit_identical": identical,
-        "span_count": len(tracer.spans),
-        "chrome_trace_json": tracer.chrome_trace_json(),
-        "metrics": cluster.obs.metrics.snapshot(),
-    }
+    daemon = tracer.one("daemon.DO_CHECKPOINT").duration_ns
+    begin = tracer.one("ckpt.begin").duration_ns
+    pull = tracer.one("engine.read").duration_ns
+    commit = tracer.one("ckpt.persist_commit").duration_ns
+    record("portus", cluster, {
+        "begin": begin,
+        "rdma_pull": pull,
+        "persist_commit": commit,
+        "daemon_dispatch": daemon - begin - pull - commit,
+        "control_plane": total - daemon,
+    }, total)
+    return results
 
 
 # --- Fig. 14: GPT checkpoint dump, torch.save vs Portus -----------------------------------
@@ -556,11 +520,9 @@ def fig15_fig16_training(config_name: str = "gpt-22.4b",
         cluster.run(scenario)
         job = holder["job"]
         window_ns = job.finished_at - job.started_at
-        utilization = aggregate_utilization(job.recorders, job.started_at,
-                                            job.started_at + secs(window_s))
-        trace = job.recorders[0].trace(job.started_at,
-                                       job.started_at + secs(window_s),
-                                       secs(10))
+        window_end = job.started_at + secs(window_s)
+        utilization = job.utilization(job.started_at, window_end)
+        trace = job.trace(job.started_at, window_end, secs(10))
         iters_per_day = job.iterations_done * (24 * 3600) / to_seconds(
             window_ns)
         results[system] = {

@@ -26,7 +26,6 @@ class CpuSet:
         self.cores = cores
         self.name = name
         self._pool = Resource(env, capacity=cores)
-        self.busy_ns = 0
 
     def execute(self, cpu_time_ns: int) -> Generator:
         """Process: hold one core for *cpu_time_ns* (queueing if saturated)."""
@@ -34,7 +33,6 @@ class CpuSet:
         yield req
         try:
             yield self.env.timeout(cpu_time_ns)
-            self.busy_ns += cpu_time_ns
         finally:
             self._pool.release(req)
 

@@ -169,6 +169,10 @@ class Tracer:
     def named(self, name: str) -> List[Span]:
         return [span for span in self.spans if span.name == name]
 
+    def total_ns(self, name: str) -> int:
+        """Summed duration of every span named *name*."""
+        return sum(span.duration_ns for span in self.named(name))
+
     def one(self, name: str) -> Span:
         spans = self.named(name)
         if len(spans) != 1:

@@ -56,7 +56,7 @@ def test_backlog_stalls_when_persist_exceeds_interval():
     job = TrainingJob(env, [model], iteration_ns=msecs(10), hook=policy)
     env.run_process(env.process(job.run(8)))
     assert policy.stall_ns > 0
-    util = job.recorders[0].utilization(job.started_at, job.finished_at)
+    util = job.utilization(job.started_at, job.finished_at)
     assert util < 0.5
 
 

@@ -72,7 +72,7 @@ def test_async_stalls_when_pull_exceeds_fb_window():
         iteration_ns=msecs(100), frequency=2)
     assert policy.stall_ns > 0
     assert policy.barrier_waits > 0
-    util = job.recorders[0].utilization(job.started_at, job.finished_at)
+    util = job.utilization(job.started_at, job.finished_at)
     assert util < 1.0
 
 

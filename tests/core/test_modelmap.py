@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.modelmap import ModelMap
+from repro.errors import ModelAlreadyRegistered
 
 
 def test_insert_and_lookup():
@@ -17,11 +18,12 @@ def test_insert_and_lookup():
     assert len(tree) == 2
 
 
-def test_insert_replaces_value():
+def test_insert_refuses_an_existing_key():
     tree = ModelMap()
     tree.insert("m", 1)
-    tree.insert("m", 2)
-    assert tree["m"] == 2
+    with pytest.raises(ModelAlreadyRegistered):
+        tree.insert("m", 2)
+    assert tree["m"] == 1
     assert len(tree) == 1
 
 
@@ -67,7 +69,10 @@ def test_matches_dict_reference(operations):
     tree = ModelMap()
     reference = {}
     for op, key in operations:
-        if op == "i":
+        if op == "i" and key in reference:
+            with pytest.raises(ModelAlreadyRegistered):
+                tree.insert(key, key)
+        elif op == "i":
             tree.insert(key, key)
             reference[key] = key
         elif key in reference:

@@ -493,6 +493,66 @@ def test_migration_refused_by_a_full_model_table_leaves_no_copy():
     assert cluster.daemon.model_map["m3"].meta.restorable()[1] == 2
 
 
+def test_register_racing_a_migration_keeps_the_destinations_model():
+    """A REGISTER of the migrating model's name lands on the destination
+    while the pull is in flight: the migration's commit refuses the name
+    the destination now holds instead of replacing its entries, frees
+    its copy, and leaves the source serving the committed step."""
+    cluster = PaperCluster(seed=39, ampere_nodes=0, storage_nodes=2)
+    specs = [TensorSpec("w", (4096, 1024))]  # 16 MiB
+    dst = cluster.shards[1].daemon
+
+    def setup(env):
+        instance = ModelInstance.materialize("m", specs,
+                                             cluster.volta.gpus[0],
+                                             model_seed=1)
+        session = yield from cluster.portus_register(instance)
+        instance.update_step(4)
+        yield from session.checkpoint(4)
+        return session
+
+    session = cluster.run(setup)
+
+    def migrate(env):
+        try:
+            yield from migrate_model(env, cluster.daemon, dst, "m")
+        except ModelAlreadyRegistered as exc:
+            return exc
+        return None
+
+    def race(env):
+        migration = env.process(migrate(env))
+        yield env.timeout(usecs(1))
+        other = ModelInstance.materialize("m", specs,
+                                          cluster.volta.gpus[1],
+                                          model_seed=2)
+        registered = yield from cluster.portus_register(other, shard=1)
+        entry = dst.model_map["m"]
+        return registered, entry, (yield migration)
+
+    registered, entry, refusal = cluster.run(race)
+    assert isinstance(refusal, ModelAlreadyRegistered)
+    # The destination's own `m` is untouched and works.
+    assert dst.model_map["m"] is entry
+    assert dst.table.lookup("m") == entry.meta.meta.addr
+    with pytest.raises(NoValidCheckpoint):
+        entry.meta.restorable()
+
+    def use_both(env):
+        registered.model.update_step(1)
+        yield from registered.checkpoint(1)
+        session.model.update_step(0)
+        return (yield from session.restore())
+
+    assert cluster.run(use_both) == 4
+    assert entry.meta.restorable()[1] == 1
+    bad = [t.name for t in session.model.tensors
+           if not t.content().equals(t.expected_content(4))]
+    assert bad == []
+    for shard in cluster.shards:
+        assert fsck(shard.pool).clean
+
+
 HEAD = ["fc.weight", "fc.bias"]
 
 

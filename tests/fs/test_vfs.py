@@ -6,14 +6,19 @@ from repro.errors import (FileExists, FileNotFound, FsError, IsADirectory,
                           NotADirectory)
 from repro.fs import DaxFilesystem, Filesystem, LocalExtFilesystem
 from repro.hw import ByteContent, NvmeDevice, PatternContent, PmemDimm
+from repro.obs import Observability
 from repro.sim import Environment
 from repro.units import gbytes, gib, mib
+
+
+def traced():
+    return Observability(tracing=True)
 
 
 @pytest.fixture
 def fs():
     env = Environment()
-    return env, Filesystem(env, "memfs")
+    return env, Filesystem(env, "memfs", obs=traced())
 
 
 def run(env, gen):
@@ -207,8 +212,9 @@ def test_syscalls_cost_time(fs):
 
     elapsed = run(env, scenario(env))
     assert elapsed > 0
-    assert fs.syscall_count >= 4  # open, write, fsync, close
-    assert fs.ledger.get("syscall") > 0
+    tracer = fs.obs.tracer
+    assert len(tracer.named("fs.syscall")) >= 4  # open, write, fsync, close
+    assert tracer.total_ns("fs.syscall") > 0
 
 
 # --- ext4-NVMe timing ---------------------------------------------------------------
@@ -217,7 +223,7 @@ def test_syscalls_cost_time(fs):
 def test_ext4_write_rate_near_device_limit():
     env = Environment()
     nvme = NvmeDevice(env)
-    fs = LocalExtFilesystem(env, nvme)
+    fs = LocalExtFilesystem(env, nvme, obs=traced())
     size = mib(512)
 
     def scenario(env):
@@ -231,7 +237,8 @@ def test_ext4_write_rate_near_device_limit():
     # Page-cache copy (8 GB/s) + block writeback (2.7 GB/s) + per-request
     # latency in series => ~1.75 GB/s effective streaming write.
     assert gbytes(1.6) < observed_bps < gbytes(1.9)
-    assert fs.ledger.get("block_io") > fs.ledger.get("page_cache")
+    tracer = fs.obs.tracer
+    assert tracer.total_ns("fs.block_io") > tracer.total_ns("fs.page_cache")
 
 
 def test_ext4_fsync_costs_journal_ios():
@@ -256,7 +263,7 @@ def test_ext4_fsync_costs_journal_ios():
 def test_dax_write_rate_is_copy_bound():
     env = Environment()
     pmem = PmemDimm(env, dimms=3, dimm_capacity=gib(4))
-    fs = DaxFilesystem(env, pmem)
+    fs = DaxFilesystem(env, pmem, obs=traced())
     size = mib(512)
 
     def scenario(env):
@@ -268,8 +275,8 @@ def test_dax_write_rate_is_copy_bound():
     elapsed = env.run_process(env.process(scenario(env)))
     observed_bps = size / (elapsed / 1e9)
     assert observed_bps == pytest.approx(gbytes(5.64), rel=0.05)
-    assert fs.ledger.get("dax_write") > 0
-    assert fs.ledger.get("block_io") == 0
+    assert fs.obs.tracer.total_ns("fs.dax_write") > 0
+    assert fs.obs.tracer.total_ns("fs.block_io") == 0
 
 
 def test_dax_faster_than_nvme_for_same_write():

@@ -5,6 +5,7 @@ schedule, or change a wire size — so a traced run must be bit-identical
 in simulated time to the same run untraced.
 """
 
+from repro.baselines import TorchSaveCheckpointer
 from repro.core import protocol
 from repro.core.retry import RetryPolicy
 from repro.dnn.tensor import ModelInstance, TensorSpec
@@ -141,6 +142,45 @@ def test_mr_register_spans_explain_the_first_dumps_chunk_pinning():
     assert sum(pin.args["bytes"] for pin in first) == \
         replies[0]["bytes_pulled"]
     assert pinning(restore) == []
+
+
+def _run_torch_save(fs_kind, tracing):
+    """A torch.save checkpoint and restore of alexnet on *fs_kind*;
+    returns the cluster and the per-call timeline."""
+    cluster = PaperCluster(seed=98, ampere_nodes=0, tracing=tracing)
+    timeline = []
+
+    def scenario(env):
+        if fs_kind == "beegfs":
+            fs = yield from cluster.beegfs_mount()
+        else:
+            fs = cluster.volta_ext4
+        checkpointer = TorchSaveCheckpointer(env, fs, cluster.volta.cpus)
+        model = cluster.materialize("alexnet")
+        model.update_step(1)
+        yield from checkpointer.checkpoint(model)
+        timeline.append(env.now)
+        model.update_step(2)
+        yield from checkpointer.restore(model)
+        timeline.append(env.now)
+
+    cluster.run(scenario)
+    return cluster, timeline
+
+
+def test_traced_torch_save_run_is_bit_identical_to_untraced():
+    """The baselines' phase and filesystem spans are free too, on local
+    ext4 and on BeeGFS (client, RPC and the server's DAX backing)."""
+    for fs_kind in ("ext4", "beegfs"):
+        plain, plain_timeline = _run_torch_save(fs_kind, tracing=False)
+        traced, traced_timeline = _run_torch_save(fs_kind, tracing=True)
+        assert plain_timeline == traced_timeline, fs_kind
+        assert plain.env._seq == traced.env._seq, fs_kind
+        assert plain.obs.metrics.snapshot() == \
+            traced.obs.metrics.snapshot(), fs_kind
+        names = {span.name for span in traced.obs.tracer.spans}
+        assert {"torch_save.fs_write", "torch_save.fs_read",
+                "fs.syscall"} <= names, fs_kind
 
 
 def test_stamp_trace_does_not_change_wire_sizes():
