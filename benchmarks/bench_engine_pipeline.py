@@ -14,11 +14,9 @@ synthetic single-model workload where the per-WR costs are visible:
 depth 1 serializes one posting latency per WR, and chunking normalizes
 a skewed tensor-size distribution to the uniform one.
 
-Results are recorded to BENCH_engine.json at the repo root.
+Results are recorded in the golden record (``benchmarks/golden.json``)
+under ``engine_pipeline``.
 """
-
-import json
-import os
 
 import repro.core.daemon as daemon_module
 from repro.dnn.tensor import ModelInstance, TensorSpec
@@ -28,9 +26,6 @@ from repro.harness.report import render_table
 from repro.units import fmt_time, kib, mib
 
 from conftest import run_once
-
-BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          os.pardir, "BENCH_engine.json")
 
 #: The PMem congestion cliff bounds the headline speedup (DESIGN.md §7).
 PHYSICAL_CEILING = 8.4 / 6.0
@@ -105,14 +100,6 @@ def test_engine_pipeline(benchmark, shared_results):
     print(render_table(
         "Grid: 256 MiB model, skew x QP depth x chunk size",
         ["cell", "checkpoint", "WRs posted"], grid_rows))
-
-    payload = dict(results)
-    payload["headline"] = dict(headline,
-                               speedup_striped_vs_sliding=round(speedup, 4),
-                               physical_ceiling=round(PHYSICAL_CEILING, 4))
-    with open(BENCH_JSON, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
     # The headline claim, bounded by physics on both sides.
     assert speedup >= 1.3

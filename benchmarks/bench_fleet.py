@@ -11,7 +11,8 @@ never queues client-side).  The identical workload runs twice:
 * **single** — the same tenants hammering one daemon (the pre-fleet
   world), where the tail collapses under contention.
 
-Recorded into ``BENCH_fleet.json`` at the repo root:
+Recorded in the golden record (``benchmarks/golden.json``) under
+``fleet_open_loop``:
 
 * per-run p50/p99 dump latency, completions, skips, errors;
 * ``p99_improvement`` — single-daemon p99 over fleet p99 (the
@@ -22,12 +23,11 @@ Recorded into ``BENCH_fleet.json`` at the repo root:
 * a live cross-shard migration of one tenant's model mid-workload,
   restored bit-exactly from the destination pool.
 
-The full-size test is also the CI regression guard: it refuses a
-``p99_improvement`` below 80% of the committed value.  ``CI_FAST=1``
-shrinks the fleet and skips the guard and the JSON rewrite.
+CI runs the full-size test with ``--golden check``, which pins every
+value exactly.  ``CI_FAST=1`` shrinks the fleet, where the 3x bar gives
+way to sharding never making the tail worse.
 """
 
-import json
 import os
 import random
 
@@ -41,9 +41,6 @@ from repro.harness.report import render_table
 from repro.units import fmt_time, msecs, secs
 
 from conftest import run_once
-
-BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          os.pardir, "BENCH_fleet.json")
 
 #: Small end of the zoo: the open loop needs many concurrent models,
 #: not huge ones (the huge ones get their own figures).
@@ -209,23 +206,11 @@ def test_fleet_open_loop(benchmark, shared_results):
         # Reduced scale: the structure must hold (sharding never makes
         # the tail worse) but the 3x bar belongs to the full fleet.
         assert results["p99_improvement"] > 1.0
-        return  # no guard, no JSON rewrite
+        return
 
     # The acceptance bar: sharding buys >= 3x on the p99 tail.
     assert results["p99_improvement"] >= 3.0, \
         f"p99 improved only {results['p99_improvement']}x (< 3x bar)"
-
-    if os.path.exists(BENCH_JSON):
-        with open(BENCH_JSON) as fh:
-            committed = json.load(fh)
-        floor = committed["p99_improvement"] * 0.8
-        assert results["p99_improvement"] >= floor, (
-            f"fleet regressed: {results['p99_improvement']}x < 80% of "
-            f"committed {committed['p99_improvement']}x")
-
-    with open(BENCH_JSON, "w") as fh:
-        json.dump(results, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @pytest.mark.bench_smoke

@@ -12,13 +12,11 @@
 #   2. bench smoke: every benchmark datapath, tiniest config, one
 #      iteration (scripts/bench_smoke.sh); then the sim hot-path bench,
 #      which guards against a >20% speedup regression vs the committed
-#      BENCH_sim.json, the dedup bench, which guards the Fig. 14
-#      trace's bytes-moved reduction vs the committed BENCH_dedup.json,
-#      the fleet bench, which guards the 96-tenant open loop's p99
-#      improvement vs the committed BENCH_fleet.json, and the group
-#      bench, which guards the parallel-group dump speedup vs the
-#      committed BENCH_group.json
-#      (CI_FAST runs all four at reduced scale, no guard); then the
+#      BENCH_sim.json (host-timed); then the dedup (Fig. 14 trace),
+#      fleet (96-tenant open loop) and group (parallel-group dump)
+#      benches under `--golden check`, which fails on any value that
+#      moved from benchmarks/golden.json (CI_FAST runs all four at
+#      reduced scale, without the guard or the golden check); then the
 #      benchmark's own smoke test (bench/test_bench.py), so a datapath
 #      change that breaks a workload's bit-exact restore or its
 #      repeatability check fails here, not only in the benchmark run;
@@ -104,17 +102,16 @@ step "sim hot-path bench (regression guard vs BENCH_sim.json)"
 PYTHONPATH=src python -m pytest \
     "benchmarks/bench_sim_hotpath.py::test_sim_hotpath_fleet" -q
 
-step "dedup bench (bytes-moved regression guard vs BENCH_dedup.json)"
+step "dedup, fleet and group benches (exact vs benchmarks/golden.json)"
+golden=(--golden check)
+if [[ "${CI_FAST:-0}" != "0" ]]; then
+    golden=()  # --golden records full-size runs only
+fi
 PYTHONPATH=src python -m pytest \
-    "benchmarks/bench_dedup.py::test_dedup_fig14_trace" -q
-
-step "fleet bench (p99-improvement regression guard vs BENCH_fleet.json)"
-PYTHONPATH=src python -m pytest \
-    "benchmarks/bench_fleet.py::test_fleet_open_loop" -q
-
-step "group bench (dump-speedup regression guard vs BENCH_group.json)"
-PYTHONPATH=src python -m pytest \
-    "benchmarks/bench_group.py::test_group_dump_speedup" -q
+    "benchmarks/bench_dedup.py::test_dedup_fig14_trace" \
+    "benchmarks/bench_fleet.py::test_fleet_open_loop" \
+    "benchmarks/bench_group.py::test_group_dump_speedup" \
+    "${golden[@]}" -q
 
 step "benchmark workloads smoke (bench/: bit-exact + repeatable)"
 PYTHONPATH=src python -m pytest bench -q

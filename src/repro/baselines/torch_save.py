@@ -42,13 +42,11 @@ class TorchSaveCheckpointer:
     """Blocking save/load of one model per call against one filesystem."""
 
     def __init__(self, env: Environment, fs, cpus: CpuSet,
-                 directory: str = "/checkpoints",
-                 use_gds_restore: bool = True) -> None:
+                 directory: str = "/checkpoints") -> None:
         self.env = env
         self.fs = fs
         self.cpus = cpus
         self.directory = directory.rstrip("/") or "/checkpoints"
-        self.use_gds_restore = use_gds_restore
         self._prepared = False
 
     def _span(self, phase: str):
@@ -134,8 +132,7 @@ class TorchSaveCheckpointer:
         path = self._path_for(model.name)
         handle = yield from self.fs.open(path)
         with self._span("fs_read"):
-            content = yield from handle.read(handle.size,
-                                             direct=self.use_gds_restore)
+            content = yield from handle.read(handle.size, direct=True)
             yield from handle.close()
 
         parsed = deserialize_state_dict(content)

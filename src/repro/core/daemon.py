@@ -474,6 +474,11 @@ class PortusDaemon:
                     self.tenants.release_bytes(tenant, name)
                 raise
         else:
+            if (tenant is not None and entry.tenant is not None
+                    and tenant != entry.tenant):
+                raise ModelAlreadyRegistered(
+                    f"{name}: held by tenant {entry.tenant!r}, not "
+                    f"{tenant!r}")
             self._validate_attach(entry, specs, chunk_bytes)
         # A re-attach to a live daemon finds these in the pin table.
         regions = entry.meta.layout.pinned_regions()

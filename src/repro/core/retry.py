@@ -39,6 +39,8 @@ TRANSPORT_FAULTS = (ConnectionClosed, NetworkError, QpStateError,
 CONTENTION_FAULTS = (CheckpointInProgress, AdmissionReject)
 #: Everything a retry attempt may absorb.
 RETRYABLE_FAULTS = TRANSPORT_FAULTS + CONTENTION_FAULTS
+#: Each retry waits this many times longer than the one before (capped).
+BACKOFF_FACTOR = 2.0
 
 
 class RetryPolicy:
@@ -47,7 +49,6 @@ class RetryPolicy:
     def __init__(self, rng: Optional[random.Random] = None,
                  max_attempts: int = 16,
                  initial_backoff_ns: int = usecs(200),
-                 backoff_factor: float = 2.0,
                  max_backoff_ns: int = msecs(20),
                  jitter: float = 0.25,
                  deadline_ns: Optional[int] = msecs(500),
@@ -59,7 +60,6 @@ class RetryPolicy:
         self.rng = rng if rng is not None else random.Random(0)
         self.max_attempts = max_attempts
         self.initial_backoff_ns = int(initial_backoff_ns)
-        self.backoff_factor = float(backoff_factor)
         self.max_backoff_ns = int(max_backoff_ns)
         self.jitter = float(jitter)
         self.deadline_ns = deadline_ns
@@ -71,7 +71,7 @@ class RetryPolicy:
     def backoff_ns(self, attempt: int) -> int:
         """Backoff before retry number *attempt* (1-based), jittered."""
         base = min(
-            self.initial_backoff_ns * self.backoff_factor ** (attempt - 1),
+            self.initial_backoff_ns * BACKOFF_FACTOR ** (attempt - 1),
             float(self.max_backoff_ns))
         if self.jitter:
             base *= 1.0 + self.jitter * (2.0 * self.rng.random() - 1.0)

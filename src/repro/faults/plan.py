@@ -15,6 +15,13 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.units import msecs, usecs
 
+#: What :meth:`FaultPlan.random` aims at: link faults at the client's
+#: link, WR faults and QP errors at the server's or the client's NIC.
+RANDOM_LINK_ENDPOINTS = ("volta",)
+RANDOM_NICS = ("server", "volta")
+#: Upper bound of a random WR fault rate.
+RANDOM_MAX_WR_RATE = 0.3
+
 
 class FaultKind:
     """The fault vocabulary (string constants, not an enum, so plans
@@ -133,12 +140,6 @@ class FaultPlan:
     @classmethod
     def random(cls, rng: random.Random, horizon_ns: int,
                events: int = 4,
-               endpoints: Sequence[str] = ("volta",),
-               nics: Sequence[str] = ("server", "volta"),
-               clients: Sequence[str] = ("volta",),
-               allow_power_loss: bool = True,
-               allow_daemon_faults: bool = True,
-               max_wr_rate: float = 0.3,
                auto_recover_daemon: bool = True,
                allow_pool_corrupt: bool = False,
                storage_shards: Sequence[str] = ("server",)) -> "FaultPlan":
@@ -168,11 +169,8 @@ class FaultPlan:
         yields its historical plan byte for byte.
         """
         kinds = [FaultKind.LINK_DOWN, FaultKind.WR_FAULT_RATE,
-                 FaultKind.QP_ERROR, FaultKind.TCP_DROP]
-        if allow_daemon_faults:
-            kinds.append(FaultKind.DAEMON_CRASH)
-        if allow_power_loss:
-            kinds.append(FaultKind.POWER_LOSS)
+                 FaultKind.QP_ERROR, FaultKind.TCP_DROP,
+                 FaultKind.DAEMON_CRASH, FaultKind.POWER_LOSS]
         if allow_pool_corrupt:
             kinds.append(FaultKind.POOL_CORRUPT)
         shards = list(storage_shards)
@@ -188,13 +186,13 @@ class FaultPlan:
             at_ns = rng.randrange(1, max(2, horizon_ns))
             kind = rng.choice(kinds)
             if kind == FaultKind.LINK_DOWN:
-                target = rng.choice(list(endpoints))
+                target = rng.choice(RANDOM_LINK_ENDPOINTS)
                 outage = rng.randrange(usecs(50), msecs(2))
                 plan.at(at_ns, FaultKind.LINK_DOWN, target)
                 plan.at(at_ns + outage, FaultKind.LINK_UP, target)
             elif kind == FaultKind.WR_FAULT_RATE:
-                target = rng.choice(list(nics))
-                rate = rng.uniform(0.02, max_wr_rate)
+                target = rng.choice(RANDOM_NICS)
+                rate = rng.uniform(0.02, RANDOM_MAX_WR_RATE)
                 hang = rng.uniform(0.0, 0.1)
                 burst = rng.randrange(usecs(100), msecs(5))
                 plan.at(at_ns, FaultKind.WR_FAULT_RATE, target,
@@ -202,7 +200,7 @@ class FaultPlan:
                 plan.at(at_ns + burst, FaultKind.WR_FAULT_RATE, target,
                         rate=0.0, hang_rate=0.0)
             elif kind == FaultKind.QP_ERROR:
-                plan.at(at_ns, FaultKind.QP_ERROR, rng.choice(list(nics)))
+                plan.at(at_ns, FaultKind.QP_ERROR, rng.choice(RANDOM_NICS))
             elif kind == FaultKind.TCP_DROP:
                 target = draw_shard() if multi else "server"
                 plan.at(at_ns, FaultKind.TCP_DROP, target)

@@ -23,8 +23,9 @@ from repro.units import usecs
 
 #: Default concurrent checkpoint ingests one daemon will accept.
 DEFAULT_MAX_INFLIGHT_INGESTS = 8
-#: Default concurrent registrations (attach storms after a restart).
-DEFAULT_MAX_INFLIGHT_REGISTRATIONS = 16
+#: Concurrent registrations one daemon will accept (attach storms after
+#: a restart).
+MAX_INFLIGHT_REGISTRATIONS = 16
 #: Base retry-after; the streak multiplies it up to 8x.
 DEFAULT_RETRY_AFTER_NS = usecs(200)
 
@@ -36,12 +37,11 @@ class AdmissionController:
 
     def __init__(self,
                  max_ingests: int = DEFAULT_MAX_INFLIGHT_INGESTS,
-                 max_registrations: int = DEFAULT_MAX_INFLIGHT_REGISTRATIONS,
                  retry_after_ns: int = DEFAULT_RETRY_AFTER_NS,
                  obs=None, shard: str = "") -> None:
-        if max_ingests < 1 or max_registrations < 1:
+        if max_ingests < 1:
             raise ValueError("admission bounds must be >= 1")
-        self._limits = {"register": int(max_registrations),
+        self._limits = {"register": MAX_INFLIGHT_REGISTRATIONS,
                         "ingest": int(max_ingests)}
         self._inflight: Dict[str, int] = {k: 0 for k in _KINDS}
         self._reject_streak: Dict[str, int] = {k: 0 for k in _KINDS}

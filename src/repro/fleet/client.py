@@ -45,14 +45,9 @@ from repro.fleet.workload import TenantSpec, place_on_cluster
 class FleetClient:
     """Tenant-facing router over a sharded PaperCluster."""
 
-    def __init__(self, cluster, ring: Optional[PlacementRing] = None,
-                 vnodes: Optional[int] = None) -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        if ring is None:
-            kwargs = {} if vnodes is None else {"vnodes": vnodes}
-            ring = PlacementRing(
-                (shard.name for shard in cluster.shards), **kwargs)
-        self.ring = ring
+        self.ring = PlacementRing(shard.name for shard in cluster.shards)
         self.obs = cluster.obs
         #: (tenant, model name) -> live ModelSession.
         self._sessions: Dict[Tuple[str, str], object] = {}

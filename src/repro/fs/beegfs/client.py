@@ -18,7 +18,7 @@ from typing import Generator, Optional
 
 from repro.errors import FsError
 from repro.fs.beegfs.server import BeegfsServer
-from repro.fs.vfs import DEFAULT_SYSCALL_NS
+from repro.fs.vfs import SYSCALL_NS
 from repro.hw.content import Content
 from repro.hw.node import Node
 from repro.obs import Observability
@@ -107,7 +107,6 @@ class BeegfsClient:
         self.server = server
         self.name = name
         self.obs = obs if obs is not None else Observability()
-        self.syscall_ns = DEFAULT_SYSCALL_NS
         self._staging = SharedChannel(env, STAGING_COPY_BPS,
                                       f"{name}.staging")
 
@@ -132,7 +131,7 @@ class BeegfsClient:
 
     def _syscall(self) -> Generator:
         with self._span("syscall"):
-            yield self.env.timeout(self.syscall_ns)
+            yield self.env.timeout(SYSCALL_NS)
 
     def _stage(self, size: int) -> Generator:
         if size == 0:

@@ -30,7 +30,7 @@ from repro.sim import AllOf, Environment
 from repro.units import usecs
 
 #: The real daemon defaults to 8 worker threads per service.
-DEFAULT_WORKERS = 8
+WORKERS = 8
 #: Metadata op handling: dentry work, ACL check, response build.
 META_OP_CPU_NS = usecs(12)
 
@@ -50,7 +50,6 @@ class BeegfsServer:
 
     def __init__(self, env: Environment, node: StorageNode,
                  backing: Union[Filesystem, Sequence[Filesystem]],
-                 workers: int = DEFAULT_WORKERS,
                  stripe: Optional[StripePattern] = None) -> None:
         self.env = env
         self.node = node
@@ -66,7 +65,7 @@ class BeegfsServer:
             raise ValueError(
                 f"stripe width {self.stripe.targets} != "
                 f"{len(self.targets)} targets")
-        self.workers = CpuSet(env, workers, name=f"{node.name}.beegfs-workers")
+        self.workers = CpuSet(env, WORKERS, name=f"{node.name}.beegfs-workers")
         self.rpc = RpcServer(env, self.workers)
         self._fd_table: Dict[int, _OpenFile] = {}
         self._file_sizes: Dict[str, int] = {}  # the metadata service

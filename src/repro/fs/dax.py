@@ -34,14 +34,12 @@ class DaxFilesystem(Filesystem):
 
     def __init__(self, env: Environment, device: PmemDimm,
                  name: str = "ext4-dax",
-                 copy_bw_bps: float = DAX_COPY_BPS,
-                 read_bw_bps: float = DAX_READ_BPS,
                  obs: Optional[Observability] = None) -> None:
         super().__init__(env, name, obs=obs)
         self.device = device
-        self._copy_channel = SharedChannel(env, copy_bw_bps,
+        self._copy_channel = SharedChannel(env, DAX_COPY_BPS,
                                            f"{name}.dax-copy")
-        self._read_channel = SharedChannel(env, read_bw_bps,
+        self._read_channel = SharedChannel(env, DAX_READ_BPS,
                                            f"{name}.dax-read")
 
     def _write_data(self, handle: FileHandle, offset: int,

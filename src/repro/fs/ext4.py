@@ -16,7 +16,7 @@ from typing import Generator, Optional
 
 from repro.fs.vfs import FileHandle, Filesystem
 from repro.hw.content import Content
-from repro.hw.devices import NvmeDevice
+from repro.hw.devices import NVME_IO_LATENCY_NS, NvmeDevice
 from repro.obs import Observability
 from repro.sim import Environment, Transfer
 from repro.units import gbytes, mib, transfer_time_ns
@@ -51,7 +51,7 @@ class LocalExtFilesystem(Filesystem):
         with self._span("block_io"):
             yield Transfer(
                 self.env, [self.device.write_channel], size,
-                latency_ns=self.device.io_latency_ns * requests,
+                latency_ns=NVME_IO_LATENCY_NS * requests,
                 label=f"{self.name}:writeback")
 
     def _read_data(self, handle: FileHandle, offset: int,
@@ -62,7 +62,7 @@ class LocalExtFilesystem(Filesystem):
         with self._span("block_io"):
             yield Transfer(
                 self.env, [self.device.read_channel], length,
-                latency_ns=self.device.io_latency_ns * requests,
+                latency_ns=NVME_IO_LATENCY_NS * requests,
                 label=f"{self.name}:readahead")
         if not direct:
             # Buffered read: device -> page cache -> user copy.
@@ -74,4 +74,4 @@ class LocalExtFilesystem(Filesystem):
         # Data is already on the device (write-through model); the journal
         # commit is two small ordered I/Os.
         with self._span("block_io"):
-            yield self.env.timeout(2 * self.device.io_latency_ns)
+            yield self.env.timeout(2 * NVME_IO_LATENCY_NS)

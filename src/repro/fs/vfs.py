@@ -24,9 +24,9 @@ from repro.sim import Environment
 from repro.units import usecs
 
 #: One user->kernel->user crossing: syscall entry/exit plus VFS dispatch.
-DEFAULT_SYSCALL_NS = usecs(1.2)
+SYSCALL_NS = usecs(1.2)
 #: Per path component: dcache lookup + permission check.
-DEFAULT_PATH_COMPONENT_NS = usecs(0.4)
+PATH_COMPONENT_NS = usecs(0.4)
 
 
 class FileData:
@@ -158,13 +158,9 @@ class Filesystem:
     """In-memory namespace plus cost accounting; subclasses add devices."""
 
     def __init__(self, env: Environment, name: str,
-                 syscall_ns: int = DEFAULT_SYSCALL_NS,
-                 path_component_ns: int = DEFAULT_PATH_COMPONENT_NS,
                  obs: Optional[Observability] = None) -> None:
         self.env = env
         self.name = name
-        self.syscall_ns = syscall_ns
-        self.path_component_ns = path_component_ns
         self.obs = obs if obs is not None else Observability()
         self.root = Inode("dir", "/")
 
@@ -177,11 +173,11 @@ class Filesystem:
 
     def _charge_syscall(self, _op: str) -> Generator:
         with self._span("syscall"):
-            yield self.env.timeout(self.syscall_ns)
+            yield self.env.timeout(SYSCALL_NS)
 
     def _charge_path(self, components: int) -> Generator:
         with self._span("metadata"):
-            yield self.env.timeout((components + 1) * self.path_component_ns)
+            yield self.env.timeout((components + 1) * PATH_COMPONENT_NS)
 
     def _write_data(self, handle: FileHandle, offset: int,
                     content: Content) -> Generator:

@@ -1,4 +1,4 @@
-"""Every calibrated constant in one place, with provenance.
+"""Every calibrated constant in one view, with provenance.
 
 The reproduction targets the paper's *shapes* — who wins, by what factor,
 where curves saturate — so the timing model is anchored to numbers the
@@ -57,15 +57,17 @@ FastPersist and ByteCheckpoint use for parallel checkpoint I/O.
 ``PMEM_INGEST_STREAMS`` = 4 is the Optane congestion threshold: each
 DIMM sustains ~2.8 GB/s of sequential writes but drops to ~2.0 GB/s
 once more concurrent streams interleave on the 256 B XPLine than its
-write-combining buffer can absorb (see repro.hw.devices.PmemDimm,
-threshold 4).  Capping daemon-wide in-flight pull WRs at 4 keeps the
-3-DIMM namespace at its uncongested 8.4 GB/s aggregate instead of the
-6.0 GB/s the 512-flow free-for-all measures — the entire headroom a
-scheduler can recover on the Fig. 14 dump, since 8.4/6.0 = 2.8/2.0 =
-1.4x is the media's own ratio.
+write-combining buffer can absorb (repro.hw.devices
+``PMEM_CONGESTION_THRESHOLD``).  Capping daemon-wide in-flight pull
+WRs at 4 keeps the 3-DIMM namespace at its uncongested 8.4 GB/s
+aggregate instead of the 6.0 GB/s the 512-flow free-for-all measures —
+the entire headroom a scheduler can recover on the Fig. 14 dump, since
+8.4/6.0 = 2.8/2.0 = 1.4x is the media's own ratio.
 
-This module re-exports the constants from their owning modules so tests
-and docs have one authoritative view; change them there, not here.
+This module defines no calibrated constant: it re-exports each one from
+the module that uses it (the device rates from repro.hw.devices, the NIC
+rates from repro.rdma.nic, the wire from repro.net.fabric, ...), so
+tests and docs have one authoritative view; change them there.
 """
 
 from __future__ import annotations
@@ -79,21 +81,16 @@ from repro.fs.beegfs.client import STAGING_COPY_BPS
 from repro.fs.dax import DAX_COPY_BPS, DAX_READ_BPS
 from repro.fs.ext4 import BLOCK_REQUEST_BYTES, PAGE_CACHE_COPY_BPS
 from repro.core.engine import ENGINE_CHUNK_BYTES
+# The daemon-wide cap on concurrent PMem-ingest WRs is the congestion
+# threshold itself (see the module docstring for the derivation).
+from repro.hw.devices import (GPU_BAR_READ_BPS, GPU_PCIE_WRITE_BPS,
+                              NVME_WRITE_BPS,
+                              PMEM_CONGESTION_THRESHOLD as
+                              PMEM_INGEST_STREAMS)
+from repro.net.fabric import WIRE_EFFECTIVE_BPS
+from repro.rdma.nic import NIC_DMA_READ_BPS, NIC_DMA_WRITE_BPS
 from repro.rdma.rpc import DEFAULT_CHUNK_BYTES, DEFAULT_CHUNK_CPU_NS
-from repro.units import SECOND, gbytes
-
-#: Daemon-wide cap on concurrent PMem-ingest WRs that keeps the Optane
-#: write channel below its congestion cliff (= PmemDimm's
-#: congestion_threshold; see the module docstring for the derivation).
-PMEM_INGEST_STREAMS = 4
-
-#: Fig. 10 anchors (see repro.hw.devices / repro.rdma.nic defaults).
-GPU_BAR_READ_BPS = gbytes(5.8)
-GPU_PCIE_WRITE_BPS = gbytes(9.0)
-NIC_DMA_READ_BPS = gbytes(8.3)
-NIC_DMA_WRITE_BPS = gbytes(9.0)
-WIRE_EFFECTIVE_BPS = gbytes(11.75)
-NVME_WRITE_BPS = gbytes(2.7)
+from repro.units import SECOND
 
 #: Paper Table I, reproduced by bench_table1.
 TABLE1_PAPER = {

@@ -74,7 +74,6 @@ class PaperCluster:
                  daemon_kwargs: Optional[Dict] = None,
                  client_retry=None, client_num_qps: int = 1,
                  tracing: bool = False,
-                 obs: Optional[Observability] = None,
                  storage_nodes: int = 1,
                  admission: Optional[Dict] = None) -> None:
         if storage_nodes < 1:
@@ -87,7 +86,7 @@ class PaperCluster:
         #: One observability bundle for the whole deployment — every
         #: daemon (and its successors across restarts), every client,
         #: the baseline filesystems and the fault injector all share it.
-        self.obs = obs if obs is not None else Observability(tracing=tracing)
+        self.obs = Observability(tracing=tracing)
         #: Fleet-wide tenant quotas/budgets, shared by all shards and
         #: surviving daemon restarts.
         self.tenants = TenantRegistry(obs=self.obs)
@@ -287,22 +286,20 @@ class PaperCluster:
         self.operator.start()
         return self.operator
 
-    def restart_daemon(self, port: Optional[int] = None,
-                       shard: int = 0) -> None:
+    def restart_daemon(self, shard: int = 0) -> None:
         """Kill and restart shard *shard*'s daemon process: the old
         instance's networking tears down, the pool is re-opened, and the
         index recovered from PMem (ModelMap rebuilt).  The successor
-        binds the *same* port by default, so clients that survived the
-        daemon can reconnect without rediscovery."""
+        binds the *same* port, so clients that survived the daemon can
+        reconnect without rediscovery."""
         entry = self.shards[shard]
         old_port = entry.daemon.port
         if not entry.daemon.stopped:
             entry.daemon.crash()
         pool = PmemPool.open(entry.node.pmem_devdax)
         entry.pool = pool
-        entry.daemon = self._make_daemon(
-            entry.node, pool, entry.tcp,
-            port=old_port if port is None else port)
+        entry.daemon = self._make_daemon(entry.node, pool, entry.tcp,
+                                         port=old_port)
         entry.daemon.start()
         for (_, shard_idx), client in self._portus_clients.items():
             if shard_idx == shard:

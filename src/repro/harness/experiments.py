@@ -21,6 +21,7 @@ from repro.dnn.tensor import ModelInstance
 from repro.dnn.training import TrainingJob
 from repro.harness.cluster import PaperCluster
 from repro.hw.content import PatternContent
+from repro.hw.devices import PMEM_CONGESTION_THRESHOLD
 from repro.rdma.verbs import connect
 from repro.sim import AllOf
 from repro.units import kib, mib, secs, to_seconds
@@ -386,10 +387,10 @@ def fig14_gpt_dump(configs: Optional[List[str]] = None) -> Dict:
     return results
 
 
-#: Stripe width and ingest cap of the tuned datapath (see
-#: repro.harness.calibration.PMEM_INGEST_STREAMS for the cap's origin).
+#: Stripe width and ingest cap of the tuned datapath: the cap is the
+#: PMem congestion threshold (repro.harness.calibration derives it).
 ENGINE_STRIPED_QPS = 4
-ENGINE_STRIPED_OPTS = dict(max_pmem_streams=4)
+ENGINE_STRIPED_OPTS = dict(max_pmem_streams=PMEM_CONGESTION_THRESHOLD)
 
 
 def engine_datapath_ablation(config_name: str = "gpt-22.4b") -> Dict:

@@ -1,8 +1,7 @@
-"""Concrete device types with defaults taken from the paper's testbed.
+"""Concrete device types, calibrated to the paper's testbed.
 
-Bandwidth defaults are the calibration anchors described in DESIGN.md §5;
-they can all be overridden per instance, and the single source of truth for
-experiment runs is :mod:`repro.harness.calibration`.
+Each rate below is a calibration anchor (DESIGN.md §5) defined once, here;
+:mod:`repro.harness.calibration` re-exports the ones its derivations use.
 """
 
 from __future__ import annotations
@@ -11,18 +10,35 @@ from repro.hw.device import MemoryDevice
 from repro.sim import Environment, SharedChannel
 from repro.units import gbytes, gib, usecs
 
-# (SharedChannel is used for the GPU PCIe channels and the PMem write
-# channel's congestion-aware replacement.)
+#: Host DRAM: effectively never the bandwidth bottleneck.
+DRAM_READ_BPS = gbytes(80.0)
+DRAM_WRITE_BPS = gbytes(60.0)
+#: GPU HBM itself (both directions).
+GPU_HBM_BPS = gbytes(800.0)
+#: Fig. 10: BAR-mapped reads of GPU memory cap at 5.8 GB/s ...
+GPU_BAR_READ_BPS = gbytes(5.8)
+#: ... while writes to it are unaffected (Fig. 10d).
+GPU_PCIE_WRITE_BPS = gbytes(9.0)
+#: One Optane DIMM: sequential read, sequential write for a few streams,
+#: and write once more than PMEM_CONGESTION_THRESHOLD streams interleave.
+PMEM_READ_BPS_PER_DIMM = gbytes(6.8)
+PMEM_WRITE_BPS_PER_DIMM = gbytes(2.8)
+PMEM_CONGESTED_WRITE_BPS_PER_DIMM = gbytes(2.0)
+PMEM_CONGESTION_THRESHOLD = 4
+#: The datacenter NVMe SSD the paper cites: 2.7 GB/s max sequential write.
+NVME_CAPACITY = gib(3840)
+NVME_READ_BPS = gbytes(6.5)
+NVME_WRITE_BPS = gbytes(2.7)
+#: Block-layer + device latency each submitted NVMe I/O pays.
+NVME_IO_LATENCY_NS = usecs(80)
 
 
 class DramDevice(MemoryDevice):
     """Host DRAM.  Effectively never the bandwidth bottleneck."""
 
     def __init__(self, env: Environment, name: str = "dram",
-                 capacity: int = gib(1024),
-                 read_bw_bps: float = gbytes(80.0),
-                 write_bw_bps: float = gbytes(60.0)) -> None:
-        super().__init__(env, name, capacity, read_bw_bps, write_bw_bps)
+                 capacity: int = gib(1024)) -> None:
+        super().__init__(env, name, capacity, DRAM_READ_BPS, DRAM_WRITE_BPS)
 
 
 class GpuMemory(MemoryDevice):
@@ -36,21 +52,18 @@ class GpuMemory(MemoryDevice):
     """
 
     def __init__(self, env: Environment, name: str = "gpu0",
-                 capacity: int = gib(32),
-                 hbm_bw_bps: float = gbytes(800.0),
-                 pcie_read_bw_bps: float = gbytes(5.8),
-                 pcie_write_bw_bps: float = gbytes(9.0)) -> None:
-        super().__init__(env, name, capacity, hbm_bw_bps, hbm_bw_bps)
-        self.pcie_read = SharedChannel(env, pcie_read_bw_bps,
+                 capacity: int = gib(32)) -> None:
+        super().__init__(env, name, capacity, GPU_HBM_BPS, GPU_HBM_BPS)
+        self.pcie_read = SharedChannel(env, GPU_BAR_READ_BPS,
                                        f"{name}.pcie.read")
-        self.pcie_write = SharedChannel(env, pcie_write_bw_bps,
+        self.pcie_write = SharedChannel(env, GPU_PCIE_WRITE_BPS,
                                         f"{name}.pcie.write")
 
 
 class PmemDimm(MemoryDevice):
     """An interleaved Optane DC namespace (n x 256 GB DIMMs).
 
-    Defaults model the paper's 3-DIMM interleave set: sequential read
+    The rates model the paper's 3-DIMM interleave set: sequential read
     ~6.8 GB/s per DIMM; writes sustain ~2.8 GB/s per DIMM for a few
     sequential streams but degrade to ~2.0 GB/s per DIMM when many writers
     interleave on the 256 B XPLine (the well-documented Optane contention
@@ -65,39 +78,25 @@ class PmemDimm(MemoryDevice):
     durable_tracking = True
 
     def __init__(self, env: Environment, name: str = "pmem0",
-                 dimms: int = 3, dimm_capacity: int = gib(256),
-                 read_bw_per_dimm_bps: float = gbytes(6.8),
-                 write_bw_per_dimm_bps: float = gbytes(2.8),
-                 congested_write_bw_per_dimm_bps: float = gbytes(2.0),
-                 congestion_threshold: int = 4) -> None:
+                 dimms: int = 3, dimm_capacity: int = gib(256)) -> None:
         if dimms < 1:
             raise ValueError(f"need at least one DIMM, got {dimms}")
         super().__init__(
             env, name, dimms * dimm_capacity,
-            read_bw_bps=dimms * read_bw_per_dimm_bps,
-            write_bw_bps=dimms * write_bw_per_dimm_bps,
+            read_bw_bps=dimms * PMEM_READ_BPS_PER_DIMM,
+            write_bw_bps=dimms * PMEM_WRITE_BPS_PER_DIMM,
             read_latency_ns=usecs(0.3), write_latency_ns=usecs(0.1))
         self.write_channel = SharedChannel(
-            env, dimms * write_bw_per_dimm_bps, f"{name}.write",
-            congested_capacity_bps=dimms * congested_write_bw_per_dimm_bps,
-            congestion_threshold=congestion_threshold)
+            env, dimms * PMEM_WRITE_BPS_PER_DIMM, f"{name}.write",
+            congested_capacity_bps=dimms * PMEM_CONGESTED_WRITE_BPS_PER_DIMM,
+            congestion_threshold=PMEM_CONGESTION_THRESHOLD)
         self.dimms = dimms
 
 
 class NvmeDevice(MemoryDevice):
-    """A PCIe 4.0 NVMe SSD behind the kernel block layer.
+    """A PCIe 4.0 NVMe SSD behind the kernel block layer."""
 
-    Write bandwidth defaults to the 2.7 GB/s maximum sequential write of
-    the datacenter SSD the paper cites; ``io_latency_ns`` is the per-request
-    block-layer + device latency each submitted I/O pays.
-    """
-
-    def __init__(self, env: Environment, name: str = "nvme0",
-                 capacity: int = gib(3840),
-                 read_bw_bps: float = gbytes(6.5),
-                 write_bw_bps: float = gbytes(2.7),
-                 io_latency_ns: int = usecs(80)) -> None:
-        super().__init__(env, name, capacity, read_bw_bps, write_bw_bps,
-                         read_latency_ns=io_latency_ns,
-                         write_latency_ns=io_latency_ns)
-        self.io_latency_ns = io_latency_ns
+    def __init__(self, env: Environment, name: str = "nvme0") -> None:
+        super().__init__(env, name, NVME_CAPACITY, NVME_READ_BPS,
+                         NVME_WRITE_BPS, read_latency_ns=NVME_IO_LATENCY_NS,
+                         write_latency_ns=NVME_IO_LATENCY_NS)

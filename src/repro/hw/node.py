@@ -8,11 +8,11 @@ because it needs the fabric.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from repro.hw.devices import DramDevice, GpuMemory, NvmeDevice, PmemDimm
 from repro.sim import Environment, Resource
-from repro.units import gbytes, gib
+from repro.units import gib
 
 
 class CpuSet:
@@ -58,32 +58,21 @@ class ComputeNode(Node):
 
     def __init__(self, env: Environment, name: str, cores: int = 128,
                  dram_capacity: int = gib(1024), gpu_count: int = 4,
-                 gpu_memory: int = gib(32),
-                 gpu_pcie_read_bw_bps: float = gbytes(5.8),
-                 gpu_pcie_write_bw_bps: float = gbytes(9.0),
-                 nvme: bool = True) -> None:
+                 gpu_memory: int = gib(32)) -> None:
         super().__init__(env, name, cores, dram_capacity)
         self.gpus: List[GpuMemory] = [
-            GpuMemory(env, name=f"{name}.gpu{i}", capacity=gpu_memory,
-                      pcie_read_bw_bps=gpu_pcie_read_bw_bps,
-                      pcie_write_bw_bps=gpu_pcie_write_bw_bps)
+            GpuMemory(env, name=f"{name}.gpu{i}", capacity=gpu_memory)
             for i in range(gpu_count)
         ]
-        self.nvme: Optional[NvmeDevice] = (
-            NvmeDevice(env, name=f"{name}.nvme0") if nvme else None)
+        self.nvme = NvmeDevice(env, name=f"{name}.nvme0")
 
 
 class StorageNode(Node):
-    """The AEP storage server: PMem namespaces in devdax and fsdax modes."""
+    """The AEP storage server: PMem namespaces in devdax and fsdax modes
+    (three 256 GB DIMMs each)."""
 
     def __init__(self, env: Environment, name: str = "server",
-                 cores: int = 72, dram_capacity: int = gib(192),
-                 devdax_dimms: int = 3, fsdax_dimms: int = 3,
-                 dimm_capacity: int = gib(256)) -> None:
+                 cores: int = 72, dram_capacity: int = gib(192)) -> None:
         super().__init__(env, name, cores, dram_capacity)
-        self.pmem_devdax = PmemDimm(env, name=f"{name}.pmem.devdax",
-                                    dimms=devdax_dimms,
-                                    dimm_capacity=dimm_capacity)
-        self.pmem_fsdax = PmemDimm(env, name=f"{name}.pmem.fsdax",
-                                   dimms=fsdax_dimms,
-                                   dimm_capacity=dimm_capacity)
+        self.pmem_devdax = PmemDimm(env, name=f"{name}.pmem.devdax")
+        self.pmem_fsdax = PmemDimm(env, name=f"{name}.pmem.fsdax")

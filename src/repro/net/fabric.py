@@ -7,7 +7,7 @@ wire's effective data rate, and a path between two ports is simply
 ``[src.tx, dst.rx]`` plus a propagation latency.
 
 100 Gbps EDR carries ~12.1 GB/s of payload after 64b/66b encoding and
-transport headers; we default to 11.75 GB/s effective.
+transport headers; the link runs at 11.75 GB/s effective.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from typing import Dict, List, Tuple
 from repro.errors import LinkDown, NetworkError
 from repro.sim import Environment, SharedChannel
 from repro.units import gbytes, usecs
+
+#: Effective EDR payload rate of one link direction.
+WIRE_EFFECTIVE_BPS = gbytes(11.75)
 
 
 class Port:
@@ -44,7 +47,7 @@ class Fabric:
     """A single switch domain connecting every attached port."""
 
     def __init__(self, env: Environment, name: str = "ib0",
-                 link_bw_bps: float = gbytes(11.75),
+                 link_bw_bps: float = WIRE_EFFECTIVE_BPS,
                  latency_ns: int = usecs(1.0)) -> None:
         self.env = env
         self.name = name

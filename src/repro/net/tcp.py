@@ -22,10 +22,10 @@ from repro.sim import Environment, Store, Transfer
 from repro.units import usecs
 
 # One-way kernel-stack cost per message (send side + receive side).
-DEFAULT_MESSAGE_LATENCY_NS = usecs(25)
+MESSAGE_LATENCY_NS = usecs(25)
 # IPoIB goodput is far below native RDMA; it only matters for large
 # registration packets (one per training job).
-DEFAULT_TCP_BW_BPS = 2.5e9
+TCP_BW_BPS = 2.5e9
 
 
 class _Closed:
@@ -36,15 +36,11 @@ class TcpConnection:
     """One established, bidirectional, ordered byte-stream connection."""
 
     def __init__(self, env: Environment, fabric: Fabric,
-                 local: Port, remote: Port,
-                 message_latency_ns: int = DEFAULT_MESSAGE_LATENCY_NS,
-                 bandwidth_bps: float = DEFAULT_TCP_BW_BPS) -> None:
+                 local: Port, remote: Port) -> None:
         self.env = env
         self._fabric = fabric
         self._local = local
         self._remote = remote
-        self._message_latency_ns = message_latency_ns
-        self._bandwidth_bps = bandwidth_bps
         self._inbox: Store = Store(env)
         self._peer: Optional["TcpConnection"] = None
         self.closed = False
@@ -61,8 +57,8 @@ class TcpConnection:
         channels, wire_latency = self._fabric.path(self._local, self._remote)
         transfer = Transfer(
             self.env, channels, wire_size,
-            latency_ns=self._message_latency_ns + wire_latency,
-            rate_cap_bps=self._bandwidth_bps,
+            latency_ns=MESSAGE_LATENCY_NS + wire_latency,
+            rate_cap_bps=TCP_BW_BPS,
             label="tcp")
         yield transfer
         if self._peer.closed:
@@ -188,7 +184,7 @@ class TcpStack:
                 f"connection refused: {hostname}:{port_number}")
         _channels, wire_latency = self.fabric.path(self.port, peer_stack.port)
         # SYN / SYN-ACK / ACK: ~1.5 RTTs of message latency.
-        handshake = 3 * (DEFAULT_MESSAGE_LATENCY_NS + wire_latency)
+        handshake = 3 * (MESSAGE_LATENCY_NS + wire_latency)
         yield self.env.timeout(handshake)
         client_side = TcpConnection(self.env, self.fabric, self.port,
                                     peer_stack.port)

@@ -44,22 +44,22 @@ SEVERITY = {state: index for index, state in enumerate(STATES)}
 #: evidence for the degraded state.
 FAULT_COUNTERS = ("errors", "checkpoints_aborted", "restores_aborted",
                   "dropped_replies", "reaped_sessions")
+#: Pool utilization above which a daemon is degraded.
+POOL_HIGH_WATER = 0.92
+#: Fault-counter delta between two samples that makes a daemon degraded.
+FAULT_BURST = 3
 
 
 class HealthThresholds:
-    """Knobs separating the states (defaults sized for the chaos rigs).
+    """The wedge threshold (default sized for the chaos rigs).
 
     ``wedge_ns`` must sit well above the longest *healthy* pull the
     deployment serves — the lease-reaper rule at the daemon applies
     here too: a live long pull is proof of liveness, not of a wedge.
     """
 
-    def __init__(self, wedge_ns: int = msecs(50),
-                 pool_high_water: float = 0.92,
-                 fault_burst: int = 3) -> None:
+    def __init__(self, wedge_ns: int = msecs(50)) -> None:
         self.wedge_ns = wedge_ns
-        self.pool_high_water = pool_high_water
-        self.fault_burst = fault_burst
 
 
 DEFAULT_THRESHOLDS = HealthThresholds()
@@ -92,19 +92,19 @@ def classify(sample: Optional[Dict],
                        f"(wedge threshold {thresholds.wedge_ns} ns)")
 
     utilization = sample.get("pool", {}).get("utilization", 0.0)
-    if utilization > thresholds.pool_high_water:
+    if utilization > POOL_HIGH_WATER:
         if state == H_HEALTHY:
             state = H_DEGRADED
         reasons.append(f"pool {utilization:.1%} full "
-                       f"(high water {thresholds.pool_high_water:.0%})")
+                       f"(high water {POOL_HIGH_WATER:.0%})")
 
     if previous is not None:
         burst = _fault_delta(sample, previous)
-        if burst >= thresholds.fault_burst:
+        if burst >= FAULT_BURST:
             if state == H_HEALTHY:
                 state = H_DEGRADED
             reasons.append(f"fault burst: {burst} faults since last "
-                           f"sample (threshold {thresholds.fault_burst})")
+                           f"sample (threshold {FAULT_BURST})")
 
     return state, sorted(reasons)
 

@@ -153,13 +153,12 @@ class ChunkStore:
         return store
 
     @classmethod
-    def ensure(cls, pool, chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-               max_chunks: int = DEFAULT_MAX_CHUNKS) -> "ChunkStore":
+    def ensure(cls, pool,
+               chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> "ChunkStore":
         """Attach, creating the store on first use; validates chunk size."""
         store = cls.attach(pool)
         if store is None:
-            return cls.create(pool, chunk_bytes=chunk_bytes,
-                              max_chunks=max_chunks)
+            return cls.create(pool, chunk_bytes=chunk_bytes)
         if store.chunk_bytes != chunk_bytes:
             raise PmemError(
                 f"pool chunk size is {store.chunk_bytes}, "

@@ -557,20 +557,23 @@ def _count_findings(report: FsckReport, obs) -> None:
 
 # -- repair --------------------------------------------------------------------
 
+#: Repair passes before giving up on a pool that never verifies clean.
+REPAIR_MAX_PASSES = 4
 
-def repair(pool: PmemPool, obs=None, max_passes: int = 4) -> RepairResult:
+
+def repair(pool: PmemPool, obs=None) -> RepairResult:
     """Apply every finding's repair action until the pool verifies clean.
 
     Repairs cascade (dropping a dangling entry turns its extents into
     leaks the next pass frees), so the walk re-runs after every pass;
-    *max_passes* bounds pathological pools.  Returns the actions taken
-    and the final report — ``result.clean`` is the contract the
-    crash-point sweep asserts.
+    :data:`REPAIR_MAX_PASSES` bounds pathological pools.  Returns the
+    actions taken and the final report — ``result.clean`` is the
+    contract the crash-point sweep asserts.
     """
     actions: List[str] = []
     passes = 0
     report = fsck(pool, obs=obs)
-    while not report.clean and passes < max_passes:
+    while not report.clean and passes < REPAIR_MAX_PASSES:
         fixable = [f for f in report.findings if f.repair is not None]
         if not fixable:
             break

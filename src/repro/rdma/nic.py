@@ -33,33 +33,35 @@ from repro.units import gbytes, usecs
 if TYPE_CHECKING:
     from repro.rdma.verbs import MemoryRegion
 
+#: Host-DRAM DMA through the NIC's PCIe slot.  Fig. 10: the DRAM
+#: RDMA-read peak sits 30 % above the GPU BAR read (≈ 8.3 GB/s).
+NIC_DMA_READ_BPS = gbytes(8.3)
+NIC_DMA_WRITE_BPS = gbytes(9.0)
+#: One-sided and two-sided operation latencies: RDMA saturates above
+#: 512 KiB messages (§V-B), so a few microseconds per operation.
+READ_LATENCY_NS = usecs(2.5)
+WRITE_LATENCY_NS = usecs(1.9)
+SEND_LATENCY_NS = usecs(1.5)
+#: MR registration: a fixed cost plus page pinning and IOMMU mapping
+#: (~250 ms/GiB).
+MR_REGISTER_LATENCY_NS = usecs(40)
+MR_PIN_NS_PER_BYTE = 0.25
+
 
 class Rnic:
     """One RDMA-capable NIC attached to a node and a fabric."""
 
     def __init__(self, env: Environment, node, fabric: Fabric,
-                 name: Optional[str] = None,
-                 dma_read_bw_bps: float = gbytes(8.3),
-                 dma_write_bw_bps: float = gbytes(9.0),
-                 read_latency_ns: int = usecs(2.5),
-                 write_latency_ns: int = usecs(1.9),
-                 send_latency_ns: int = usecs(1.5),
-                 mr_register_latency_ns: int = usecs(40),
-                 mr_pin_ns_per_byte: float = 0.25) -> None:
+                 name: Optional[str] = None) -> None:
         self.env = env
         self.node = node
         self.fabric = fabric
         self.name = name or f"{node.name}.rnic"
         self.port: Port = fabric.attach(self.name)
-        self.dma_read = SharedChannel(env, dma_read_bw_bps,
+        self.dma_read = SharedChannel(env, NIC_DMA_READ_BPS,
                                       f"{self.name}.dma.read")
-        self.dma_write = SharedChannel(env, dma_write_bw_bps,
+        self.dma_write = SharedChannel(env, NIC_DMA_WRITE_BPS,
                                        f"{self.name}.dma.write")
-        self.read_latency_ns = read_latency_ns
-        self.write_latency_ns = write_latency_ns
-        self.send_latency_ns = send_latency_ns
-        self.mr_register_latency_ns = mr_register_latency_ns
-        self.mr_pin_ns_per_byte = mr_pin_ns_per_byte
         self._mr_table: Dict[int, "MemoryRegion"] = {}
         #: The pin table: allocation -> the MR :meth:`pin` keeps over it.
         self._pins: Dict[Allocation, "MemoryRegion"] = {}
@@ -122,8 +124,8 @@ class Rnic:
                 f"{self.name}: peer memory not enabled for {device.name}; "
                 "call enable_peer_memory(nic, gpu) first")
         yield self.env.timeout(
-            self.mr_register_latency_ns
-            + int(allocation.size * self.mr_pin_ns_per_byte))
+            MR_REGISTER_LATENCY_NS
+            + int(allocation.size * MR_PIN_NS_PER_BYTE))
         self._next_key += 2
         mr = MemoryRegion(nic=self, allocation=allocation,
                           lkey=self._next_key, rkey=self._next_key + 1)

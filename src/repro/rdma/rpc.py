@@ -31,7 +31,7 @@ DEFAULT_CHUNK_BYTES = kib(512)
 #: repro.harness.calibration for the derivation.
 DEFAULT_CHUNK_CPU_NS = usecs(89)
 #: Fixed per-call server cost: request parse, dispatch, response build.
-DEFAULT_CALL_CPU_NS = usecs(8)
+CALL_CPU_NS = usecs(8)
 
 Handler = Callable[[Any], Generator]
 
@@ -40,14 +40,10 @@ class RpcServer:
     """Serves RPCs arriving on registered queue pairs."""
 
     def __init__(self, env: Environment, cpus: CpuSet,
-                 chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-                 chunk_cpu_ns: int = DEFAULT_CHUNK_CPU_NS,
-                 call_cpu_ns: int = DEFAULT_CALL_CPU_NS) -> None:
+                 chunk_cpu_ns: int = DEFAULT_CHUNK_CPU_NS) -> None:
         self.env = env
         self.cpus = cpus
-        self.chunk_bytes = chunk_bytes
         self.chunk_cpu_ns = chunk_cpu_ns
-        self.call_cpu_ns = call_cpu_ns
         self._handlers: Dict[str, Handler] = {}
         self.calls_served = 0
 
@@ -73,11 +69,11 @@ class RpcServer:
         handler = self._handlers.get(op)
         if handler is None:
             raise ProtocolError(f"no RPC handler for op {op!r}")
-        yield from self.cpus.execute(self.call_cpu_ns)
+        yield from self.cpus.execute(CALL_CPU_NS)
         payload_size = int(request.get("payload_size", 0))
         if payload_size:
             # Two-sided bulk: the server CPU touches every chunk.
-            chunks = -(-payload_size // self.chunk_bytes)
+            chunks = -(-payload_size // DEFAULT_CHUNK_BYTES)
             yield from self.cpus.execute(chunks * self.chunk_cpu_ns)
         try:
             result, response_size = yield from handler(request.get("args"))

@@ -19,7 +19,8 @@ from typing import Any, Generator, Optional
 
 from repro.errors import QpStateError, WorkRequestError
 from repro.hw.content import TornContent
-from repro.rdma.nic import Rnic
+from repro.rdma.nic import (READ_LATENCY_NS, SEND_LATENCY_NS,
+                             WRITE_LATENCY_NS, Rnic)
 from repro.sim import Environment, Event, Store, Transfer
 from repro.units import usecs
 
@@ -143,8 +144,8 @@ class QueuePair:
                     yield from self._hang(label)
                 elif injected is not None:
                     yield self.env.timeout(
-                        self.nic.read_latency_ns if kind == "read"
-                        else self.nic.write_latency_ns)
+                        READ_LATENCY_NS if kind == "read"
+                        else WRITE_LATENCY_NS)
                     raise injected
             remote_nic = self.remote.nic
             fabric = self.nic.fabric
@@ -163,7 +164,7 @@ class QueuePair:
                 dst_channels = self.nic.ingress_channels(local_mr.device)
                 wire, wire_latency = fabric.path(remote_nic.port,
                                                  self.nic.port)
-                base_latency = self.nic.read_latency_ns + 2 * wire_latency
+                base_latency = READ_LATENCY_NS + 2 * wire_latency
             else:
                 src_mr, src_off = local_mr, local_offset
                 dst_mr, dst_off = remote_mr, remote_addr - remote_mr.addr
@@ -171,7 +172,7 @@ class QueuePair:
                 dst_channels = remote_nic.ingress_channels(remote_mr.device)
                 wire, wire_latency = fabric.path(self.nic.port,
                                                  remote_nic.port)
-                base_latency = self.nic.write_latency_ns + wire_latency
+                base_latency = WRITE_LATENCY_NS + wire_latency
 
             version_before = src_mr.allocation.version
             content = src_mr.allocation.read(src_off, length)
@@ -229,7 +230,7 @@ class QueuePair:
             channels = [self.nic.dma_read] + wire + [remote_nic.dma_write]
             transfer = Transfer(
                 self.env, channels, size,
-                latency_ns=self.nic.send_latency_ns + wire_latency,
+                latency_ns=SEND_LATENCY_NS + wire_latency,
                 label=label)
             yield transfer
             yield self.remote._recv_queue.put((payload, size))

@@ -292,6 +292,36 @@ def test_register_refused_by_a_full_model_table_leaves_no_state():
     assert fsck(daemon.pool).clean
 
 
+def test_register_naming_another_tenant_cannot_take_over_a_model():
+    """A REGISTER of a live model's name by another tenant is refused
+    before it touches the entry: were it to re-attach, it would relabel
+    the model, and its UNREGISTER would delete the owner's model and
+    strand the owner's byte charge."""
+    cluster = PaperCluster(seed=1, ampere_nodes=0)
+
+    def scenario(env):
+        session = yield from cluster.portus_register("alexnet",
+                                                     tenant="acme")
+        charged = cluster.tenants.charged("acme")
+        session.model.update_step(3)
+        yield from session.checkpoint(3)
+        with pytest.raises(ModelAlreadyRegistered):
+            yield from cluster.portus_register("alexnet", gpu=1,
+                                               tenant="evil")
+        session.model.update_step(0)
+        return charged, session, (yield from session.restore())
+
+    charged, session, step = cluster.run(scenario)
+    assert step == 3
+    bad = [t.name for t in session.model.tensors
+           if not t.content().equals(t.expected_content(3))]
+    assert bad == []
+    assert cluster.daemon.models() == ["alexnet"]
+    assert cluster.daemon.model_map["alexnet"].tenant == "acme"
+    assert charged == cluster.tenants.charged("acme") == 488_806_720
+    assert cluster.tenants.charged("evil") == 0
+
+
 def test_bandwidth_throttle_delays_but_never_fails_checkpoints():
     policy = RetryPolicy(rng=random.Random(23), max_attempts=12,
                          deadline_ns=secs(8), reply_timeout_ns=msecs(8))

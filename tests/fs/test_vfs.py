@@ -6,6 +6,7 @@ from repro.errors import (FileExists, FileNotFound, FsError, IsADirectory,
                           NotADirectory)
 from repro.fs import DaxFilesystem, Filesystem, LocalExtFilesystem
 from repro.hw import ByteContent, NvmeDevice, PatternContent, PmemDimm
+from repro.hw.devices import NVME_IO_LATENCY_NS
 from repro.obs import Observability
 from repro.sim import Environment
 from repro.units import gbytes, gib, mib
@@ -254,7 +255,7 @@ def test_ext4_fsync_costs_journal_ios():
         return env.now - before
 
     elapsed = env.run_process(env.process(scenario(env)))
-    assert elapsed >= 2 * nvme.io_latency_ns
+    assert elapsed >= 2 * NVME_IO_LATENCY_NS
 
 
 # --- ext4-DAX timing -----------------------------------------------------------------

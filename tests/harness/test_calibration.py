@@ -3,6 +3,8 @@
 import pytest
 
 from repro.harness import calibration
+from repro.harness.cluster import PaperCluster
+from repro.harness.experiments import ENGINE_STRIPED_OPTS
 
 
 def test_expected_table1_matches_paper():
@@ -40,6 +42,20 @@ def test_fig10_anchor_relationships():
     assert ratio == pytest.approx(0.30, abs=0.01)
     # The wire never bottlenecks a single stream.
     assert calibration.WIRE_EFFECTIVE_BPS > calibration.NIC_DMA_READ_BPS
+    # The anchors are the rates the simulated testbed runs at.
+    cluster = PaperCluster(ampere_nodes=0)
+    gpu, nic = cluster.volta.gpus[0], cluster.server.nic
+    assert gpu.pcie_read.capacity_bps == calibration.GPU_BAR_READ_BPS
+    assert gpu.pcie_write.capacity_bps == calibration.GPU_PCIE_WRITE_BPS
+    assert nic.dma_read.capacity_bps == calibration.NIC_DMA_READ_BPS
+    assert nic.dma_write.capacity_bps == calibration.NIC_DMA_WRITE_BPS
+    assert cluster.fabric.link_bw_bps == calibration.WIRE_EFFECTIVE_BPS
+    assert (cluster.volta.nvme.write_channel.capacity_bps
+            == calibration.NVME_WRITE_BPS)
+    assert (cluster.server.pmem_devdax.write_channel.congestion_threshold
+            == calibration.PMEM_INGEST_STREAMS)
+    assert (ENGINE_STRIPED_OPTS["max_pmem_streams"]
+            == calibration.PMEM_INGEST_STREAMS)
 
 
 def test_serialization_slower_than_every_transport_phase():

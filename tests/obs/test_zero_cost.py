@@ -11,6 +11,7 @@ from repro.core.retry import RetryPolicy
 from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.faults import FaultInjector
 from repro.harness.cluster import PaperCluster
+from repro.rdma.nic import MR_PIN_NS_PER_BYTE, MR_REGISTER_LATENCY_NS
 from repro.units import kib, msecs, secs, usecs
 
 DEDUP_SPECS = [TensorSpec("backbone.weight", (256, 1024)),
@@ -135,10 +136,9 @@ def test_mr_register_spans_explain_the_first_dumps_chunk_pinning():
     first = pinning(dumps[0])
     assert len(first) == replies[0]["chunks_new"]
     assert {(pin.cat, pin.track) for pin in first} == {("rdma", "daemon")}
-    nic = cluster.server.nic
     assert sum(pin.duration_ns for pin in first) == sum(
-        nic.mr_register_latency_ns
-        + int(pin.args["bytes"] * nic.mr_pin_ns_per_byte) for pin in first)
+        MR_REGISTER_LATENCY_NS
+        + int(pin.args["bytes"] * MR_PIN_NS_PER_BYTE) for pin in first)
     assert sum(pin.args["bytes"] for pin in first) == \
         replies[0]["bytes_pulled"]
     assert pinning(restore) == []
