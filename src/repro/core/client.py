@@ -449,9 +449,10 @@ class PortusClient:
                  tenant: Optional[str] = None) -> Generator:
         """Process: register *model* (or attach to its persisted index).
 
-        Pins one MR per tensor (PeerMem must be enabled for the GPU by
-        the cluster setup; a tensor the NIC already pins costs nothing),
-        connects a dedicated QP, and sends the description packet.  With
+        Pins one MR per tensor, all at once (PeerMem must be enabled for
+        the GPU by the cluster setup; a tensor the NIC already pins costs
+        nothing), connects a dedicated QP, and sends the description
+        packet.  A refused REGISTER unpins what this call pinned.  With
         a retry policy the attach itself rides the same backoff loop as
         every other request (the daemon may be restarting at
         registration time).
@@ -469,34 +470,40 @@ class PortusClient:
             dedup_chunk_bytes = int(chunk_bytes)
         elif chunk_bytes is not None:
             raise PortusError("chunk_bytes requires dedup=True")
-        tensor_infos = []
-        for tensor in model.tensors:
-            mr = yield from self.node.nic.pin(tensor.allocation, self.obs,
-                                              track=f"client/{model.name}")
-            tensor_infos.append({
+        allocations = [tensor.allocation for tensor in model.tensors]
+        fresh = [allocation for allocation in allocations
+                 if allocation.mr is None]
+        try:
+            mrs = yield from self.node.nic.pin_all(
+                allocations, self.obs, track=f"client/{model.name}")
+            tensor_infos = [{
                 "name": tensor.spec.name,
                 "dtype": tensor.spec.dtype.name,
                 "shape": list(tensor.spec.shape),
                 "size": tensor.size_bytes,
                 "rkey": mr.rkey,
                 "addr": mr.addr,
-            })
-        session = ModelSession(self, model, None, None,
-                               tensor_infos=tensor_infos, retry=self.retry,
-                               num_qps=self.num_qps,
-                               dedup_chunk_bytes=dedup_chunk_bytes,
-                               tenant=tenant)
+            } for tensor, mr in zip(model.tensors, mrs)]
+            session = ModelSession(self, model, None, None,
+                                   tensor_infos=tensor_infos,
+                                   retry=self.retry, num_qps=self.num_qps,
+                                   dedup_chunk_bytes=dedup_chunk_bytes,
+                                   tenant=tenant)
 
-        def attach() -> Generator:
-            try:
-                yield from session._reattach()
-            except RETRYABLE_FAULTS:
-                # A transport whose REGISTER failed serves nothing: the
-                # next attempt builds a fresh one.
-                session._teardown_transport()
-                raise
+            def attach() -> Generator:
+                try:
+                    yield from session._reattach()
+                except RETRYABLE_FAULTS:
+                    # A transport whose REGISTER failed serves nothing:
+                    # the next attempt builds a fresh one.
+                    session._teardown_transport()
+                    raise
 
-        yield from session._retrying(attach)
+            yield from session._retrying(attach)
+        except ReproError:
+            # No session is left to release what this call pinned.
+            self.node.nic.unpin(fresh)
+            raise
         self.sessions.append(session)
         return session
 

@@ -37,8 +37,9 @@ Fault tolerance:
   completions cannot deposit stale bytes;
 * :meth:`stop` / :meth:`crash` model the daemon process exiting or
   dying: the port unbinds, connections drop, QPs flush, in-flight
-  handlers are killed, and (on crash) the pool closes un-synced — the
-  successor re-opens the pool and re-runs recovery.
+  handlers are killed, a request not yet dispatched starts no handler,
+  and (on crash) the pool closes un-synced — the successor re-opens the
+  pool, re-runs recovery and re-pins its models (:meth:`start`).
 
 All three knobs default to off: no timer or reaper process runs, and
 the fast path pays nothing for them.
@@ -58,10 +59,11 @@ from repro.dnn.layout import ShardedLayout
 from repro.dnn.tensor import TensorSpec
 from repro.dnn.dtypes import DType
 from repro.errors import (CheckpointInProgress, ConnectionClosed,
-                          GroupCommitRefused, ModelAlreadyRegistered,
-                          ModelNotFound, NoValidCheckpoint, NotAttached,
-                          PmemError, PortusError, ProcessInterrupted,
-                          ProtocolError, ReproError, RequestTimeout)
+                          GroupCommitRefused, MemoryRegionError,
+                          ModelAlreadyRegistered, ModelNotFound,
+                          NoValidCheckpoint, NotAttached, PmemError,
+                          PortusError, ProcessInterrupted, ProtocolError,
+                          ReproError, RequestTimeout)
 from repro.hw.node import CpuSet, StorageNode
 from repro.obs import Observability
 from repro.net.tcp import TcpStack
@@ -180,13 +182,19 @@ class PortusDaemon:
         return ModelTable.create(self.pool)
 
     def _recover(self, table: ModelTable) -> None:
-        """Rebuild the DRAM ModelMap from the persistent index."""
+        """Rebuild the DRAM ModelMap from the persistent index (the MR
+        half of recovery runs in :meth:`start`)."""
         for name in table.names():
             meta = ModelMeta.open(self.pool, table.lookup(name))
             self.model_map.insert(name, ModelEntry(meta))
 
     def start(self) -> None:
-        """Bind the control port and start accepting (non-blocking)."""
+        """Bind the control port and start accepting (non-blocking).
+
+        Also starts re-pinning every recovered model's pinned regions in
+        the background, so a re-attaching REGISTER waits only for its
+        own model's registrations, not for everyone's one at a time.
+        """
         if self._started:
             return
         self._listener = self.tcp.listen(self.port)
@@ -194,7 +202,18 @@ class PortusDaemon:
                          name="portus-accept")
         if self.lease_ns is not None and self.reaper_interval_ns is not None:
             self.env.process(self._reaper_loop(), name="portus-reaper")
+        regions = [region for _name, entry in self.model_map.items()
+                   for region in entry.meta.layout.pinned_regions()]
+        if regions:
+            self.env.process(self._repin(regions), name="portus-repin")
         self._started = True
+
+    def _repin(self, regions) -> Generator:
+        try:
+            yield from self.node.nic.pin_all(regions, self.obs,
+                                             track="daemon")
+        except MemoryRegionError:
+            pass  # this daemon died first: its crash cancelled them
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -300,6 +319,11 @@ class PortusDaemon:
                 raise ProtocolError(f"unknown op {op!r}")
             self._touch_lease(message)
             yield from self.workers.execute(PER_REQUEST_CPU_NS)
+            if self.stopped:
+                # A dead process starts no handler: nothing it would do
+                # (a pin, a PMem write) may outlive it.
+                raise ConnectionClosed(
+                    f"{self.node.name}: the daemon stopped before {op} ran")
             if self.request_timeout_ns is None:
                 reply, size = yield from handler(message)
             else:
@@ -480,15 +504,11 @@ class PortusDaemon:
                     f"{name}: held by tenant {entry.tenant!r}, not "
                     f"{tenant!r}")
             self._validate_attach(entry, specs, chunk_bytes)
-        # A re-attach to a live daemon finds these in the pin table.
-        regions = entry.meta.layout.pinned_regions()
-        for region in regions:
-            yield from self.node.nic.pin(region, self.obs,
-                                         protocol.trace_of(message),
+        # A re-attach to a live daemon finds these in the pin table, and
+        # one to a restarted daemon joins the re-pin its start() began.
+        yield from self.node.nic.pin_all(entry.meta.layout.pinned_regions(),
+                                         self.obs, protocol.trace_of(message),
                                          "daemon")
-        if self.stopped:
-            # This process died while pinning: no pin outlives it.
-            self.node.nic.unpin(regions)
         entry.qps = list(qps)
         entry.client_runs = [
             RemoteRun(d.name, d.offset, d.size, t["addr"], t["rkey"])

@@ -125,11 +125,15 @@ def plan_items(targets, runs: List[RemoteRun], nic,
     """Process: the work items moving every overlap of the local
     *targets* (:class:`~repro.core.index.Extent` runs) with the remote
     *runs*, target-major in region order.  Each target's MR comes from
-    *nic*'s pin table (pinned on first use, traced on *trace_id* and
-    *track*); an extent's label prefixes its items' names."""
+    *nic*'s pin table (the missing ones pinned together on first use,
+    traced on *trace_id* and *track*); an extent's label prefixes its
+    items' names."""
+    pieces = list(overlaps(targets, runs))
+    mrs = yield from nic.pin_all([extent.allocation
+                                  for extent, _run, _lo, _hi in pieces],
+                                 obs, trace_id, track)
     whole = []
-    for extent, run, lo, hi in overlaps(targets, runs):
-        mr = yield from nic.pin(extent.allocation, obs, trace_id, track)
+    for (extent, run, lo, hi), mr in zip(pieces, mrs):
         name = (run.name if extent.label is None
                 else f"{extent.label}:{run.name}")
         whole.append(WorkItem(name, lo - extent.offset,

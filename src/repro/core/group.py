@@ -86,6 +86,7 @@ class GroupRecord:
         self.record = CommittedRecord(allocation, 0, allocation.size // 2)
         self.layout_blob = layout_blob
         self.committed_step = committed_step
+        self._layout: Optional[ShardedLayout] = None
 
     @staticmethod
     def slot_size(blob_len: int) -> int:
@@ -126,7 +127,11 @@ class GroupRecord:
         self.committed_step = step
 
     def layout(self) -> ShardedLayout:
-        return ShardedLayout.unpack(self.layout_blob)
+        """The layout blob, parsed on the first call (it never changes);
+        callers share the one copy and must not modify it."""
+        if self._layout is None:
+            self._layout = ShardedLayout.unpack(self.layout_blob)
+        return self._layout
 
 
 class GroupStore:

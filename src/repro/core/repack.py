@@ -272,14 +272,13 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
             needed = list(dict.fromkeys(
                 extent for extent, _t, _lo, _hi in overlaps(source,
                                                              write.targets)))
-            runs = []
-            for extent, descriptor, lo, hi in overlaps(
-                    needed, entry.meta.mindex.descriptors):
-                mr = yield from src_daemon.node.nic.pin(
-                    extent.allocation, obs, track="fleet")
-                runs.append(RemoteRun(
-                    descriptor.name, lo, hi - lo,
-                    mr.addr + lo - extent.offset, mr.rkey))
+            pieces = list(overlaps(needed, entry.meta.mindex.descriptors))
+            mrs = yield from src_daemon.node.nic.pin_all(
+                [extent.allocation for extent, _d, _lo, _hi in pieces], obs,
+                track="fleet")
+            runs = [RemoteRun(descriptor.name, lo, hi - lo,
+                              mr.addr + lo - extent.offset, mr.rkey)
+                    for (extent, descriptor, lo, hi), mr in zip(pieces, mrs)]
             items = yield from plan_items(write.targets, runs,
                                           dst_daemon.node.nic,
                                           dst_daemon.engine_chunk_bytes,

@@ -62,7 +62,7 @@ class Allocation:
         self.version = 0
         self.durable: Optional[SegmentBuffer] = None
         self._unflushed: List[Tuple[int, int]] = []
-        #: The pin-table MR over this allocation (see ``Rnic.pin``);
+        #: The pin-table MR over this allocation (see ``Rnic.pin_all``);
         #: freeing the allocation retires it.
         self.mr = None
         if device.durable_tracking:

@@ -4,10 +4,10 @@ NVIDIA-PeerMem-style GPU registration, and RPC-over-RDMA for the BeeGFS
 baseline.
 """
 
-from repro.rdma.nic import Rnic
+from repro.rdma.nic import MemoryRegion, Rnic
 from repro.rdma.peer_mem import enable_peer_memory
 from repro.rdma.rpc import RpcClient, RpcServer
-from repro.rdma.verbs import MemoryRegion, QueuePair, connect
+from repro.rdma.verbs import QueuePair, connect
 
 __all__ = [
     "MemoryRegion",

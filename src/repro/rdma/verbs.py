@@ -1,4 +1,4 @@
-"""RDMA verbs: memory regions, queue pairs, one-sided and two-sided ops.
+"""RDMA verbs: queue pairs, one-sided and two-sided ops.
 
 One-sided READ/WRITE move content between registered regions with *zero*
 involvement of the remote CPU: the operation composes a channel path
@@ -20,40 +20,12 @@ from typing import Any, Generator, Optional
 from repro.errors import QpStateError, WorkRequestError
 from repro.hw.content import TornContent
 from repro.rdma.nic import (READ_LATENCY_NS, SEND_LATENCY_NS,
-                             WRITE_LATENCY_NS, Rnic)
+                             WRITE_LATENCY_NS, MemoryRegion, Rnic)
 from repro.sim import Environment, Event, Store, Transfer
 from repro.units import usecs
 
 #: Time to create and transition a QP pair to RTS (driver + CM exchange).
 QP_CONNECT_LATENCY_NS = usecs(120)
-
-
-class MemoryRegion:
-    """A registered, pinned region of device memory."""
-
-    def __init__(self, nic: Rnic, allocation, lkey: int, rkey: int) -> None:
-        self.nic = nic
-        self.allocation = allocation
-        self.lkey = lkey
-        self.rkey = rkey
-        self.valid = True
-
-    @property
-    def device(self):
-        return self.allocation.device
-
-    @property
-    def addr(self) -> int:
-        return self.allocation.addr
-
-    @property
-    def length(self) -> int:
-        return self.allocation.size
-
-    def __repr__(self) -> str:
-        return f"<MemoryRegion rkey={self.rkey:#x} " \
-               f"{self.device.name}@{self.addr:#x}+{self.length} " \
-               f"{'valid' if self.valid else 'invalid'}>"
 
 
 class QueuePair:

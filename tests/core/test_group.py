@@ -66,6 +66,9 @@ def test_group_record_round_trips_layout_and_step():
     assert reopened.committed_step == 10
     assert reopened.layout_blob == blob
     assert reopened.layout() == LAYOUT
+    # The blob never changes, so it is parsed once (GROUP_COMMIT reads
+    # the members on every commit).
+    assert reopened.layout() is reopened.layout()
     assert record.allocation.tag == group_tag(CONFIG.name)
 
 

@@ -5,12 +5,14 @@ exactly as long as the memory it covers and the process that pinned it."""
 import pytest
 
 from repro.dnn.tensor import ModelInstance, TensorSpec
-from repro.errors import ReproError, RkeyViolation
+from repro.errors import (ModelAlreadyRegistered, ReproError, RkeyViolation,
+                          TenantQuotaExceeded)
 from repro.faults import FaultInjector
 from repro.harness.cluster import PaperCluster
 from repro.pmem.chunks import ChunkStore
 from repro.rdma import connect
-from repro.units import kib, secs
+from repro.rdma.nic import MR_PIN_NS_PER_BYTE, MR_REGISTER_LATENCY_NS
+from repro.units import kib, secs, usecs
 
 CHUNK = kib(256)
 SPECS = [TensorSpec("backbone.weight", (256, 1024)),
@@ -38,7 +40,7 @@ def remote_read(cluster, rkey, addr, length=64):
     storage NIC's *rkey* (raises what the completion raises)."""
     env = cluster.env
     local = cluster.volta.dram.alloc(length)
-    local_mr = yield from cluster.volta.nic.pin(local)
+    [local_mr] = yield from cluster.volta.nic.pin_all([local])
     qp, _server_qp = yield from connect(env, cluster.volta.nic,
                                         cluster.server.nic)
     try:
@@ -65,6 +67,127 @@ def test_restart_loop_keeps_both_nics_mr_counts_flat(monkeypatch):
         assert (storage.registered_mrs, compute.registered_mrs) == counts
         # The new daemon re-pins its two slots; the job pins nothing.
         assert (len(storage_pins), len(compute_pins)) == (2 * restart, 0)
+
+
+def test_a_restarted_daemon_repins_before_its_clients_reattach():
+    """The successor re-pins every recovered slot model's regions at
+    once: the first re-attach waits at most one slot registration, and
+    the later ones register nothing and wait for nothing."""
+    cluster = PaperCluster(seed=1, ampere_nodes=0, tracing=True)
+    names = ("alexnet", "resnet18", "resnet34")
+    sessions = cluster.run(lambda env: _register_all(cluster, names))
+    client = cluster.portus_client()
+    tracer = cluster.obs.tracer
+
+    def reattach_all(env):
+        for session in sessions:
+            yield from client.register(session.model)
+
+    def reattach_spans():
+        start = len(tracer.spans)
+        cluster.run(reattach_all)
+        return [span for span in tracer.spans[start:]
+                if span.name == "daemon.REGISTER"]
+
+    # On a live daemon a re-attach pins nothing: its dispatch cost.
+    live = [span.duration_ns for span in reattach_spans()]
+    cluster.restart_daemon()
+    restarted = cluster.env.now
+    spans = reattach_spans()
+    repins = [span for span in tracer.named("mr.register")
+              if span.start_ns >= restarted]
+    assert len(repins) == 2 * len(names)
+    assert {(span.start_ns, span.trace_id) for span in repins} == \
+        {(restarted, None)}
+    regions = [region for name in names for region in
+               cluster.daemon.model_map[name].meta.layout.pinned_regions()]
+    one = MR_REGISTER_LATENCY_NS + int(max(region.size for region in regions)
+                                       * MR_PIN_NS_PER_BYTE)
+    assert spans[0].duration_ns <= live[0] + one
+    assert [span.duration_ns for span in spans[1:]] == live[1:]
+
+
+def _register_all(cluster, names):
+    sessions = []
+    for gpu, name in enumerate(names):
+        session = yield from cluster.portus_register(name, gpu=gpu)
+        sessions.append(session)
+    return sessions
+
+
+def test_a_daemon_crashed_mid_registration_leaves_no_mr(monkeypatch):
+    """A crash while a REGISTER's registrations are in flight cancels
+    them: none completes over the dead daemon's memory."""
+    cluster = PaperCluster(seed=1, ampere_nodes=0)
+    storage = cluster.server.nic
+    raw = storage.register_mr
+
+    def crash_soon(allocation):
+        monkeypatch.setattr(storage, "register_mr", raw)
+
+        def kill(env):
+            yield env.timeout(usecs(10))
+            cluster.kill_daemon()
+
+        cluster.env.process(kill(cluster.env))
+        return (yield from raw(allocation))
+
+    monkeypatch.setattr(storage, "register_mr", crash_soon)
+
+    def scenario(env):
+        with pytest.raises(ReproError):
+            yield from cluster.portus_register("alexnet")
+        yield env.timeout(secs(1))
+
+    cluster.run(scenario)
+    assert storage.registered_mrs == 0
+
+
+def test_a_daemon_dead_before_its_register_ran_pins_nothing():
+    """A REGISTER dispatched just before the daemon dies never starts its
+    handler, so nothing pins the dead daemon's slots."""
+    cluster = PaperCluster(seed=1, ampere_nodes=0, tracing=True)
+    session = cluster.run(lambda env: cluster.portus_register("alexnet"))
+    storage = cluster.server.nic
+
+    def scenario(env):
+        def kill_mid_dispatch(env):
+            # Wait for the re-attach's dispatch to take its worker core.
+            while not [span for span in cluster.obs.tracer.named(
+                    "daemon.REGISTER") if span.end_ns is None]:
+                yield env.timeout(usecs(1))
+            cluster.kill_daemon()
+
+        env.process(kill_mid_dispatch(env))
+        with pytest.raises(ReproError):
+            yield from cluster.portus_client().register(session.model)
+        yield env.timeout(secs(1))
+
+    cluster.run(scenario)
+    assert storage.registered_mrs == 0
+
+
+def test_a_refused_register_releases_its_pins():
+    """Neither a quota refusal nor a cross-tenant refusal leaves the
+    job's tensors pinned: no session is left to release them."""
+    cluster = PaperCluster(seed=19, ampere_nodes=0)
+    compute = cluster.volta.nic
+    cluster.tenants.register_tenant("tiny", byte_quota=1)
+
+    def scenario(env):
+        with pytest.raises(TenantQuotaExceeded):
+            yield from cluster.portus_register("alexnet", tenant="tiny")
+        assert compute.registered_mrs == 0
+        yield from cluster.portus_register("alexnet", gpu=1, tenant="acme")
+        # The owner's process dies; its model stays acme's.
+        FaultInjector(env, cluster).kill_client("volta")
+        assert compute.registered_mrs == 0
+        with pytest.raises(ModelAlreadyRegistered):
+            yield from cluster.portus_register("alexnet", tenant="evil")
+        return True
+
+    assert cluster.run(scenario)
+    assert compute.registered_mrs == 0
 
 
 def test_a_dead_daemons_slot_rkey_is_refused():
@@ -215,8 +338,8 @@ def test_drop_model_returns_both_nics_to_their_counts():
 
 
 def test_a_daemon_that_dies_mid_register_leaves_no_pin(monkeypatch):
-    """REGISTER holds no CAS guard, so a crash does not interrupt it: the
-    dead handler finishes pinning, and must then drop what it pinned."""
+    """A crash inside REGISTER's first registration cancels that one and
+    the rest of its set, which is queued before any starts."""
     cluster = PaperCluster(seed=1, ampere_nodes=0)
     storage = cluster.server.nic
     raw = storage.register_mr
