@@ -47,7 +47,7 @@ def _grid_time(specs, depth, chunk_bytes, seed=203):
     try:
         cluster = PaperCluster(
             seed=seed, ampere_nodes=0,
-            daemon_kwargs={"engine": {"chunk_bytes": chunk_bytes}})
+            daemon_kwargs={"engine_chunk_bytes": chunk_bytes})
         holder = {}
 
         def scenario(env):

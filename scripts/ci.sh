@@ -13,12 +13,13 @@
 #      iteration (scripts/bench_smoke.sh); then the sim hot-path bench,
 #      which guards against a >20% speedup regression vs the committed
 #      BENCH_sim.json (host-timed); then the dedup (Fig. 14 trace),
-#      fleet (96-tenant open loop), group (parallel-group dump) and
-#      Fig. 11/12 (checkpoint and restore times) benches under
-#      `--golden check`, which fails on any value that moved from
-#      benchmarks/golden.json (CI_FAST runs the hot-path, dedup, fleet
-#      and group benches at reduced scale, and every one of them
-#      without the guard or the golden check); then the
+#      fleet (96-tenant open loop), group (parallel-group dump),
+#      Fig. 11/12 (checkpoint and restore times) and fault-recovery
+#      (the retrying client's teardown and re-attach under WR faults)
+#      benches under `--golden check`, which fails on any value that
+#      moved from benchmarks/golden.json (CI_FAST runs the hot-path,
+#      dedup, fleet and group benches at reduced scale, and every one
+#      of them without the guard or the golden check); then the
 #      benchmark's own smoke test (bench/test_bench.py), so a datapath
 #      change that breaks a workload's bit-exact restore or its
 #      repeatability check fails here, not only in the benchmark run;
@@ -104,7 +105,7 @@ step "sim hot-path bench (regression guard vs BENCH_sim.json)"
 PYTHONPATH=src python -m pytest \
     "benchmarks/bench_sim_hotpath.py::test_sim_hotpath_fleet" -q
 
-step "dedup, fleet, group and Fig. 11/12 benches (exact vs benchmarks/golden.json)"
+step "dedup, fleet, group, Fig. 11/12 and fault-recovery benches (exact vs benchmarks/golden.json)"
 golden=(--golden check)
 if [[ "${CI_FAST:-0}" != "0" ]]; then
     golden=()  # --golden records full-size runs only
@@ -115,6 +116,7 @@ PYTHONPATH=src python -m pytest \
     "benchmarks/bench_group.py::test_group_dump_speedup" \
     "benchmarks/bench_fig11_checkpoint.py" \
     "benchmarks/bench_fig12_restore.py" \
+    "benchmarks/bench_fault_recovery.py" \
     "${golden[@]}" -q
 
 step "benchmark workloads smoke (bench/: bit-exact + repeatable)"

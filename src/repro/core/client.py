@@ -17,13 +17,16 @@ per shard, many sessions per client (multi-tenant / multi-GPU).
 
 Fault tolerance: every request is stamped with a request id and the
 reply matched against it (replies can arrive out of order — the daemon
-dispatches each request on its own worker).  When the client carries a
+dispatches each request on its own process).  When the client carries a
 :class:`~repro.core.retry.RetryPolicy`, transport faults (connection
 drops, link flaps, QP/WR errors, reply timeouts, a restarting daemon)
 tear the session transport down and transparently re-attach — new QP,
 new TCP connection, re-sent REGISTER against the persisted index; the
 GPU-side MRs are pinned once per job and reused across re-attaches,
-exactly as the fixed tensor addresses of §III-C allow.
+exactly as the fixed tensor addresses of §III-C allow.  An attach that
+does not end with a REGISTERED reply tears down the transport it built,
+so a refused session holds no connection or QP and re-attaches (or is
+refused again) on its next request.
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ from repro.core import protocol
 from repro.core.daemon import PortusDaemon
 from repro.core.retry import RETRYABLE_FAULTS, RetryPolicy
 from repro.dnn.tensor import ModelInstance
-from repro.errors import (PortusError, ProtocolError, ReproError,
-                          RequestTimeout)
+from repro.errors import (PortusError, ProcessInterrupted, ProtocolError,
+                          ReproError, RequestTimeout)
 from repro.hw.node import Node
 from repro.net.tcp import TcpStack
 from repro.obs import NULL_SPAN, Observability
 from repro.rdma.verbs import connect
-from repro.sim import AnyOf, Environment
+from repro.sim import Deadline, Environment
 
 MessageFactory = Callable[[], Tuple[Dict[str, Any], int]]
 
@@ -49,7 +52,6 @@ class ModelSession:
     """A registered model's handle: checkpoint / restore / unregister."""
 
     def __init__(self, client: "PortusClient", model: ModelInstance,
-                 conn, qp,
                  tensor_infos: Optional[List[Dict[str, Any]]] = None,
                  retry: Optional[RetryPolicy] = None,
                  num_qps: int = 1,
@@ -62,11 +64,12 @@ class ModelSession:
         #: Owning tenant (fleet accounting), re-sent on every attach so
         #: a restarted daemon re-learns the model's owner.
         self.tenant = tenant
-        self.conn = conn
+        #: The control connection; None until an attach succeeds.
+        self.conn = None
         #: The stripe set: ``num_qps`` QPs are (re)connected per attach
         #: and the daemon stripes each checkpoint/restore across them.
         self.num_qps = num_qps
-        self.qps: List = [qp] if qp is not None else []
+        self.qps: List = []
         self.tensor_infos = tensor_infos
         self.retry = retry
         #: Dedup mode: checkpoints carry a chunk manifest computed over
@@ -102,30 +105,16 @@ class ModelSession:
         conn = self.conn
         yield from conn.send(message, wire_size=size)
         timeout_ns = self.retry.reply_timeout_ns if self.retry else None
-        if timeout_ns is None:
-            return (yield from self._recv_rid(conn, rid))
-        env = self.client.env
-        receiver = env.process(self._recv_outcome(conn, rid),
-                               name=f"recv:{self.model.name}:{rid}")
-        yield AnyOf(env, [receiver, env.timeout(timeout_ns)])
-        if not receiver.triggered:
-            receiver.interrupt("reply timeout")
-            yield receiver  # let the interrupt land; outcome is ("err", ...)
+        deadline = Deadline(self.client.env, timeout_ns)
+        try:
+            with deadline:
+                return (yield from self._recv_rid(conn, rid))
+        except ProcessInterrupted:
+            if not deadline.fired:
+                raise
             raise RequestTimeout(
                 f"{self.model.name}: no reply to rid {rid} "
-                f"within {timeout_ns} ns")
-        kind, value = receiver.value
-        if kind == "err":
-            raise value
-        return value
-
-    def _recv_outcome(self, conn, rid: int) -> Generator:
-        """Process: recv that never fails (outcome returned as a tag)."""
-        try:
-            reply = yield from self._recv_rid(conn, rid)
-        except ReproError as exc:
-            return ("err", exc)
-        return ("ok", reply)
+                f"within {timeout_ns} ns") from None
 
     def _recv_rid(self, conn, rid: int) -> Generator:
         """Process: wait for the reply carrying *rid*.
@@ -272,37 +261,45 @@ class ModelSession:
                 gate.succeed(None)
 
     def _reattach(self) -> Generator:
-        """Process: rebuild the transport and (re-)send REGISTER.
+        """Process: build a fresh transport and (re-)send REGISTER.
 
         The daemon side validates the attach against the persisted index
         and re-arms the entry with the new QP; the client-side tensor MRs
-        (registered once per job) are reused as-is.
+        (registered once per job) are reused as-is.  Any transport left
+        from before (its connection died while idle) is retired first,
+        and one this attach built is torn down unless the reply is
+        REGISTERED: a refused session is detached, never left on a
+        transport the daemon did not accept.
         """
         client = self.client
         obs = client.obs
         with obs.tracer.span(client.env, "client.reattach", cat="client",
                              track=f"client/{self.model.name}"):
+            self._teardown_transport()
             client_qps = []
             server_qps = []
-            for _lane in range(self.num_qps):
-                client_qp, server_qp = yield from connect(
-                    client.env, client.node.nic, client.daemon.node.nic)
-                client_qps.append(client_qp)
-                server_qps.append(server_qp)
-            conn = yield from client.tcp.connect(client.daemon.tcp.hostname,
-                                                 client.daemon.port)
-            self.conn = conn
-            self.qps = client_qps
-            self._pending.clear()
-            dedup = None
-            if self.dedup_chunk_bytes is not None:
-                dedup = {"chunk_bytes": self.dedup_chunk_bytes}
-            message, size = protocol.register(self.model.name,
-                                              self.tensor_infos, server_qps,
-                                              dedup=dedup,
-                                              tenant=self.tenant)
-            reply = yield from self._rpc(message, size)
-            self._check(reply, protocol.OP_REGISTERED)
+            try:
+                for _lane in range(self.num_qps):
+                    client_qp, server_qp = yield from connect(
+                        client.env, client.node.nic, client.daemon.node.nic)
+                    client_qps.append(client_qp)
+                    server_qps.append(server_qp)
+                self.conn = yield from client.tcp.connect(
+                    client.daemon.tcp.hostname, client.daemon.port)
+                self.qps = client_qps
+                dedup = None
+                if self.dedup_chunk_bytes is not None:
+                    dedup = {"chunk_bytes": self.dedup_chunk_bytes}
+                message, size = protocol.register(self.model.name,
+                                                  self.tensor_infos,
+                                                  server_qps, dedup=dedup,
+                                                  tenant=self.tenant)
+                reply = yield from self._rpc(message, size)
+                self._check(reply, protocol.OP_REGISTERED)
+            except ReproError:
+                self.qps = client_qps
+                self._teardown_transport()
+                raise
 
     # -- dedup manifest -----------------------------------------------------------
 
@@ -452,9 +449,10 @@ class PortusClient:
         Pins one MR per tensor, all at once (PeerMem must be enabled for
         the GPU by the cluster setup; a tensor the NIC already pins costs
         nothing), connects a dedicated QP, and sends the description
-        packet.  A refused REGISTER unpins what this call pinned.  With
-        a retry policy the attach itself rides the same backoff loop as
-        every other request (the daemon may be restarting at
+        packet.  A refused REGISTER unpins what this call pinned (and,
+        like every failed attach, tears down its QPs and connection).
+        With a retry policy the attach itself rides the same backoff
+        loop as every other request (the daemon may be restarting at
         registration time).
 
         With ``dedup=True`` the model uses the deduplicated layout:
@@ -484,22 +482,11 @@ class PortusClient:
                 "rkey": mr.rkey,
                 "addr": mr.addr,
             } for tensor, mr in zip(model.tensors, mrs)]
-            session = ModelSession(self, model, None, None,
-                                   tensor_infos=tensor_infos,
+            session = ModelSession(self, model, tensor_infos=tensor_infos,
                                    retry=self.retry, num_qps=self.num_qps,
                                    dedup_chunk_bytes=dedup_chunk_bytes,
                                    tenant=tenant)
-
-            def attach() -> Generator:
-                try:
-                    yield from session._reattach()
-                except RETRYABLE_FAULTS:
-                    # A transport whose REGISTER failed serves nothing:
-                    # the next attempt builds a fresh one.
-                    session._teardown_transport()
-                    raise
-
-            yield from session._retrying(attach)
+            yield from session._retrying(session._reattach)
         except ReproError:
             # No session is left to release what this call pinned.
             self.node.nic.unpin(fresh)

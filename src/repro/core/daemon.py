@@ -16,11 +16,12 @@ DRAM ModelMap of :class:`ModelEntry`), and serves four operations:
 * UNREGISTER — drop the model and free its extents.
 
 Each connection is served by its own process and each request by its own
-worker; a per-entry compare-and-swap guard (``busy``) keeps concurrent
-checkpoints of the *same* model exclusive while different models proceed
+dispatch process, which runs the request's handler inline; a per-entry
+compare-and-swap guard (:meth:`PortusDaemon.hold`) keeps concurrent
+operations on the *same* model exclusive while different models proceed
 fully in parallel — the paper's lock-free multi-tenant claim.  Replies
 carry the request id of the request they answer, so a client with several
-requests outstanding on one connection can match them (workers complete
+requests outstanding on one connection can match them (requests complete
 in any order).
 
 Fault tolerance:
@@ -28,21 +29,26 @@ Fault tolerance:
 * every reply send is guarded — a client that died mid-request costs the
   daemon nothing but a dropped-reply counter;
 * an optional per-request timeout (``request_timeout_ns``) bounds how
-  long a wedged datapath can hold an entry's CAS guard: the worker is
-  interrupted, the pull aborted, and the client told to retry;
+  long a wedged datapath can hold an entry's CAS guard: a deadline
+  interrupts the request's own process, whose cleanup aborts the pull,
+  and the client is told to retry (``RequestTimeout``);
 * an optional lease (``lease_ns`` + ``reaper_interval_ns``) detects
   vanished clients: any request or HEARTBEAT renews the lease, and the
-  reaper detaches expired sessions — interrupting their in-flight pull
-  (which aborts the ACTIVE version) and flushing their QP so late WR
-  completions cannot deposit stale bytes;
-* :meth:`stop` / :meth:`crash` model the daemon process exiting or
-  dying: the port unbinds, connections drop, QPs flush, in-flight
+  reaper detaches expired sessions — interrupting their in-flight
+  request (which aborts the ACTIVE version and replies ``NotAttached``)
+  and flushing their QP so late WR completions cannot deposit stale
+  bytes;
+* :meth:`crash` models the daemon process dying, the only way a daemon
+  ends: the port unbinds, connections drop, QPs flush, in-flight
   handlers are killed, a request not yet dispatched starts no handler,
-  and (on crash) the pool closes un-synced — the successor re-opens the
-  pool, re-runs recovery and re-pins its models (:meth:`start`).
+  and the pool closes un-synced — the successor re-opens the pool,
+  re-runs recovery and re-pins its models (:meth:`start`).
 
-All three knobs default to off: no timer or reaper process runs, and
-the fast path pays nothing for them.
+The three knobs default to off.  Without ``request_timeout_ns`` a
+request's deadline schedules nothing; the reaper runs only when both
+``lease_ns`` and ``reaper_interval_ns`` are set, and it reaps a request
+still in flight only on a daemon without a request timeout (otherwise
+that is the deadline's job).
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from repro.hw.node import CpuSet, StorageNode
 from repro.obs import Observability
 from repro.net.tcp import TcpStack
 from repro.pmem.pool import PmemPool
-from repro.sim import AnyOf, Environment
+from repro.sim import Deadline, Environment
 from repro.units import usecs
 
 DEFAULT_PORT = 9900
@@ -103,8 +109,8 @@ class ModelEntry:
         self.tenant: Optional[str] = None
         self.busy = False  # the compare-and-swap guard
         self.last_seen_ns = 0
-        #: The worker process currently holding the CAS guard, if any —
-        #: the interrupt target for lease expiry and daemon death.
+        #: The process currently holding the CAS guard, if any — the
+        #: interrupt target for lease expiry and daemon death.
         self.inflight = None
         #: When the CAS guard was taken — the health model's wedge
         #: detector reads the oldest in-flight age from it.
@@ -113,6 +119,37 @@ class ModelEntry:
     @property
     def attached(self) -> bool:
         return bool(self.qps) and self.client_runs is not None
+
+    # The end of a ``with daemon.hold(entry):`` block releases the CAS
+    # guard (not a contextlib generator: a profile charges it here).
+
+    def __enter__(self) -> "ModelEntry":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.busy = False
+        self.inflight = None
+        self.inflight_since_ns = None
+
+
+class _Admitted:
+    """A ``with`` block holding one admission slot of *kind*, if the
+    daemon has a controller (the fleet's backpressure:
+    :class:`AdmissionReject` when none is free)."""
+
+    __slots__ = ("admission", "kind")
+
+    def __init__(self, admission, kind: str) -> None:
+        self.admission = admission
+        self.kind = kind
+
+    def __enter__(self) -> None:
+        if self.admission is not None:
+            self.admission.enter(self.kind)
+
+    def __exit__(self, *exc_info) -> None:
+        if self.admission is not None:
+            self.admission.exit(self.kind)
 
 
 class PortusDaemon:
@@ -123,7 +160,8 @@ class PortusDaemon:
                  request_timeout_ns: Optional[int] = None,
                  lease_ns: Optional[int] = None,
                  reaper_interval_ns: Optional[int] = None,
-                 engine: Optional[Dict] = None,
+                 engine_chunk_bytes: Optional[int] = ENGINE_CHUNK_BYTES,
+                 max_pmem_streams: Optional[int] = None,
                  obs: Optional[Observability] = None,
                  admission=None, tenants=None) -> None:
         if node.nic is None:
@@ -137,18 +175,10 @@ class PortusDaemon:
         self.request_timeout_ns = request_timeout_ns
         self.lease_ns = lease_ns
         self.reaper_interval_ns = reaper_interval_ns
-        # Datapath engine policy (see repro.core.engine): sliding-window
-        # posting with 4 MiB segmentation by default (``chunk_bytes=None``
-        # posts one WR per run); ``max_pmem_streams`` bounds total
-        # in-flight pull WRs so the PMem ingest stays under the Optane
-        # congestion cliff.
-        engine_opts = dict(engine or {})
-        self.engine_chunk_bytes = engine_opts.pop("chunk_bytes",
-                                                  ENGINE_CHUNK_BYTES)
-        max_pmem_streams = engine_opts.pop("max_pmem_streams", None)
-        if engine_opts:
-            raise PortusError(
-                f"unknown engine options: {sorted(engine_opts)}")
+        # Datapath engine policy (see repro.core.engine): 4 MiB WRs by
+        # default (None: one WR per run); ``max_pmem_streams`` bounds
+        # in-flight pull WRs under the Optane congestion cliff.
+        self.engine_chunk_bytes = engine_chunk_bytes
         self.obs = obs if obs is not None else Observability()
         #: Per-daemon admission controller (fleet backpressure) — a
         #: :class:`repro.fleet.admission.AdmissionController`, or None
@@ -217,27 +247,11 @@ class PortusDaemon:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def stop(self) -> None:
-        """Stop serving: unbind the port and sever every connection.
-
-        The pool stays open and in-flight handlers run to completion —
-        their replies go nowhere (the connections are gone), but PMem
-        state ends consistent.  A successor daemon can bind the same
-        port immediately.
-        """
-        if self.stopped:
-            return
-        self.stopped = True
-        if self._listener is not None:
-            self._listener.close()
-        for conn in list(self._conns):
-            conn.drop()
-        self._conns.clear()
-
     def crash(self) -> None:
-        """The daemon process dies abruptly.
+        """The daemon process dies abruptly — the only way a daemon ends.
 
-        Networking tears down as in :meth:`stop`, every attached QP is
+        The port unbinds and every connection drops (a successor daemon
+        can bind the same port immediately), every attached QP is
         flushed to the error state (in-flight WR data is discarded —
         the DMA target mapping is gone), in-flight handlers are killed,
         every MR pinned over the pool dies with the process, and the
@@ -246,7 +260,13 @@ class PortusDaemon:
         Callers simulating *power loss* should :meth:`PmemPool.crash`
         the pool before calling this.
         """
-        self.stop()
+        if not self.stopped:
+            self.stopped = True
+            if self._listener is not None:
+                self._listener.close()
+            for conn in list(self._conns):
+                conn.drop()
+            self._conns.clear()
         if not self.pool.closed:
             self.pool.close()
         for _name, entry in self.model_map.items():
@@ -313,6 +333,7 @@ class PortusDaemon:
                                     trace_id=trace_id, track="daemon",
                                     model=message.get("model"))
         self._count(f"requests.{op}")
+        deadline = Deadline(self.env, self.request_timeout_ns)
         failed = False
         try:
             if handler is None:
@@ -324,16 +345,20 @@ class PortusDaemon:
                 # (a pin, a PMem write) may outlive it.
                 raise ConnectionClosed(
                     f"{self.node.name}: the daemon stopped before {op} ran")
-            if self.request_timeout_ns is None:
+            with deadline:
                 reply, size = yield from handler(message)
-            else:
-                reply, size = yield from self._run_with_timeout(op, handler,
-                                                                message)
             # Stamp at completion too: a request that legitimately runs
             # longer than the lease must not leave a stale stamp for the
             # reaper to trip over before the client's next request.
             self._touch_lease(message)
         except ReproError as exc:
+            if isinstance(exc, ProcessInterrupted):
+                # The deadline, the reaper or a crash interrupted the
+                # handler (its cleanup aborted its work): the client sees
+                # a retryable timeout or "your attach is gone".
+                exc = (RequestTimeout(f"{op}: request exceeded "
+                                      f"{self.request_timeout_ns} ns")
+                       if deadline.fired else NotAttached(str(exc)))
             failed = True
             self._count(f"errors.{op}")
             reply, size = protocol.error_reply(exc)
@@ -347,40 +372,6 @@ class PortusDaemon:
             # The client died or the connection dropped mid-reply; the
             # work is done (or aborted) either way — drop the reply.
             self._count("dropped_replies")
-
-    def _run_with_timeout(self, op: str, handler, message: Dict) -> Generator:
-        """Process: run *handler* but bound its wall time.
-
-        On expiry the worker is interrupted — its own cleanup aborts any
-        ACTIVE version and releases the CAS guard — and the client gets a
-        retryable :class:`RequestTimeout`.
-        """
-        worker = self.env.process(self._guarded(handler, message),
-                                  name=f"portus-{op}-worker")
-        yield AnyOf(self.env,
-                    [worker, self.env.timeout(self.request_timeout_ns)])
-        if not worker.triggered:
-            worker.interrupt("request timeout")
-            yield worker  # let the interrupt unwind the handler
-            raise RequestTimeout(
-                f"{op}: request exceeded {self.request_timeout_ns} ns")
-        kind, value = worker.value
-        if kind == "err":
-            raise value
-        return value
-
-    def _guarded(self, handler, message: Dict) -> Generator:
-        """Process: handler wrapper that never fails (outcome is tagged)."""
-        try:
-            result = yield from handler(message)
-        except ProcessInterrupted as exc:
-            # The reaper (or a crash) tore this session down mid-request.
-            # The raw interruption is a simulator artifact; what the
-            # client must see is a retryable "your attach is gone".
-            return ("err", NotAttached(str(exc)))
-        except ReproError as exc:
-            return ("err", exc)
-        return ("ok", result)
 
     # -- lease bookkeeping -------------------------------------------------------
 
@@ -441,8 +432,11 @@ class PortusDaemon:
             raise ModelNotFound(model_name)
         return entry
 
-    def _claim(self, entry: ModelEntry) -> None:
-        """The CAS: atomically take exclusive use of this entry."""
+    def hold(self, entry: ModelEntry) -> ModelEntry:
+        """The CAS guard: exclusive use of *entry* for the ``with`` block
+        this opens, or :class:`CheckpointInProgress`; until the block
+        ends, the holding process is the entry's interrupt target (the
+        reaper, a crash)."""
         if entry.busy:
             raise CheckpointInProgress(
                 f"{entry.meta.mindex.model_name}: operation already "
@@ -450,24 +444,11 @@ class PortusDaemon:
         entry.busy = True
         entry.inflight = self.env.active_process
         entry.inflight_since_ns = self.env.now
-
-    def _release(self, entry: ModelEntry) -> None:
-        entry.busy = False
-        entry.inflight = None
-        entry.inflight_since_ns = None
+        return entry
 
     # -- REGISTER ------------------------------------------------------------------------
 
     def _handle_register(self, message: Dict) -> Generator:
-        if self.admission is None:
-            return (yield from self._register_inner(message))
-        self.admission.enter("register")
-        try:
-            return (yield from self._register_inner(message))
-        finally:
-            self.admission.exit("register")
-
-    def _register_inner(self, message: Dict) -> Generator:
         name = message["model"]
         tensors = message["tensors"]
         dedup = message.get("dedup")
@@ -479,43 +460,47 @@ class PortusDaemon:
             TensorSpec(t["name"], tuple(t["shape"]),
                        DType.by_name(t["dtype"])) for t in tensors
         ]
-        entry = self.model_map.get(name)
-        if entry is None:
-            if tenant is not None and self.tenants is not None:
-                # Charge the persistent footprint (two version slots)
-                # against the tenant's byte quota BEFORE any pool
-                # allocation — a quota reject must leave no state.
-                self.tenants.charge_bytes(
-                    tenant, name,
-                    2 * sum(spec.size_bytes for spec in specs))
-            try:
-                # The chunk store is pool-wide: the first dedup model
-                # formats it and later ones must agree on the chunk size.
-                entry = self.adopt_model(name, ModelMeta.create(
-                    self.pool, name, specs, chunk_bytes=chunk_bytes))
-            except ReproError:
+        with _Admitted(self.admission, "register"):
+            entry = self.model_map.get(name)
+            if entry is None:
                 if tenant is not None and self.tenants is not None:
-                    self.tenants.release_bytes(tenant, name)
-                raise
-        else:
-            if (tenant is not None and entry.tenant is not None
-                    and tenant != entry.tenant):
-                raise ModelAlreadyRegistered(
-                    f"{name}: held by tenant {entry.tenant!r}, not "
-                    f"{tenant!r}")
-            self._validate_attach(entry, specs, chunk_bytes)
-        # A re-attach to a live daemon finds these in the pin table, and
-        # one to a restarted daemon joins the re-pin its start() began.
-        yield from self.node.nic.pin_all(entry.meta.layout.pinned_regions(),
-                                         self.obs, protocol.trace_of(message),
-                                         "daemon")
-        entry.qps = list(qps)
-        entry.client_runs = [
-            RemoteRun(d.name, d.offset, d.size, t["addr"], t["rkey"])
-            for d, t in zip(entry.meta.mindex.descriptors, tensors)]
-        if tenant is not None:
-            entry.tenant = tenant
-        entry.last_seen_ns = self.env.now
+                    # Charge the persistent footprint (two version
+                    # slots) against the tenant's byte quota BEFORE any
+                    # pool allocation — a quota reject must leave no
+                    # state.
+                    self.tenants.charge_bytes(
+                        tenant, name,
+                        2 * sum(spec.size_bytes for spec in specs))
+                try:
+                    # The chunk store is pool-wide: the first dedup model
+                    # formats it and later ones must agree on the chunk
+                    # size.
+                    entry = self.adopt_model(name, ModelMeta.create(
+                        self.pool, name, specs, chunk_bytes=chunk_bytes))
+                except ReproError:
+                    if tenant is not None and self.tenants is not None:
+                        self.tenants.release_bytes(tenant, name)
+                    raise
+            else:
+                if (tenant is not None and entry.tenant is not None
+                        and tenant != entry.tenant):
+                    raise ModelAlreadyRegistered(
+                        f"{name}: held by tenant {entry.tenant!r}, not "
+                        f"{tenant!r}")
+                self._validate_attach(entry, specs, chunk_bytes)
+            # A re-attach to a live daemon finds these in the pin table,
+            # and one to a restarted daemon joins the re-pin its start()
+            # began.
+            yield from self.node.nic.pin_all(
+                entry.meta.layout.pinned_regions(), self.obs,
+                protocol.trace_of(message), "daemon")
+            entry.qps = list(qps)
+            entry.client_runs = [
+                RemoteRun(d.name, d.offset, d.size, t["addr"], t["rkey"])
+                for d, t in zip(entry.meta.mindex.descriptors, tensors)]
+            if tenant is not None:
+                entry.tenant = tenant
+            entry.last_seen_ns = self.env.now
         return protocol.reply(protocol.OP_REGISTERED, model=name,
                               layers=len(tensors), num_qps=len(entry.qps))
 
@@ -583,87 +568,78 @@ class PortusDaemon:
     # -- DO_CHECKPOINT --------------------------------------------------------------------
 
     def _handle_checkpoint(self, message: Dict) -> Generator:
-        entry = self._entry(message["model"])
-        if self.admission is None:
-            return (yield from self._checkpoint_gated(message, entry))
-        self.admission.enter("ingest")
-        try:
-            return (yield from self._checkpoint_gated(message, entry))
-        finally:
-            self.admission.exit("ingest")
-
-    def _checkpoint_gated(self, message: Dict,
-                          entry: ModelEntry) -> Generator:
         """Pull a new version into the free slot, whatever the layout:
         the layout's write reserves the target runs, the engine pulls
         every overlap of them with the client's tensors, and the write
         persists, commits — or, on any failure, aborts."""
         name = message["model"]
         step = message["step"]
-        write = entry.meta.layout.new_version(message.get("manifest"))
-        if not entry.attached:
-            raise NotAttached(f"{name}: no attached client to pull from")
-        self._claim(entry)
-        if self.tenants is not None and entry.tenant is not None:
-            # Token-bucket bandwidth budget, debited only once the dump
-            # is admitted, attached and claimed: the logical size (the
-            # bytes this dump *represents*); over-budget tenants get a
-            # typed reject with an exact deterministic retry-after.
-            try:
-                self.tenants.reserve_bandwidth(
-                    entry.tenant, entry.meta.mindex.total_bytes,
-                    self.env.now)
-            except ReproError:
-                self._release(entry)
-                raise
-        # Pin the stripe set and the client's tensors: a re-attach
-        # mid-pull must not redirect us.
-        qps, runs = list(entry.qps), entry.client_runs
-        trace_id = protocol.trace_of(message)
-        started = self.env.now
-        engine = None
-        try:
-            with self.obs.tracer.span(self.env, "ckpt.begin", cat="ckpt",
-                                      trace_id=trace_id, track="daemon",
-                                      model=name):
-                target = write.begin()
-            items = yield from plan_items(write.targets, runs,
-                                          self.node.nic,
-                                          self.engine_chunk_bytes,
-                                          self.obs, trace_id, "daemon")
-            # The engine charges PER_WQE_CPU_NS per WR actually posted —
-            # a dedup pull pays for what it moves (and its segmentation),
-            # not the whole layer count.  On a WR error or an interrupt
-            # it flushes the whole stripe set before raising, so no
-            # in-flight read can land stale bytes in a slot the next
-            # checkpoint may claim.
-            engine = self._engine(qps, ingest=True, trace_id=trace_id)
-            pulled = yield from engine.pull(items, f"pull:{name}")
-            if self.pool.closed:
-                # The server lost power mid-pull: this daemon instance is
-                # gone; the target slot stays ACTIVE on the (recovered)
-                # pool and will never be trusted by a restore.
-                raise PortusError(
-                    f"{name}: server crashed during checkpoint")
-            with self.obs.tracer.span(self.env, "ckpt.persist_commit",
-                                      cat="ckpt", trace_id=trace_id,
-                                      track="daemon", model=name):
-                write.persist()
-                yield self.env.timeout(FLUSH_BARRIER_NS)
-                write.commit(step)
-        except ReproError:
-            self._count("checkpoints_aborted")
-            if not self.pool.closed:
-                # Once a pull WR completed, its bytes landed in the
-                # target and the slot is torn at its old step: the write
-                # invalidates it rather than roll back to DONE (the
-                # torn-slot bug).
-                landed = engine is not None and engine.bytes_landed > 0
-                if write.abort(landed):
-                    self._count("checkpoints_aborted_dirty")
-            raise
-        finally:
-            self._release(entry)
+        entry = self._entry(name)
+        with _Admitted(self.admission, "ingest"):
+            write = entry.meta.layout.new_version(message.get("manifest"))
+            if not entry.attached:
+                raise NotAttached(f"{name}: no attached client to pull from")
+            with self.hold(entry):
+                if self.tenants is not None and entry.tenant is not None:
+                    # Token-bucket bandwidth budget, debited only once the
+                    # dump is admitted, attached and held: the logical
+                    # size (the bytes this dump *represents*); over-budget
+                    # tenants get a typed reject with an exact
+                    # deterministic retry-after.
+                    self.tenants.reserve_bandwidth(
+                        entry.tenant, entry.meta.mindex.total_bytes,
+                        self.env.now)
+                # Pin the stripe set and the client's tensors: a
+                # re-attach mid-pull must not redirect us.
+                qps, runs = list(entry.qps), entry.client_runs
+                trace_id = protocol.trace_of(message)
+                started = self.env.now
+                engine = None
+                try:
+                    with self.obs.tracer.span(self.env, "ckpt.begin",
+                                              cat="ckpt", trace_id=trace_id,
+                                              track="daemon", model=name):
+                        target = write.begin()
+                    items = yield from plan_items(write.targets, runs,
+                                                  self.node.nic,
+                                                  self.engine_chunk_bytes,
+                                                  self.obs, trace_id,
+                                                  "daemon")
+                    # The engine charges PER_WQE_CPU_NS per WR actually
+                    # posted — a dedup pull pays for what it moves (and
+                    # its segmentation), not the whole layer count.  On a
+                    # WR error or an interrupt it flushes the whole
+                    # stripe set before raising, so no in-flight read can
+                    # land stale bytes in a slot the next checkpoint may
+                    # claim.
+                    engine = self._engine(qps, ingest=True,
+                                          trace_id=trace_id)
+                    pulled = yield from engine.pull(items, f"pull:{name}")
+                    if self.pool.closed:
+                        # The server lost power mid-pull: this daemon
+                        # instance is gone; the target slot stays ACTIVE
+                        # on the (recovered) pool and will never be
+                        # trusted by a restore.
+                        raise PortusError(
+                            f"{name}: server crashed during checkpoint")
+                    with self.obs.tracer.span(self.env,
+                                              "ckpt.persist_commit",
+                                              cat="ckpt", trace_id=trace_id,
+                                              track="daemon", model=name):
+                        write.persist()
+                        yield self.env.timeout(FLUSH_BARRIER_NS)
+                        write.commit(step)
+                except ReproError:
+                    self._count("checkpoints_aborted")
+                    if not self.pool.closed:
+                        # Once a pull WR completed, its bytes landed in
+                        # the target and the slot is torn at its old
+                        # step: the write invalidates it rather than roll
+                        # back to DONE (the torn-slot bug).
+                        landed = engine is not None and engine.bytes_landed > 0
+                        if write.abort(landed):
+                            self._count("checkpoints_aborted_dirty")
+                    raise
         duration = self.env.now - started
         self._count("checkpoints_completed")
         self._count("bytes_pulled", pulled)
@@ -689,11 +665,10 @@ class PortusDaemon:
         entry = self._entry(name)
         if not entry.attached:
             raise NotAttached(f"{name}: no attached client to push to")
-        self._claim(entry)
-        qps = list(entry.qps)
-        trace_id = protocol.trace_of(message)
-        started = self.env.now
-        try:
+        with self.hold(entry):
+            qps = list(entry.qps)
+            trace_id = protocol.trace_of(message)
+            started = self.env.now
             version, step = entry.meta.restorable(message.get("step"))
             items = yield from plan_items(entry.meta.layout.extents(version),
                                           entry.client_runs, self.node.nic,
@@ -711,8 +686,6 @@ class PortusDaemon:
                 raise
             if self.pool.closed:
                 raise PortusError(f"{name}: server crashed during restore")
-        finally:
-            self._release(entry)
         duration = self.env.now - started
         self._count("restores_completed")
         self._count("bytes_pushed", pushed)
@@ -750,13 +723,9 @@ class PortusDaemon:
         only its own chunk references.  Each freed extent's MR retires
         with it.
         """
-        entry = self._entry(name)
-        self._claim(entry)
-        try:
+        with self.hold(self._entry(name)) as entry:
             freed = self.table.drop(name, entry.meta)
             self.model_map.delete(name)
-        finally:
-            self._release(entry)
         return freed
 
     # -- GROUPS ------------------------------------------------------------------------------

@@ -141,15 +141,17 @@ def poll_health(cluster, shard: int = 0) -> Dict:
     directly (same block, no wire trip)."""
     result: Dict = {}
 
+    daemon = cluster.shards[shard].daemon
+
     def scenario(env):
         for client in cluster._portus_clients.values():
-            if getattr(client, "shard_index", 0) != shard:
+            if client.daemon is not daemon:
                 continue
             if client.sessions:
                 reply = yield from client.sessions[0].heartbeat()
                 result.update(reply.get("health") or {})
                 return
-        result.update(cluster.shards[shard].daemon.health_snapshot())
+        result.update(daemon.health_snapshot())
 
     cluster.run(scenario)
     return result

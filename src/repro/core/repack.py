@@ -76,8 +76,9 @@ def repack_daemon(daemon,
     """Reclaim stale checkpoint versions of a live daemon's models, over
     its own entries; returns a report.
 
-    Each model is reclaimed under its CAS guard (a model with an
-    operation in flight raises :class:`CheckpointInProgress`); a model
+    Each model is held through the daemon's CAS guard while it is
+    reclaimed (:meth:`PortusDaemon.hold`: a model with an operation in
+    flight raises :class:`CheckpointInProgress`); a model
     with no DONE version is dropped through
     :meth:`PortusDaemon.unregister_model`, which also releases its
     tenant's byte charge.  The daemon never holds a handle to freed
@@ -87,12 +88,8 @@ def repack_daemon(daemon,
     """
     @contextmanager
     def hold(name):
-        entry = daemon.model_map.get(name)
-        daemon._claim(entry)
-        try:
+        with daemon.hold(daemon.model_map[name]) as entry:
             yield entry.meta
-        finally:
-            daemon._release(entry)
 
     return _reclaim(daemon.models(), hold,
                     lambda name, _meta: daemon.unregister_model(name), skip)
@@ -230,8 +227,9 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
     of its manifest is shared by reference).  Crash-safe commit ordering
     (DESIGN.md §13) — every window is leak-only:
 
-    1. the source entry's CAS guard is claimed, so no checkpoint can
-       flip its slots mid-copy;
+    1. the source model is held through its daemon's CAS guard
+       (:meth:`PortusDaemon.hold`), so no checkpoint can flip its slots
+       mid-copy;
     2. the destination index is created and a version begun on it (a
        crash here leaks dst extents; the source is untouched);
     3. the copy lands, persists, and commits DONE through the layout's
@@ -254,15 +252,13 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
     if dst_daemon.model_map.get(name) is not None:
         raise ModelAlreadyRegistered(
             f"{name}: destination daemon already holds this model")
-    src_daemon._claim(entry)
-    span = obs.tracer.span(env, "fleet.migrate", cat="fleet",
-                           track="fleet", model=name)
-    qps = []
-    try:
+    with src_daemon.hold(entry), obs.tracer.span(
+            env, "fleet.migrate", cat="fleet", track="fleet", model=name):
         version, step = entry.meta.restorable()
         source = entry.meta.layout.extents(version)
         meta_dst = entry.meta.replicate(dst_daemon.pool)
         write = None
+        qps = []
         try:
             write = entry.meta.layout.replica_write(version, meta_dst)
             write.begin()
@@ -306,13 +302,11 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
                     write.abort(landed=True)
                 meta_dst.free()
             raise
+        finally:
+            for qp in qps:
+                if qp.error is None:
+                    qp.transition_to_error("migration transport done")
         dst_daemon.adopt_model(name, meta_dst)
-    finally:
-        for qp in qps:
-            if qp.error is None:
-                qp.transition_to_error("migration transport done")
-        src_daemon._release(entry)
-        span.finish()
     labels = {"src": src_daemon.node.name, "dst": dst_daemon.node.name}
     obs.metrics.counter("fleet.migrations", **labels).inc()
     obs.metrics.counter("fleet.migrated_bytes", **labels).inc(moved)

@@ -193,7 +193,7 @@ class FaultInjector:
     def power_loss(self, shard: int = 0) -> None:
         self.cluster.crash_server(shard=shard)
 
-    def _shard_index(self, target) -> int:
+    def _target_shard(self, target) -> int:
         """Resolve a fault event's storage-shard target (None = shard 0,
         the legacy single-daemon case)."""
         if target is None:
@@ -313,17 +313,17 @@ class FaultInjector:
         self.kill_client(event.target)
 
     def _apply_daemon_crash(self, event: FaultEvent) -> None:
-        self.crash_daemon(shard=self._shard_index(event.target))
+        self.crash_daemon(shard=self._target_shard(event.target))
 
     def _apply_daemon_restart(self, event: FaultEvent) -> None:
-        self.restart_daemon(shard=self._shard_index(event.target))
+        self.restart_daemon(shard=self._target_shard(event.target))
 
     def _apply_power_loss(self, event: FaultEvent) -> None:
-        self.power_loss(shard=self._shard_index(event.target))
+        self.power_loss(shard=self._target_shard(event.target))
 
     def _apply_pool_corrupt(self, event: FaultEvent) -> None:
         applied = self.corrupt_pool(event.params.get("mode", "leak"),
-                                    shard=self._shard_index(event.target))
+                                    shard=self._target_shard(event.target))
         if not applied:
             self.obs.metrics.counter("faults.pool_corrupt_skipped").inc()
 

@@ -233,7 +233,6 @@ class PaperCluster:
                                   retry=self.client_retry,
                                   num_qps=self.client_num_qps,
                                   obs=self.obs)
-            client.shard_index = shard
             self._portus_clients[key] = client
         return client
 

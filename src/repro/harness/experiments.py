@@ -406,7 +406,7 @@ def engine_datapath_ablation(config_name: str = "gpt-22.4b") -> Dict:
     config = GPT_CONFIGS[config_name]
     sliding_ns, total_bytes = _gpt_portus_dump(config)
     striped_ns, _ = _gpt_portus_dump(
-        config, daemon_kwargs={"engine": dict(ENGINE_STRIPED_OPTS)},
+        config, daemon_kwargs=dict(ENGINE_STRIPED_OPTS),
         num_qps=ENGINE_STRIPED_QPS)
     return {"config": config_name, "bytes": total_bytes,
             "chunk_bytes": ENGINE_CHUNK_BYTES,

@@ -16,7 +16,7 @@ hardware layer.
 """
 
 from repro.sim.core import Environment, Event, Process, Timeout
-from repro.sim.process import AllOf, AnyOf, Condition
+from repro.sim.process import AllOf, AnyOf, Condition, Deadline
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import (Resource, SharedChannel, Store, Transfer,
                                  scheduler_stats, use_reference_scheduler)
@@ -25,6 +25,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
+    "Deadline",
     "Environment",
     "Event",
     "Process",

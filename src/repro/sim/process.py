@@ -1,16 +1,19 @@
-"""Composite wait conditions for processes: AllOf / AnyOf.
+"""Wait helpers for processes: AllOf / AnyOf, and a Deadline.
 
 ``yield AllOf(env, events)`` resumes when every event has fired and returns
 an ordered dict-like result; ``yield AnyOf(env, events)`` resumes as soon as
 one fires.  A failed child event fails the condition (with the child's
 exception) unless the condition already triggered.
+
+``with Deadline(env, delay_ns) as deadline:`` bounds how long the process
+that entered the block may stay in it (see :class:`Deadline`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.sim.core import Environment, Event
+from repro.sim.core import Environment, Event, Process
 
 
 class ConditionValue:
@@ -104,3 +107,40 @@ class AnyOf(Condition):
 
     def __init__(self, env: Environment, events: Sequence[Event]) -> None:
         super().__init__(env, events, count=1)
+
+
+class Deadline:
+    """Interrupt the process that enters this block after *delay_ns*
+    (:class:`~repro.errors.ProcessInterrupted`), unless the block has
+    ended by then; ``fired`` tells this interrupt from any other.  A
+    block that ends on the deadline's own tick is not interrupted: the
+    expiry looks again after every event already due at that tick.
+    With *delay_ns* None the deadline schedules nothing."""
+
+    __slots__ = ("env", "delay_ns", "fired", "_process")
+
+    def __init__(self, env: Environment, delay_ns: Optional[int]) -> None:
+        self.env = env
+        self.delay_ns = delay_ns
+        #: True once the deadline interrupted the block.
+        self.fired = False
+        self._process: Optional[Process] = None
+
+    def __enter__(self) -> "Deadline":
+        if self.delay_ns is not None:
+            self._process = self.env.active_process
+            self.env.timeout(self.delay_ns).callbacks.append(self._expire)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._process = None
+
+    def _expire(self, _timer: Event) -> None:
+        if self._process is not None:
+            self.env.timeout(0).callbacks.append(self._fire)
+
+    def _fire(self, _event: Event) -> None:
+        process = self._process
+        if process is not None and process.is_alive:
+            self.fired = True
+            process.interrupt(f"deadline of {self.delay_ns} ns")

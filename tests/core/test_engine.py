@@ -271,7 +271,7 @@ def _segments(size):
 
 def test_striped_checkpoint_restore_roundtrip_bit_exact():
     cluster = PaperCluster(seed=40, client_num_qps=4,
-                           daemon_kwargs={"engine": {"max_pmem_streams": 4}})
+                           daemon_kwargs={"max_pmem_streams": 4})
 
     def scenario(env):
         session = yield from cluster.portus_register("alexnet")
@@ -362,8 +362,9 @@ def test_restore_reply_reports_bytes_pushed():
 
 
 def test_unknown_engine_option_is_rejected():
-    # A typo, and the options that once selected the barrier-window
-    # lane: the sliding window is the only posting lane.
-    for option in ("typo", "pipelined", "largest_first"):
-        with pytest.raises(ReproError, match="unknown engine options"):
-            PaperCluster(seed=44, daemon_kwargs={"engine": {option: 1}})
+    # The engine policy is two daemon keywords; a typo, the options that
+    # once selected the barrier-window lane (the sliding window is the
+    # only posting lane) and the old ``engine`` dict are all refused.
+    for option in ("typo", "pipelined", "largest_first", "engine"):
+        with pytest.raises(TypeError, match=option):
+            PaperCluster(seed=44, daemon_kwargs={option: 1})

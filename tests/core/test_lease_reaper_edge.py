@@ -12,7 +12,7 @@ guard.
 import pytest
 
 from repro.dnn.tensor import ModelInstance, TensorSpec
-from repro.errors import ReproError, RequestTimeout
+from repro.errors import NotAttached, ReproError, RequestTimeout
 from repro.faults import FaultInjector
 from repro.harness.cluster import PaperCluster
 from repro.units import msecs, usecs
@@ -101,18 +101,21 @@ def test_daemon_without_request_timeout_reaps_inflight_as_last_resort():
         session.model.update_step(1)
         injector.set_wr_fault_rate("server", rate=0.0, hang_rate=1.0)
         # Nothing else will ever release the CAS guard: no request
-        # timeout, a hung WR.  Fire the doomed checkpoint and abandon it
-        # (the daemon never replies once the reaper kills the handler;
-        # the client only sees its QPs flushed by the reap).
+        # timeout, a hung WR.  Fire the doomed checkpoint and abandon it;
+        # once the reaper kills the handler, the daemon replies with the
+        # retryable NotAttached (the session's attach is gone), not the
+        # simulator's raw interruption.
+        outcome = []
 
         def doomed():
             try:
                 yield from session.checkpoint(1)
-            except ReproError:
-                pass
+            except ReproError as exc:
+                outcome.append(exc)
 
         env.process(doomed(), name="doomed-ckpt")
         yield env.timeout(LEASE_NS + 8 * REAPER_NS)
+        assert [type(exc) for exc in outcome] == [NotAttached]
 
     cluster.run(scenario)
     assert cluster.obs.metrics.value("daemon.reaped_sessions") == 1

@@ -169,21 +169,34 @@ def test_a_daemon_dead_before_its_register_ran_pins_nothing():
 
 def test_a_refused_register_releases_its_pins():
     """Neither a quota refusal nor a cross-tenant refusal leaves the
-    job's tensors pinned: no session is left to release them."""
+    job's tensors pinned (no session is left to release them), nor the
+    connection and QP the refused attach built."""
     cluster = PaperCluster(seed=19, ampere_nodes=0)
     compute = cluster.volta.nic
+
+    def live_transport():
+        """(daemon connections, live client QPs)."""
+        return (len(cluster.daemon._conns),
+                sum(1 for qp in compute.qps if qp.error is None))
+
     cluster.tenants.register_tenant("tiny", byte_quota=1)
 
     def scenario(env):
         with pytest.raises(TenantQuotaExceeded):
             yield from cluster.portus_register("alexnet", tenant="tiny")
+        yield env.timeout(usecs(100))  # the close reaches the daemon
         assert compute.registered_mrs == 0
+        assert live_transport() == (0, 0)
         yield from cluster.portus_register("alexnet", gpu=1, tenant="acme")
         # The owner's process dies; its model stays acme's.
         FaultInjector(env, cluster).kill_client("volta")
+        yield env.timeout(usecs(100))
         assert compute.registered_mrs == 0
+        assert live_transport() == (0, 0)
         with pytest.raises(ModelAlreadyRegistered):
             yield from cluster.portus_register("alexnet", tenant="evil")
+        yield env.timeout(usecs(100))
+        assert live_transport() == (0, 0)
         return True
 
     assert cluster.run(scenario)

@@ -185,9 +185,11 @@ def test_cli_health_fleet_rolls_up_worst_state(capsys):
     snapshot = json.loads(capsys.readouterr().out)
     assert snapshot["state"] == "healthy"
     assert sorted(snapshot["shards"]) == ["server", "server1", "server2"]
-    for entry in snapshot["shards"].values():
+    for name, entry in snapshot["shards"].items():
         assert entry["state"] == "healthy"
         assert entry["sample"]["up"] is True
+        # Each shard is sampled through a session of its own daemon.
+        assert entry["sample"]["shard"] == name
 
 
 def test_cli_stats_fleet_embeds_per_shard_work(capsys):

@@ -49,7 +49,7 @@ HORIZON_NS = msecs(4)
 #: (512 KiB) into 8 WRs striped over 4 lanes, with the daemon-wide
 #: PMem ingest limiter engaged — every engine mechanism under fault.
 STRIPED_QPS = 4
-STRIPED_ENGINE = dict(chunk_bytes=kib(64), max_pmem_streams=4)
+STRIPED_ENGINE = dict(engine_chunk_bytes=kib(64), max_pmem_streams=4)
 #: The dedup sweep: 64 KiB chunks, a full dump at step 1, then
 #: head-only dumps, so chunk MRs outlive every operation under fault.
 DEDUP_CHUNK = kib(64)
@@ -76,7 +76,7 @@ def run_chaos_schedule(seed, events=5, num_qps=1, engine=None,
                          lease_ns=msecs(5),
                          reaper_interval_ns=msecs(1))
     if engine is not None:
-        daemon_kwargs["engine"] = dict(engine)
+        daemon_kwargs.update(engine)
     cluster = PaperCluster(
         seed=seed, ampere_nodes=0,
         daemon_kwargs=daemon_kwargs,

@@ -9,7 +9,8 @@ from repro.core import protocol
 from repro.core.failover import FailoverCheckpointer
 from repro.core.retry import RetryPolicy
 from repro.dnn.tensor import ModelInstance, TensorSpec
-from repro.errors import ConnectionClosed, ReproError, RequestTimeout
+from repro.errors import (ConnectionClosed, ModelAlreadyRegistered,
+                          ReproError, RequestTimeout)
 from repro.faults import FaultInjector
 from repro.harness.cluster import PaperCluster
 from repro.sim import AllOf
@@ -160,6 +161,64 @@ def test_registry_counts_what_the_session_tallies():
     assert first.reattaches == 1
     assert metrics.value("client.reattaches") == 1
     assert metrics.value("client.retries") == first.retries + second.retries
+
+
+def test_reattach_retires_the_transport_a_restart_left_behind():
+    """A restart severs an idle session; its next request re-attaches,
+    and the QP of the dead transport is retired, not leaked."""
+    cluster = make_cluster()
+    session = register_model(cluster)
+    nic = cluster.volta.nic
+
+    for step in (1, 2, 3):
+        cluster.restart_daemon()
+
+        def dump(env, step=step):
+            session.model.update_step(step)
+            yield from session.checkpoint(step)
+
+        cluster.run(dump)
+        live = [qp for qp in nic.qps if qp.error is None]
+        assert live == session.qps
+    assert session.reattaches == 3
+
+
+def test_a_refused_reattach_acknowledges_no_checkpoint():
+    """After a restart another tenant registers the name first: the
+    owner's re-attach is refused, and so is every later request — none
+    may run on the transport the daemon refused, where it would pull
+    the other tenant's tensors into the owner's model."""
+    policy = RetryPolicy(rng=random.Random(3), max_attempts=32,
+                         deadline_ns=msecs(500), reply_timeout_ns=msecs(50))
+    cluster = PaperCluster(seed=3, ampere_nodes=1, client_retry=policy)
+    ampere = cluster.amperes[0]
+
+    def scenario(env):
+        owner = ModelInstance.materialize("m", SPECS[:2],
+                                          cluster.volta.gpus[0],
+                                          model_seed=1)
+        session = yield from cluster.portus_client().register(owner,
+                                                              tenant="A")
+        owner.update_step(1)
+        yield from session.checkpoint(1)
+        cluster.restart_daemon()
+        other = ModelInstance.materialize("m", SPECS[:2], ampere.gpus[0],
+                                          model_seed=2)
+        yield from cluster.portus_client(ampere).register(other,
+                                                          tenant="B")
+        for step in (2, 3):
+            owner.update_step(step)
+            with pytest.raises(ModelAlreadyRegistered):
+                yield from session.checkpoint(step)
+        return owner
+
+    owner = cluster.run(scenario)
+    meta = cluster.daemon.model_map["m"].meta
+    version, step = meta.restorable()
+    assert step == 1
+    stored = {descriptor.name: meta.read_tensor(descriptor, version)
+              for descriptor in meta.mindex.descriptors}
+    assert owner.verify_against(stored, step=1) == []
 
 
 # -- daemon request timeout -------------------------------------------------------

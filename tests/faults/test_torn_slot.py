@@ -52,7 +52,7 @@ TRACE_PATH = os.environ.get("CHAOS_TRACE")
 SPECS = [TensorSpec("block.weight", (512, 256)),
          TensorSpec("block.bias", (512,)),
          TensorSpec("head.weight", (16, 512))]
-ENGINE = dict(chunk_bytes=kib(64))
+ENGINE = dict(engine_chunk_bytes=kib(64))
 AFTERMATHS = ("restart", "crash", "repack", "crash+repack")
 
 
@@ -98,7 +98,7 @@ def run_torn_slot_schedule(seed):
         daemon_kwargs=dict(request_timeout_ns=usecs(600),
                            lease_ns=msecs(5),
                            reaper_interval_ns=msecs(1),
-                           engine=dict(ENGINE)),
+                           **ENGINE),
         client_retry=policy)
     injector = FaultInjector(cluster.env, cluster)
 
