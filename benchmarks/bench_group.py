@@ -1,10 +1,11 @@
 """Parallel-group dump vs serial member dumps: what the group buys.
 
-A TP x PP group dumps all member shards concurrently and makes the
-step visible with one two-phase commit record; the baseline dumps the
-same members one after another and then commits the same record (same
-final visibility, serialized data path).  Two regimes, measured
-separately because they answer different questions:
+A TP x PP group dumps all member shards concurrently, and the member
+checkpoint that completes the step makes it visible with one commit
+record write; the baseline dumps the same members one after another,
+and its last member checkpoint commits the same record (same final
+visibility, serialized data path).  Two regimes, measured separately
+because they answer different questions:
 
 * **latency-bound** — 16 small shards, several steps.  Per-member
   control-plane round trips (begin/pull/commit) dominate, and the
@@ -15,7 +16,7 @@ separately because they answer different questions:
   nodes.  The storage server's ingest bandwidth is the bottleneck for
   any dump strategy, so the honest claim is not a speedup but a
   non-regression: the group dump's aggregate bandwidth must not fall
-  below the serial baseline's (the two-phase commit adds one record
+  below the serial baseline's (the group commit adds one record
   write per *group*, not per member — its cost must be invisible).
 
 Recorded in the golden record (``benchmarks/golden.json``) under
@@ -92,10 +93,10 @@ def _run(config, tp, pp, steps, grouped, seed=600):
                 yield from group.dump(step)
             else:
                 # Same end state as the group dump — every member DONE
-                # and the commit record at *step* — via serialized pulls.
+                # and the commit record at *step* — via serialized pulls:
+                # the last member's checkpoint commits the record.
                 for session in sessions:
                     yield from session.checkpoint(step)
-                yield from group._commit(step)
         elapsed = env.now - start
         info = yield from group.query()
         assert info["step"] == steps

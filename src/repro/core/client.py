@@ -367,19 +367,22 @@ class ModelSession:
             self.model.clear_dirty()
         return reply
 
-    def restore(self, step: Optional[int] = None) -> Generator:
+    def restore(self, step: Optional[int] = None,
+                group: Optional[str] = None) -> Generator:
         """Process: pull the newest valid checkpoint into the model.
 
-        With *step* the restore is pinned to that exact committed step
-        (group restores pin every member to the group's committed step,
-        which is what keeps a torn dump from surfacing as a mixed-step
-        model); ``None`` keeps the newest-DONE behaviour.
+        With *step* the restore is pinned to that exact committed step;
+        with *group* the daemon pins it to that group's committed step
+        (a group restore does so for every member, which is what keeps
+        a torn dump from surfacing as a mixed-step model); with neither
+        it reads the newest DONE version.
 
         Returns the restored step; the model's tensors now physically
         hold the checkpointed bytes (the daemon RDMA-wrote them).
         """
         reply = yield from self._call(
-            lambda: protocol.do_restore(self.model.name, step=step),
+            lambda: protocol.do_restore(self.model.name, step=step,
+                                        group=group),
             protocol.OP_RESTORE_DONE)
         step = reply["step"]
         self.model.step = step

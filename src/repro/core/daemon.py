@@ -10,9 +10,10 @@ DRAM ModelMap of :class:`ModelEntry`), and serves four operations:
   tensors into it with one-sided RDMA READs through the transfer
   engine (sliding window, striped across the model's QPs), flush, stamp
   DONE.  Zero serialization, zero staging copies, zero kernel crossings
-  on either side.
-* DO_RESTORE — pick the newest DONE version and push every tensor back
-  with one-sided RDMA WRITEs.
+  on either side.  For a parallel-group member, the checkpoint that
+  completes a step also commits it as the group's (DESIGN.md §14).
+* DO_RESTORE — pick the newest DONE version (or the group's committed
+  step) and push every tensor back with one-sided RDMA WRITEs.
 * UNREGISTER — drop the model and free its extents.
 
 Each connection is served by its own process and each request by its own
@@ -65,9 +66,9 @@ from repro.dnn.layout import ShardedLayout
 from repro.dnn.tensor import TensorSpec
 from repro.dnn.dtypes import DType
 from repro.errors import (CheckpointInProgress, ConnectionClosed,
-                          GroupCommitRefused, MemoryRegionError,
+                          GroupCommitRefused, GroupError, MemoryRegionError,
                           ModelAlreadyRegistered, ModelNotFound,
-                          NoValidCheckpoint, NotAttached, PmemError,
+                          NoValidGroupCheckpoint, NotAttached, PmemError,
                           PortusError, ProcessInterrupted, ProtocolError,
                           ReproError, RequestTimeout)
 from repro.hw.node import CpuSet, StorageNode
@@ -324,7 +325,6 @@ class PortusDaemon:
             protocol.OP_LIST: self._handle_list,
             protocol.OP_HEARTBEAT: self._handle_heartbeat,
             protocol.OP_GROUP_REGISTER: self._handle_group_register,
-            protocol.OP_GROUP_COMMIT: self._handle_group_commit,
             protocol.OP_GROUP_QUERY: self._handle_group_query,
         }
         handler = handlers.get(op)
@@ -571,10 +571,22 @@ class PortusDaemon:
         """Pull a new version into the free slot, whatever the layout:
         the layout's write reserves the target runs, the engine pulls
         every overlap of them with the client's tensors, and the write
-        persists, commits — or, on any failure, aborts."""
+        persists, commits — or, on any failure, aborts.
+
+        A group member never overwrites the slot holding its group's
+        committed step, refuses a step behind it before pulling
+        anything, and once committed may complete the group's step
+        (:meth:`_commit_group`); its reply names the group's committed
+        step."""
         name = message["model"]
         step = message["step"]
         entry = self._entry(name)
+        group = self.groups.group_of(name)
+        committed = 0 if group is None else group.committed_step
+        if step < committed:
+            raise GroupCommitRefused(
+                f"{name}: step {step} is behind its group's committed "
+                f"step {committed}")
         with _Admitted(self.admission, "ingest"):
             write = entry.meta.layout.new_version(message.get("manifest"))
             if not entry.attached:
@@ -599,7 +611,7 @@ class PortusDaemon:
                     with self.obs.tracer.span(self.env, "ckpt.begin",
                                               cat="ckpt", trace_id=trace_id,
                                               track="daemon", model=name):
-                        target = write.begin()
+                        target = write.begin(committed)
                     items = yield from plan_items(write.targets, runs,
                                                   self.node.nic,
                                                   self.engine_chunk_bytes,
@@ -648,28 +660,62 @@ class PortusDaemon:
             self._count(key, value)
         self.obs.metrics.histogram(
             "daemon.checkpoint_latency_ns").record(duration)
+        if group is not None:
+            report["group_step"] = self._commit_group(group, step)
         return protocol.reply(protocol.OP_CHECKPOINT_DONE, model=name,
                               step=step, version=target,
                               duration_ns=duration, bytes_pulled=pulled,
                               **report)
 
+    def _commit_group(self, record, step: int) -> int:
+        """Commit *step* as the group's if every member now holds DONE
+        at it — the record must never name a step a pinned restore
+        cannot serve — and return the group's committed step.
+
+        The commit is one A/B record write, made by the member
+        checkpoint that completed the step before it replies; the
+        ``group.ack`` crash hook after it covers the
+        persisted-but-unacked window in the crash sweep.
+        """
+        if step > record.committed_step and all(
+                self._holds(member, step)
+                for member in record.layout().members):
+            record.commit(step)
+            self._count("group_commits")
+            hook = self.pool.device.crash_hook
+            if hook is not None:
+                # Crash point: the commit record persisted but the ack
+                # never reached the client.
+                hook("group.ack", record.allocation.tag)
+        return record.committed_step
+
+    def _holds(self, model: str, step: int) -> bool:
+        """Whether *model* is indexed here with a DONE version at *step*."""
+        entry = self.model_map.get(model)
+        return (entry is not None
+                and entry.meta.read_flags().done_at(step) is not None)
+
     # -- DO_RESTORE -----------------------------------------------------------------------
 
     def _handle_restore(self, message: Dict) -> Generator:
         """Push a version back, whatever the layout: the newest DONE
-        one, or the one at the message's pinned ``step`` (a group
-        restore).  The engine writes every overlap of the version's
-        extents with the client's tensors, straight from PMem
+        one, the one at the message's pinned ``step``, or — when the
+        message names the model's ``group`` — the one at the group's
+        committed step.  The engine writes every overlap of the
+        version's extents with the client's tensors, straight from PMem
         (bit-exact, one stripe set)."""
         name = message["model"]
         entry = self._entry(name)
+        step = message.get("step")
+        if message.get("group") is not None:
+            step = self._group_step(name, message["group"])
         if not entry.attached:
             raise NotAttached(f"{name}: no attached client to push to")
         with self.hold(entry):
             qps = list(entry.qps)
             trace_id = protocol.trace_of(message)
             started = self.env.now
-            version, step = entry.meta.restorable(message.get("step"))
+            version, step = entry.meta.restorable(step)
             items = yield from plan_items(entry.meta.layout.extents(version),
                                           entry.client_runs, self.node.nic,
                                           self.engine_chunk_bytes,
@@ -694,6 +740,16 @@ class PortusDaemon:
         return protocol.reply(protocol.OP_RESTORE_DONE, model=name,
                               step=step, version=version,
                               duration_ns=duration, bytes_pushed=pushed)
+
+    def _group_step(self, model: str, group: str) -> int:
+        """The committed step of *group*, which *model* must belong to."""
+        record = self.groups.lookup(group)
+        if self.groups.group_of(model) is not record:
+            raise GroupError(f"{model}: not a member of group {group!r}")
+        if record.committed_step <= 0:
+            raise NoValidGroupCheckpoint(
+                f"group {group!r} has no committed step")
+        return record.committed_step
 
     # -- UNREGISTER ------------------------------------------------------------------------
 
@@ -734,9 +790,10 @@ class PortusDaemon:
         """Bind registered member models into one named group.
 
         The layout is validated (every member must already exist in the
-        index) and persisted in the group's commit record at committed
-        step 0; re-registering with the identical layout attaches (the
-        restart path), a different layout is refused.
+        index, and belong to no other group) and persisted in the
+        group's commit record at committed step 0; re-registering with
+        the identical layout attaches (the restart path), a different
+        layout is refused.
         """
         name = message["group"]
         blob = bytes(message["layout"])
@@ -750,46 +807,6 @@ class PortusDaemon:
         return protocol.reply(protocol.OP_GROUP_REGISTERED, group=name,
                               step=record.committed_step,
                               members=len(layout.members))
-        yield  # pragma: no cover - generator protocol
-
-    def _handle_group_commit(self, message: Dict) -> Generator:
-        """Phase two of a group dump: make *step* visible atomically.
-
-        Refused (typed, nothing written) unless EVERY member holds a
-        DONE slot at exactly *step* — the record must never name a step
-        a pinned restore cannot serve.  The commit itself is one A/B
-        record write; the explicit ``group.ack`` crash hook after it
-        covers the persisted-but-unacked window in the crash sweep.
-        """
-        name = message["group"]
-        step = message["step"]
-        record = self.groups.lookup(name)
-        for member in record.layout().members:
-            entry = self.model_map.get(member)
-            if entry is None:
-                raise GroupCommitRefused(
-                    f"group {name!r}: member {member!r} vanished from "
-                    f"the index")
-            try:
-                entry.meta.restorable(step)
-            except NoValidCheckpoint:
-                raise GroupCommitRefused(
-                    f"group {name!r}: member {member!r} has no DONE "
-                    f"checkpoint at step {step}") from None
-        if step < record.committed_step:
-            raise GroupCommitRefused(
-                f"group {name!r}: commit of step {step} behind committed "
-                f"step {record.committed_step}")
-        if step > record.committed_step:
-            record.commit(step)
-            hook = self.pool.device.crash_hook
-            if hook is not None:
-                # Crash point: the commit record persisted but the ack
-                # never reached the client.
-                hook("group.ack", record.allocation.tag)
-        self._count("group_commits")
-        return protocol.reply(protocol.OP_GROUP_COMMITTED, group=name,
-                              step=record.committed_step)
         yield  # pragma: no cover - generator protocol
 
     def _handle_group_query(self, message: Dict) -> Generator:

@@ -11,20 +11,23 @@ This module makes a *set* of shard models atomic as one named group
 
 * **Registration** binds the member sessions to a group and persists a
   :class:`~repro.dnn.layout.ShardedLayout` (degrees + per-tensor
-  partition specs) inside the group's commit record.
-* **Dumps** run every member pull concurrently through the existing
-  engine, then make the step visible with a single two-phase commit:
-  all members DONE at *step* → the :class:`GroupRecord` (an A/B
-  :class:`~repro.pmem.layout.CommittedRecord`) persists *step* → ack.
-  Leak-only: a crash anywhere leaves the record at the previous
-  committed step, which every member still retains because the
-  double-slot target rule never overwrites the newest DONE version and
-  the group client never starts dump N+1 before commit N is acked.
-* **Restore** pins every member to the group's committed step, so a
-  torn dump can never surface as a mixed-step model; with a different
-  target topology, :func:`restore_resharded` reassembles the global
-  tensors from the persisted partition specs and re-slices them
-  bit-exactly (ByteCheckpoint-style automatic resharding).
+  partition specs) inside the group's commit record; the daemon learns
+  each member's group from these records (a model belongs to at most
+  one group).
+* **Dumps** run every member checkpoint concurrently through the
+  existing engine; the commit rides the member checkpoint that
+  completes the step: once every member is DONE at *step*, that
+  member's DO_CHECKPOINT persists *step* in the :class:`GroupRecord`
+  (an A/B :class:`~repro.pmem.layout.CommittedRecord`) before it
+  replies.  Leak-only: a crash anywhere leaves the record at the
+  previous committed step, which every member still retains because
+  the double-slot target rule never overwrites the slot holding it —
+  the daemon, not the client, guards the committed step.
+* **Restore** pins every member to the group's committed step on the
+  daemon, so a torn dump can never surface as a mixed-step model; with
+  a different target topology, :func:`restore_resharded` reassembles
+  the global tensors from the persisted partition specs and re-slices
+  them bit-exactly (ByteCheckpoint-style automatic resharding).
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from repro.core import protocol
 from repro.core.index import ModelTable, _short
 from repro.dnn.layout import ShardedLayout, reshard
 from repro.dnn.tensor import ModelInstance
-from repro.errors import (GroupNotFound, NoValidGroupCheckpoint, PmemError,
-                          PortusError, ReproError)
+from repro.errors import (GroupCommitRefused, GroupError, GroupNotFound,
+                          NoValidGroupCheckpoint, PmemError, PortusError,
+                          ReproError)
 from repro.hw.device import Allocation
 from repro.pmem.layout import CommittedRecord, blob_capacity
 from repro.pmem.pool import PmemPool
@@ -135,7 +139,8 @@ class GroupRecord:
 
 
 class GroupStore:
-    """Daemon-side group registry: the GroupTable plus open records.
+    """Daemon-side group registry: the GroupTable plus open records,
+    and each member model's record (rebuilt from the records).
 
     The table region is created lazily on the first group registration,
     so pools that never use groups keep their exact pre-group layout.
@@ -149,6 +154,7 @@ class GroupStore:
         self.pool = pool
         self.table = table
         self.records: Dict[str, GroupRecord] = {}
+        self._member_of: Dict[str, GroupRecord] = {}
 
     @classmethod
     def open_or_create(cls, pool: PmemPool) -> "GroupStore":
@@ -159,21 +165,33 @@ class GroupStore:
         for name in table.names():
             try:
                 allocation = pool.device.allocation_at(table.lookup(name))
-                store.records[name] = GroupRecord.open(allocation)
+                store._add(name, GroupRecord.open(allocation))
             except ReproError:
                 continue  # dangling or torn — fsck's to repair
         return store
 
+    def _add(self, name: str, record: GroupRecord) -> None:
+        self.records[name] = record
+        for member in record.layout().members:
+            self._member_of[member] = record
+
+    def group_of(self, model: str) -> Optional[GroupRecord]:
+        """The record of the group *model* belongs to, or None."""
+        return self._member_of.get(model)
+
     def register(self, name: str, layout_blob: bytes) -> GroupRecord:
         """Create the group (or attach to it, if the layout matches).
 
-        Leak-only ordering: record region allocated and written first,
-        table entry second — a crash in between leaks an unreferenced
-        region that fsck reclaims, never a table entry pointing at
-        garbage.  Re-registering over a skipped (torn) record replaces
-        it the same way, freeing the old region last.
+        A layout naming a model another group holds is refused
+        (:class:`GroupError`): each member's group decides which of its
+        versions a checkpoint must not overwrite.  Leak-only ordering:
+        record region allocated and written first, table entry second —
+        a crash in between leaks an unreferenced region that fsck
+        reclaims, never a table entry pointing at garbage.
+        Re-registering over a skipped (torn) record replaces it the same
+        way, freeing the old region last.
         """
-        ShardedLayout.unpack(layout_blob)  # validate before persisting
+        layout = ShardedLayout.unpack(layout_blob)  # validate first
         existing = self.records.get(name)
         if existing is not None:
             if existing.layout_blob != layout_blob:
@@ -181,6 +199,11 @@ class GroupStore:
                     f"group {name!r} already exists with a different "
                     f"layout")
             return existing
+        for member in layout.members:
+            if member in self._member_of:
+                raise GroupError(
+                    f"group {name!r}: member {member!r} already belongs "
+                    f"to another group")
         if self.table is None:
             self.table = GroupTable.create(self.pool,
                                            max_models=MAX_GROUPS)
@@ -188,13 +211,14 @@ class GroupStore:
         if name in self.table:
             old_addr = self.table.lookup(name)
         record = GroupRecord.create(self.pool, name, layout_blob)
+        record._layout = layout  # the blob's one parse
         self.table.insert(name, record.allocation.addr)
         if old_addr is not None:
             try:
                 self.pool.free(self.pool.device.allocation_at(old_addr))
             except ReproError:
                 pass  # already gone; nothing to reclaim
-        self.records[name] = record
+        self._add(name, record)
         return record
 
     def lookup(self, name: str) -> GroupRecord:
@@ -209,6 +233,8 @@ class GroupStore:
         self.table.remove(name)
         self.pool.free(record.allocation)
         del self.records[name]
+        for member in record.layout().members:
+            del self._member_of[member]
 
     def names(self) -> List[str]:
         return sorted(self.records)
@@ -218,11 +244,14 @@ class GroupStore:
 
 
 class GroupSession:
-    """The user-facing group handle: dump / commit / restore as one unit.
+    """The user-facing group handle: dump / restore as one unit.
 
     Wraps the member :class:`~repro.core.client.ModelSession` handles;
-    every RPC a group needs beyond the members' own checkpoints rides
-    the lead member's connection (and its retry policy).
+    every RPC a group needs beyond the members' own checkpoints and
+    restores rides the lead member's connection (and its retry policy).
+    It holds no commit state: the daemon commits and pins the group's
+    step, and :attr:`committed_step` is only the step its last reply
+    named.
     """
 
     def __init__(self, client, name: str, layout: ShardedLayout,
@@ -232,11 +261,6 @@ class GroupSession:
         self.layout = layout
         self.sessions = sessions
         self.committed_step = 0
-        #: A commit sent but not yet acked.  Re-driven at the next dump:
-        #: the members are DONE at that step (their pulls acked), so
-        #: retrying the commit first preserves the invariant that no
-        #: member ever overwrites the slot a committed step lives in.
-        self._pending_commit: Optional[int] = None
 
     @property
     def _lead(self):
@@ -251,48 +275,45 @@ class GroupSession:
     def dump(self, step: int) -> Generator:
         """Process: one parallel group dump; returns the committed step.
 
-        Phase one pulls every member concurrently (the engine stripes
-        each over its own QPs); phase two persists the group-commit
-        record.  Any member failure aborts before the commit, leaving
-        the group at its previous committed step.
+        Every member checkpoints concurrently (the engine stripes each
+        over its own QPs); the member whose checkpoint completes the
+        step commits the group record before it replies, and every reply
+        names the group's committed step.  Any member failure raises —
+        the record may still have moved, if the members that finished
+        completed the step.
         """
-        if self._pending_commit is not None:
-            yield from self._commit(self._pending_commit)
-        yield from self._fan_out(lambda session: session.checkpoint(step),
-                                 f"groupdump:{{}}:{step}")
-        self._pending_commit = step
-        yield from self._commit(step)
+        replies = yield from self._fan_out(
+            lambda session: session.checkpoint(step),
+            f"groupdump:{{}}:{step}")
+        self.committed_step = max(reply.get("group_step", 0)
+                                  for reply in replies)
+        if self.committed_step != step:
+            raise GroupCommitRefused(
+                f"group {self.name!r}: every member acked step {step}, "
+                f"the group record holds step {self.committed_step}")
         return step
 
     def _fan_out(self, operation, label: str) -> Generator:
         """Process: run *operation* on every member session at once (one
         process each, named by *label* formatted with the member); once
-        all finish, raise the first failure in member order."""
+        all finish, raise the first failure in member order, or return
+        their results in member order."""
         env = self.client.env
 
         def member_outcome(session) -> Generator:
             try:
-                yield from operation(session)
+                return (yield from operation(session)), None
             except ReproError as exc:
-                return exc
-            return None
+                return None, exc
 
         outcomes = [env.process(member_outcome(self.sessions[member]),
                                 name=label.format(member))
                     for member in self.layout.members]
         yield AllOf(env, outcomes)
-        failures = [process.value for process in outcomes
-                    if process.value is not None]
-        if failures:
-            raise failures[0]
-
-    def _commit(self, step: int) -> Generator:
-        reply = yield from self._lead._call(
-            lambda: protocol.group_commit(self.name, step),
-            protocol.OP_GROUP_COMMITTED)
-        self._pending_commit = None
-        self.committed_step = reply["step"]
-        return reply
+        for _result, failure in (process.value for process in outcomes):
+            if failure is not None:
+                raise failure
+        return [process.value[0] for process in outcomes]
 
     def query(self) -> Generator:
         """Process: the daemon's view — committed step + layout blob."""
@@ -305,17 +326,20 @@ class GroupSession:
     def restore(self) -> Generator:
         """Process: restore every member to the committed group step.
 
-        Every member restore is pinned to the same step, so the result
-        can never mix steps — the whole point of the group commit.
+        Each member's restore names the group, and the daemon pins it to
+        the group's committed step, so the result can never mix steps —
+        the whole point of the group commit.  Replies naming different
+        steps (the record moved mid-restore) raise :class:`GroupError`.
         """
-        reply = yield from self.query()
-        step = reply["step"]
-        if step <= 0:
-            raise NoValidGroupCheckpoint(
-                f"group {self.name!r} has no committed step")
-        yield from self._fan_out(lambda session: session.restore(step=step),
-                                 "grouprestore:{}")
-        return step
+        steps = yield from self._fan_out(
+            lambda session: session.restore(group=self.name),
+            "grouprestore:{}")
+        if len(set(steps)) != 1:
+            raise GroupError(
+                f"group {self.name!r}: members restored steps "
+                f"{sorted(set(steps))}")
+        self.committed_step = steps[0]
+        return steps[0]
 
 
 def register_group(client, name: str, layout: ShardedLayout,

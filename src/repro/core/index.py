@@ -280,12 +280,28 @@ class VersionFlags:
             return None
         return max(done, key=lambda i: self.steps[i])
 
-    def checkpoint_target(self) -> int:
-        """Where the next checkpoint goes: never the newest DONE slot."""
-        newest = self.newest_done()
-        if newest is None:
+    def done_at(self, step: int) -> Optional[int]:
+        """Version index DONE at exactly *step* (slot 1 if both are)."""
+        for version in (1, 0):
+            if (self.states[version] == FLAG_DONE
+                    and self.steps[version] == step):
+                return version
+        return None
+
+    def protected(self, keep: int = 0) -> Optional[int]:
+        """The version a restore must still serve: the one DONE at step
+        *keep* (the model's group's committed step; 0 if none) if any,
+        else the newest DONE one; None when no version is DONE."""
+        held = self.done_at(keep) if keep else None
+        return self.newest_done() if held is None else held
+
+    def checkpoint_target(self, keep: int = 0) -> int:
+        """Where the next checkpoint goes: never the :meth:`protected`
+        version."""
+        protected = self.protected(keep)
+        if protected is None:
             return 0
-        return 1 - newest
+        return 1 - protected
 
     def __repr__(self) -> str:
         parts = [f"v{i}={FLAG_NAMES[self.states[i]]}@{self.steps[i]}"
@@ -443,12 +459,13 @@ class ModelMeta:
 
     # -- the version slots --------------------------------------------------------------
 
-    def begin(self) -> int:
-        """Stamp ACTIVE the slot that does not hold the newest DONE
-        version (a restore never trusts it from here on); returns its
-        version index."""
+    def begin(self, keep: int = 0) -> int:
+        """Stamp ACTIVE the slot that does not hold the version a
+        restore must still serve (:meth:`VersionFlags.protected`); a
+        restore never trusts the slot from here on.  Returns its version
+        index."""
         flags = self.read_flags()
-        target = flags.checkpoint_target()
+        target = flags.checkpoint_target(keep)
         flags.states[target] = FLAG_ACTIVE
         self.write_flags(flags)
         return target
@@ -508,13 +525,12 @@ class ModelMeta:
                 raise NoValidCheckpoint(
                     f"{name}: no completed checkpoint (flags: {flags!r})")
             return newest, flags.steps[newest]
-        for version in (1, 0):
-            if (flags.states[version] == FLAG_DONE
-                    and flags.steps[version] == step):
-                return version, step
-        raise NoValidCheckpoint(
-            f"{name}: no completed checkpoint at step {step} "
-            f"(flags: {flags!r})")
+        version = flags.done_at(step)
+        if version is None:
+            raise NoValidCheckpoint(
+                f"{name}: no completed checkpoint at step {step} "
+                f"(flags: {flags!r})")
+        return version, step
 
     # -- flags ------------------------------------------------------------------------
 
@@ -963,9 +979,10 @@ class VersionWrite:
         #: Where the pulled bytes land, region-ordered.
         self.targets: List[Extent] = []
 
-    def begin(self) -> int:
-        """Stamp the free slot ACTIVE; returns its version index."""
-        self.target = self.meta.begin()
+    def begin(self, keep: int = 0) -> int:
+        """Stamp the free slot ACTIVE (:meth:`ModelMeta.begin`); returns
+        its version index."""
+        self.target = self.meta.begin(keep)
         return self.target
 
     def commit(self, step: int) -> None:
@@ -990,11 +1007,11 @@ class SlotWrite(VersionWrite):
     """A new version of a :class:`SlotLayout` model: the pull fills the
     free slot's whole region."""
 
-    def begin(self) -> int:
+    def begin(self, keep: int = 0) -> int:
         # A slot the repacking tool reclaimed is re-created first; the
         # pull pins it on first use.
         self.meta.layout.recreate()
-        target = super().begin()
+        target = super().begin(keep)
         region = self.meta.layout.regions[target]
         self.targets = [Extent(0, region.size, region)]
         return target
@@ -1034,9 +1051,9 @@ class ChunkWrite(VersionWrite):
         self.old_manifest: List[bytes] = []
         self.applied = False
 
-    def begin(self) -> int:
+    def begin(self, keep: int = 0) -> int:
         flags = self.meta.read_flags()
-        target = super().begin()
+        target = super().begin(keep)
         if flags.states[target] == FLAG_DONE:
             self.old_manifest = self.meta.layout.read_manifest(target)
         seen = set()

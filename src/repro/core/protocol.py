@@ -5,6 +5,19 @@ returns ``(message_dict, wire_size_bytes)`` so the sender charges a
 realistic wire size — the registration packet grows with the tensor
 count (it carries per-layer metadata and rkeys, §III-B), while the
 operational messages are tiny ("the word DO_CHECKPOINT", §III-C).
+
+The ops, each answered by its reply op (or ERROR):
+
+* REGISTER → REGISTERED: attach a model (create or re-attach its index);
+* DO_CHECKPOINT → CHECKPOINT_DONE: pull one version; a group member's
+  reply also names its group's committed step, which the checkpoint
+  that completes a step commits;
+* DO_RESTORE → RESTORE_DONE: push the newest version, one at a pinned
+  step, or (naming the group) the group's committed step;
+* UNREGISTER → UNREGISTERED, LIST → LIST_REPLY,
+  HEARTBEAT → HEARTBEAT_ACK;
+* GROUP_REGISTER → GROUP_REGISTERED: bind registered models into a group;
+* GROUP_QUERY → GROUP_INFO: a group's committed step and layout.
 """
 
 from __future__ import annotations
@@ -25,8 +38,6 @@ OP_HEARTBEAT = "HEARTBEAT"
 OP_HEARTBEAT_ACK = "HEARTBEAT_ACK"
 OP_GROUP_REGISTER = "GROUP_REGISTER"
 OP_GROUP_REGISTERED = "GROUP_REGISTERED"
-OP_GROUP_COMMIT = "GROUP_COMMIT"
-OP_GROUP_COMMITTED = "GROUP_COMMITTED"
 OP_GROUP_QUERY = "GROUP_QUERY"
 OP_GROUP_INFO = "GROUP_INFO"
 OP_ERROR = "ERROR"
@@ -101,14 +112,17 @@ def do_checkpoint(model_name: str, step: int,
     return message, size
 
 
-def do_restore(model_name: str,
-               step: int = None) -> Tuple[Dict[str, Any], int]:
-    """*step* pins the restore to an exact committed step (group
-    restores use this so every member returns the same step); ``None``
-    keeps the legacy newest-DONE behaviour."""
+def do_restore(model_name: str, step: int = None,
+               group: str = None) -> Tuple[Dict[str, Any], int]:
+    """*step* pins the restore to an exact committed step; *group* pins
+    it to that group's committed step, read on the daemon (every member
+    of a group restore then returns the same step); neither keeps the
+    newest-DONE behaviour."""
     message = {"op": OP_DO_RESTORE, "model": model_name}
     if step is not None:
         message["step"] = step
+    if group is not None:
+        message["group"] = group
     return message, 64
 
 
@@ -123,12 +137,6 @@ def group_register(group_name: str, layout_blob: bytes
     message = {"op": OP_GROUP_REGISTER, "group": group_name,
                "layout": layout_blob}
     return message, 64 + len(layout_blob)
-
-
-def group_commit(group_name: str, step: int) -> Tuple[Dict[str, Any], int]:
-    """Phase two of a group dump: every member pull is DONE at *step*;
-    make the step visible atomically (or not at all)."""
-    return {"op": OP_GROUP_COMMIT, "group": group_name, "step": step}, 64
 
 
 def group_query(group_name: str) -> Tuple[Dict[str, Any], int]:

@@ -5,8 +5,10 @@ When a job finishes (only the newest version will ever be restored) or
 crashes mid-checkpoint (the ACTIVE slot holds incomplete data), the
 repacking tool reclaims the slack:
 
-* a model with at least one DONE version keeps exactly its newest DONE
-  slot; the stale/incomplete slot's TensorData is freed;
+* a model with at least one DONE version keeps exactly the slot a
+  restore must still serve — its group's committed step for a group
+  member, else its newest DONE version — and the other slot's
+  TensorData is freed;
 * a model with *no* DONE version has nothing restorable — the whole model
   is dropped (a job that crashed during its first checkpoint);
 * allocator-level leakage from crash windows was already reclaimed at
@@ -25,6 +27,7 @@ from contextlib import contextmanager
 from typing import Callable, Generator, List, Optional
 
 from repro.core.engine import RemoteRun, TransferEngine, plan_items
+from repro.core.group import GroupStore
 from repro.core.index import ModelMeta, ModelTable, overlaps
 from repro.errors import ModelAlreadyRegistered, ModelNotFound, PortusError
 from repro.obs import Observability
@@ -68,7 +71,8 @@ def repack(pool: PmemPool, table: Optional[ModelTable] = None,
     def hold(name):
         yield ModelMeta.open(pool, table.lookup(name))
 
-    return _reclaim(table.names(), hold, table.drop, skip)
+    return _reclaim(table.names(), hold, table.drop, skip,
+                    GroupStore.open_or_create(pool))
 
 
 def repack_daemon(daemon,
@@ -92,28 +96,32 @@ def repack_daemon(daemon,
             yield entry.meta
 
     return _reclaim(daemon.models(), hold,
-                    lambda name, _meta: daemon.unregister_model(name), skip)
+                    lambda name, _meta: daemon.unregister_model(name), skip,
+                    daemon.groups)
 
 
 def _reclaim(names: List[str], hold,
              drop: Callable[[str, ModelMeta], int],
-             skip: Optional[List[str]]) -> RepackReport:
-    """The reclamation pass: keep each model's newest DONE version and
-    drop the other; drop a model that has none.
-    ``hold(name)`` holds a model for its step and yields its meta;
-    ``drop(name, meta)`` deletes a model and returns the bytes freed."""
+             skip: Optional[List[str]], groups: GroupStore) -> RepackReport:
+    """The reclamation pass: keep each model's protected version (the
+    one at its group's committed step, else its newest DONE one, see
+    :meth:`VersionFlags.protected`) and drop the other; drop a model
+    that has none.  ``hold(name)`` holds a model for its step and yields
+    its meta; ``drop(name, meta)`` deletes a model and returns the bytes
+    freed; *groups* names each member's group."""
     skip_set = set(skip or ())
     report = RepackReport()
     for name in names:
         if name in skip_set:
             continue
+        group = groups.group_of(name)
         with hold(name) as meta:
-            newest = meta.read_flags().newest_done()
-            # The slot that is not the newest DONE version is, by
-            # definition, either older, incomplete (ACTIVE at crash), or
-            # empty: reclaim it.
-            reclaimed = 0 if newest is None else meta.layout.drop(1 - newest)
-        if newest is None:
+            kept = meta.read_flags().protected(
+                0 if group is None else group.committed_step)
+            # The other slot is older, uncommitted, incomplete (ACTIVE at
+            # crash), or empty: reclaim it.
+            reclaimed = 0 if kept is None else meta.layout.drop(1 - kept)
+        if kept is None:
             reclaimed = drop(name, meta)
             report.models_dropped.append(name)
         elif reclaimed:

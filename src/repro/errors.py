@@ -210,11 +210,13 @@ class GroupNotFound(GroupError):
 
 
 class GroupCommitRefused(GroupError):
-    """A group commit named a step some member has no DONE slot for.
+    """A group dump could not commit its step: a member checkpoint named
+    a step behind the group's committed one (refused before any pull),
+    or every member acked and the record still names another step.
 
     The commit record was *not* written: the group stays at its previous
     committed step, which every member still retains (the double-slot
-    target rule never overwrites the newest DONE version)."""
+    target rule never overwrites the slot holding it)."""
 
 
 class NoValidGroupCheckpoint(GroupError):

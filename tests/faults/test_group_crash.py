@@ -1,14 +1,19 @@
-"""Group-commit crash sweep: power loss at every two-phase boundary.
+"""Group-commit crash sweep: power loss at every commit boundary.
 
 The counting pass runs a group lifecycle — register a tp=2 x pp=2
 group, then eight group dumps — with a :class:`CrashPointRecorder`
 numbering every metadata boundary: each member's checkpoint record
 writes (the per-shard DONE flips), the group record's own
-``record.write``/``record.persist`` (the commit persist), and the
-daemon's manual ``group.ack`` point between the commit landing and the
-ack leaving.  The sweep replays the lifecycle once per boundary,
-power-failing the storage server exactly there, and asserts the
-torn-group contract on recovery:
+``record.write``/``record.persist`` (the commit persist, inside the
+member checkpoint that completes the step), and the daemon's manual
+``group.ack`` point between the commit landing and that member's reply
+leaving.  A second lifecycle makes three group dumps, the second of
+which first fails on one member (every WR the server posts for it
+fails) and is then retried — the window where the members that
+finished both attempts must not overwrite the committed step.  Each
+sweep replays its lifecycle once per boundary, power-failing the
+storage server exactly there, and asserts the torn-group contract on
+recovery:
 
 * ``repair`` leaves the pool fsck-clean;
 * group restore returns the newest *fully committed* group step — at
@@ -31,7 +36,8 @@ from repro.core.retry import RetryPolicy
 from repro.dnn.gpt import shard_gpt, tiny_gpt
 from repro.dnn.layout import gpt_layout
 from repro.dnn.tensor import ModelInstance
-from repro.errors import NoValidGroupCheckpoint, ReproError
+from repro.errors import (NoValidGroupCheckpoint, ReproError,
+                          WorkRequestError)
 from repro.faults import FaultInjector
 from repro.faults.crashpoints import schedule_fingerprint
 from repro.harness.cluster import PaperCluster
@@ -56,13 +62,18 @@ TP, PP = 2, 2
 LAYOUT = gpt_layout(CONFIG, TP, PP)
 SHARDS = shard_gpt(CONFIG, TP, PP)
 DUMP_STEPS = (1, 2, 3, 4, 5, 6, 7, 8)
+#: Each lifecycle is its group dumps as ``(step, failing member)``: a
+#: dump with a failing member is expected to raise and is not acked.
+EIGHT_DUMPS = tuple((step, None) for step in DUMP_STEPS)
+RETRIED_DUMPS = ((1, None), (2, SHARDS[-1].name), (2, None), (3, None))
 MIN_BOUNDARIES = 200
+MIN_RETRIED_BOUNDARIES = 100
 
 
 class GroupEpisode:
     """One group lifecycle with a recorder armed at ``crash_at``."""
 
-    def __init__(self, crash_at=None):
+    def __init__(self, crash_at=None, dumps=EIGHT_DUMPS):
         policy = RetryPolicy(rng=random.Random(SEED ^ 0x6EED),
                              max_attempts=1, deadline_ns=msecs(2),
                              reply_timeout_ns=msecs(1))
@@ -72,6 +83,7 @@ class GroupEpisode:
         self.device = self.cluster.server.pmem_devdax
         self.recorder = self.injector.arm_crash_point(self.device,
                                                       crash_at=crash_at)
+        self.dumps = dumps
         self.acked = []
         self.attempted = []
         self.instances = []
@@ -101,20 +113,43 @@ class GroupEpisode:
                 self.phase = "register"
                 group = yield from self._bind_group(
                     cluster.portus_client())
-                for step in DUMP_STEPS:
+                for step, failing in self.dumps:
                     if recorder.fired:
                         return
                     self.phase = f"group-dump-{step}"
                     for instance in self.instances:
                         instance.update_step(step)
                     self.attempted.append(step)
-                    yield from group.dump(step)
-                    self.acked.append(step)
+                    if failing is None:
+                        yield from group.dump(step)
+                        self.acked.append(step)
+                    else:
+                        yield from self._failing_dump(group, step, failing)
                 self.phase = "done"
             except ReproError:
                 return
 
         cluster.run(lifecycle)
+
+    def _failing_dump(self, group, step, member):
+        """Process: a group dump during which every WR the server posts
+        for *member* fails; it must raise (unless the power failed)."""
+        nic = self.cluster.server.nic
+
+        def hook(kind, label, _length):
+            if member in label:
+                return WorkRequestError(f"{label}: injected {kind} error")
+            return None
+
+        nic.fault_hook = hook
+        try:
+            yield from group.dump(step)
+        except ReproError:
+            return
+        finally:
+            nic.fault_hook = None
+        assert self.recorder.fired, \
+            f"dump {step} with {member} failing was acked"
 
     def recover_and_verify(self):
         """The post-crash contract: repair to clean, then one group
@@ -166,11 +201,12 @@ class GroupEpisode:
         return restored
 
 
-def _boundary_schedule():
-    episode = GroupEpisode(crash_at=None)
+def _boundary_schedule(dumps=EIGHT_DUMPS):
+    episode = GroupEpisode(crash_at=None, dumps=dumps)
     episode.run_workload()
     assert episode.phase == "done"
-    assert episode.acked == list(DUMP_STEPS)
+    assert episode.acked == [step for step, failing in dumps
+                             if failing is None]
     return episode.recorder.boundaries
 
 
@@ -179,7 +215,7 @@ def test_counting_pass_covers_group_commit_boundaries():
     episode.run_workload()
     assert episode.phase == "done" and episode.acked == list(DUMP_STEPS)
     points = {line.split(":")[1] for line in episode.recorder.boundaries}
-    # The whole two-phase window must be in the schedule: the group
+    # The whole commit window must be in the schedule: the group
     # record's A/B write boundaries AND the post-persist ack point.
     assert "group.ack" in points
     group_lines = [line for line in episode.recorder.boundaries
@@ -195,6 +231,9 @@ def test_counting_pass_covers_group_commit_boundaries():
 #: Re-pin only for a deliberate change to the metadata write order.
 PINNED_SCHEDULE = (
     224, "1ed2bafd98f4c60a2cac7344f687872b0e9f18e3e1b59374babaf535488b7ca9")
+#: The same, for the lifecycle whose dump 2 fails once and is retried.
+PINNED_RETRIED_SCHEDULE = (
+    145, "780c8db528cb003efb1d7b1db90a760cbd61d60ad850273b69518adcc0d60e2b")
 
 
 def test_group_boundary_schedule_is_deterministic():
@@ -204,12 +243,21 @@ def test_group_boundary_schedule_is_deterministic():
         assert schedule_fingerprint(first) == PINNED_SCHEDULE
 
 
-def test_power_loss_at_every_group_boundary_recovers_untorn():
-    schedule = _boundary_schedule()
-    assert len(schedule) >= MIN_BOUNDARIES
+def test_retried_dump_boundary_schedule_is_deterministic():
+    first = _boundary_schedule(RETRIED_DUMPS)
+    assert first == _boundary_schedule(RETRIED_DUMPS)
+    if SEED == 13:  # pinned at the default seed
+        assert schedule_fingerprint(first) == PINNED_RETRIED_SCHEDULE
+
+
+def _sweep(dumps, label, min_boundaries):
+    """Power-fail every STRIDE-th boundary of the *dumps* lifecycle,
+    check each recovery, and trace the outcomes' CRC under *label*."""
+    schedule = _boundary_schedule(dumps)
+    assert len(schedule) >= min_boundaries
     outcomes = []
     for index in range(0, len(schedule), STRIDE):
-        episode = GroupEpisode(crash_at=index)
+        episode = GroupEpisode(crash_at=index, dumps=dumps)
         episode.run_workload()
         assert episode.recorder.fired is not None, \
             f"boundary {index} never fired (schedule drifted?)"
@@ -218,6 +266,14 @@ def test_power_loss_at_every_group_boundary_recovers_untorn():
         outcomes.append(f"{schedule[index]}:restored={restored}")
     assert len(outcomes) == len(range(0, len(schedule), STRIDE))
     crc = zlib.crc32("\n".join(outcomes).encode())
-    _trace(f"group-crash seed={SEED} stride={STRIDE} "
+    _trace(f"{label} seed={SEED} stride={STRIDE} "
            f"boundaries={len(schedule)} swept={len(outcomes)} "
            f"crc={crc:08x}")
+
+
+def test_power_loss_at_every_group_boundary_recovers_untorn():
+    _sweep(EIGHT_DUMPS, "group-crash", MIN_BOUNDARIES)
+
+
+def test_power_loss_at_every_retried_dump_boundary_recovers_untorn():
+    _sweep(RETRIED_DUMPS, "group-crash-retry", MIN_RETRIED_BOUNDARIES)
