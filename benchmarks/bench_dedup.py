@@ -14,10 +14,15 @@ Recorded in the golden record (``benchmarks/golden.json``) under
 * ``bytes_moved`` full vs dedup over the whole trace, and ``reduction``
   (the acceptance bar is >= 3x; head-only traces land far above it);
 * ``dump_ns`` mean per incremental step for each mode, and ``speedup``;
+* ``chunks_recycled`` and ``registrations`` per dump: from the third
+  head-only dump on, each new head chunk lands in a spare — a chunk the
+  dump before displaced, still allocated and pinned — so the dump
+  registers no memory;
 * ``restore`` — the dedup restore must reassemble the mixed-step state
   (head at the newest step, backbone at the base step) bit-exactly.
 
-Every run checks that a delta dump takes under 0.75x a full dump.  At
+Every run checks that a delta dump takes under 0.75x a full dump, and
+that the head-only dumps after the second register nothing.  At
 full size a head-only dump must also move under 1% of the model's bytes
 (averaged over the trace); CI runs it with ``--golden check``, which
 pins every value exactly.  ``CI_FAST=1`` shrinks the model and trace
@@ -47,8 +52,9 @@ def _run_trace(cfg, dedup):
     """One mode over the fine-tune trace; returns bytes/time/restore."""
     spec = build_zoo_model(cfg["model"])
     head = head_tensor_names(spec)
-    cluster = PaperCluster(seed=230)
-    holder = {"dump_ns": [], "bytes_pulled": []}
+    cluster = PaperCluster(seed=230, tracing=True)
+    holder = {"dump_ns": [], "bytes_pulled": [], "chunks_recycled": [],
+              "registrations": []}
 
     def scenario(env):
         instance = ModelInstance.materialize(
@@ -59,10 +65,14 @@ def _run_trace(cfg, dedup):
             instance.update_step(step, only=None if step == 1 else head)
             before = cluster.obs.metrics.value("daemon.bytes_pulled")
             start = env.now
-            yield from session.checkpoint(step)
+            reply = yield from session.checkpoint(step)
             holder["dump_ns"].append(env.now - start)
             holder["bytes_pulled"].append(
                 cluster.obs.metrics.value("daemon.bytes_pulled") - before)
+            holder["chunks_recycled"].append(reply.get("chunks_recycled", 0))
+            holder["registrations"].append(sum(
+                1 for span in cluster.obs.tracer.named("mr.register")
+                if span.start_ns >= start))
         # Scramble, restore, and verify the mixed-step reassembly.
         instance.update_step(cfg["steps"] + 7)
         restored = yield from session.restore()
@@ -80,6 +90,8 @@ def _run_trace(cfg, dedup):
         "bytes_first": holder["bytes_pulled"][0],
         "bytes_incremental": sum(holder["bytes_pulled"][1:]),
         "dump_incremental_ns": sum(incr) // len(incr),
+        "chunks_recycled": holder["chunks_recycled"],
+        "registrations": holder["registrations"],
         "restore_bit_exact": holder["restore_bit_exact"],
         "mismatches": holder["mismatches"],
     }
@@ -123,6 +135,10 @@ def test_dedup_fig14_trace(benchmark, shared_results):
         f"reduction {results['reduction']}x below the 3x bar"
     # A delta dump takes under 0.75x a full dump.
     assert results["speedup"] > 1 / 0.75
+    # From the third head-only dump on, the head chunks land in spares:
+    # the dump registers no memory.
+    assert dedup["registrations"][3:] == [0] * (cfg["steps"] - 3)
+    assert all(dedup["chunks_recycled"][3:])
 
     if fast:
         return  # reduced scale: structure checked

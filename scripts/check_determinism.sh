@@ -4,8 +4,10 @@
 # Any divergence (different fault plan, different acked set, different
 # restored step) means a hidden source of nondeterminism crept into the
 # simulator or the fault injector.  The suite is the chaos, operator,
-# fleet, group-crash and torn-slot sweeps (the last exercises the
-# checkpoint abort's torn test and repack_live's compaction move).
+# fleet, group-crash, dedup-crash and torn-slot sweeps (the dedup crash
+# sweep power-fails the chunk store's refcount and spare-recycling
+# boundaries; the torn-slot sweep exercises the checkpoint abort's torn
+# test and repack_live's compaction move).
 #
 # Usage: scripts/check_determinism.sh [examples] [seed]
 set -euo pipefail
@@ -18,9 +20,9 @@ OPS_EXAMPLES="${PORTUS_OPS_EXAMPLES:-$EXAMPLES}"
 # The fleet sweep runs 3-shard schedules end to end (~1.5s each), so
 # its default is smaller than the single-daemon sweeps'.
 FLEET_EXAMPLES="${PORTUS_FLEET_EXAMPLES:-8}"
-# The group crash sweep replays a full group lifecycle per boundary;
+# The group and dedup crash sweeps replay a full lifecycle per boundary;
 # tier-1 covers every boundary, so the determinism pass subsamples.
-GROUP_STRIDE="${PORTUS_CRASHPOINT_STRIDE:-7}"
+CRASH_STRIDE="${PORTUS_CRASHPOINT_STRIDE:-7}"
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 
@@ -30,7 +32,7 @@ run() {
     PORTUS_CHAOS_EXAMPLES="$EXAMPLES" \
     PORTUS_OPS_EXAMPLES="$OPS_EXAMPLES" \
     PORTUS_FLEET_EXAMPLES="$FLEET_EXAMPLES" \
-    PORTUS_CRASHPOINT_STRIDE="$GROUP_STRIDE" \
+    PORTUS_CRASHPOINT_STRIDE="$CRASH_STRIDE" \
     PORTUS_CHAOS_SEED="$SEED" \
     PORTUS_TORN_EXAMPLES="$EXAMPLES" \
     PORTUS_TORN_SEED="$SEED" \
@@ -39,6 +41,7 @@ run() {
             tests/faults/test_operator_chaos.py \
             tests/faults/test_fleet_chaos.py \
             tests/faults/test_group_crash.py \
+            tests/faults/test_dedup_crash_points.py \
             tests/faults/test_torn_slot.py -q -x \
             -p no:cacheprovider >"$trace.log" 2>&1 || {
         echo "chaos suite failed; last lines of $trace.log:" >&2

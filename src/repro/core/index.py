@@ -911,10 +911,15 @@ class ChunkLayout(StorageLayout):
         return sum(allocation.size for allocation in store.unref(digests))
 
     def free(self) -> int:
-        """Drop every version holding references (:meth:`drop`)."""
+        """Drop every version holding references (:meth:`drop`), then
+        free the store's spares that no write has taken: a deleted
+        model (UNREGISTER, a repack's drop, a migration's evict) gives
+        back every byte no checkpoint is about to reuse."""
         flags = self.meta.read_flags()
-        return sum(self.drop(version) for version in (0, 1)
-                   if flags.states[version] != FLAG_EMPTY)
+        freed = sum(self.drop(version) for version in (0, 1)
+                    if flags.states[version] != FLAG_EMPTY)
+        store = ChunkStore.attach(self.meta.pool)
+        return freed + (0 if store is None else store.free_spares())
 
     def private_region(self, version: int) -> Optional[Allocation]:
         """None: the bytes live in the shared chunk store."""
@@ -948,9 +953,11 @@ class ChunkLayout(StorageLayout):
                          f"{len(digests)} chunks, the layout needs "
                          f"{expected}", name, untrust)
                 continue
+            # A referenced spare is counted here and surfaces as an
+            # under-count (chunk-ref-overfree) in the refcount pass.
             missing = [digest for digest in digests
                        if walk.store is None
-                       or walk.store.lookup(digest) is None]
+                       or walk.store.lookup(digest, spares=True) is None]
             if missing:
                 walk.add(K_MANIFEST_CHUNK_MISSING, SEV_ERROR,
                          f"v{version} DONE@{step} references "
@@ -1027,16 +1034,21 @@ class ChunkWrite(VersionWrite):
     Crash-safe ordering (every window leak-only):
 
     1. :meth:`begin` stamps the slot ACTIVE and reserves an extent per
-       missing chunk — committed-but-unindexed extents until step 3, so
-       fsck's leak scan reclaims them after a crash;
+       missing chunk (``ChunkStore.alloc_chunk``): a spare of the
+       chunk's size, already allocated and pinned, else a fresh extent
+       — committed-but-unindexed until step 3, so fsck's leak scan
+       reclaims it after a crash (a spare stays a spare);
     2. the chunks are pulled and persisted;
     3. ``ChunkStore.apply`` commits the whole reference delta (new
-       entries + shared-chunk increments) in ONE record write;
+       entries, re-filed spares, shared-chunk increments) in ONE record
+       write;
     4. the manifest record is written, the slot committed DONE;
     5. only then is the overwritten version's old manifest unreferenced
        — and only if the slot was DONE *before* the begin (a non-DONE
        slot's references were never certainly counted; dropping them
-       could over-free a shared chunk).
+       could over-free a shared chunk).  One orphan per new chunk of
+       its size stays as a spare for the next write; the rest are
+       freed.
     """
 
     def __init__(self, meta: ModelMeta, store: ChunkStore, spans,
@@ -1048,6 +1060,8 @@ class ChunkWrite(VersionWrite):
         self.counts = Counter(manifest)
         #: (digest, extent) reserved for the chunks the store lacks.
         self.new: List[Tuple[bytes, Allocation]] = []
+        #: How many of them are spares.
+        self.recycled = 0
         self.old_manifest: List[bytes] = []
         self.applied = False
 
@@ -1063,6 +1077,7 @@ class ChunkWrite(VersionWrite):
             seen.add(digest)
             extent = self.store.alloc_chunk(digest, span.size)
             self.new.append((digest, extent))
+            self.recycled += self.store.taken(extent)
             self.targets.append(Extent(span.start, span.size, extent,
                                        label=digest.hex()[:8]))
         return target
@@ -1082,22 +1097,25 @@ class ChunkWrite(VersionWrite):
         self.meta.layout.write_manifest(self.target, self.manifest)
         super().commit(step)
         if self.old_manifest:
-            self.store.unref(self.old_manifest)
+            self.store.unref(self.old_manifest, spares=Counter(
+                extent.size for _digest, extent in self.new))
 
     def abort(self, landed: bool) -> bool:
         """Before the apply the slot's manifest is untouched and the new
-        chunks are private (no ChunkTable entry): the slot rolls back
-        clean and the reserved extents are released."""
+        chunks are private (no live ChunkTable entry): the slot rolls
+        back clean, a taken spare returns to the spare set and a fresh
+        extent is freed."""
         if self.applied:
             return False
         super().abort(landed=False)
         for _digest, extent in self.new:
-            self.meta.pool.free(extent)
+            self.store.release(extent)
         return False
 
     def report(self) -> Dict[str, int]:
         return {"bytes_logical": self.meta.mindex.total_bytes,
                 "chunks_new": len(self.new),
+                "chunks_recycled": self.recycled,
                 "chunks_shared": len(self.manifest) - sum(
                     self.counts[digest] for digest, _e in self.new)}
 

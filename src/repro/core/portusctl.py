@@ -1,7 +1,9 @@
 """Portusctl: inspect and export checkpoints stored on a PMem device.
 
 Mirrors the paper's command-line tool (§IV-b): ``view`` lists every model
-on a device with its versions and flags; ``dump`` exports a model's
+on a device with its versions and flags (and, on a pool with
+deduplicated models, the chunk store's live chunks and spares);
+``dump`` exports a model's
 newest valid checkpoint out of the index into the generic torch.save-like
 file format, so checkpoints taken through the zero-copy path remain
 shareable with ordinary framework users; ``fsck`` / ``repair`` run the
@@ -36,6 +38,7 @@ from repro.core.repack import repack
 from repro.dnn.serialize import serialize_entries
 from repro.errors import ReproError
 from repro.hw.content import Content
+from repro.pmem.chunks import ChunkStore
 from repro.pmem.fsck import EXIT_CLEAN, EXIT_DIRTY, fsck, repair
 from repro.pmem.pool import PmemPool
 from repro.units import fmt_bytes
@@ -46,6 +49,13 @@ def view(pool: PmemPool) -> List[Dict]:
     table = ModelTable.open(pool)
     return [ModelMeta.open(pool, table.lookup(name)).inventory(name)
             for name in table.names()]
+
+
+def chunk_inventory(pool: PmemPool) -> Optional[Dict]:
+    """The pool's chunk store in numbers: live chunks, spares and their
+    bytes (None: the pool has no chunk store)."""
+    store = ChunkStore.attach(pool)
+    return None if store is None else store.inventory()
 
 
 def dump(pool: PmemPool, model_name: str) -> Content:
@@ -67,8 +77,9 @@ def dump_to_file(pool: PmemPool, model_name: str, fs,
     return image.size
 
 
-def format_view(rows: List[Dict]) -> str:
-    """The ``portusctl view`` table as text."""
+def format_view(rows: List[Dict], chunks: Optional[Dict] = None) -> str:
+    """The ``portusctl view`` table as text, with a line for the chunk
+    store's :func:`chunk_inventory` if given."""
     lines = [f"{'MODEL':40} {'LAYERS':>7} {'SIZE':>10}  VERSIONS"]
     for row in rows:
         versions = "  ".join(
@@ -76,6 +87,11 @@ def format_view(rows: List[Dict]) -> str:
             for i, v in enumerate(row["versions"]))
         lines.append(f"{row['model']:40} {row['layers']:>7} "
                      f"{fmt_bytes(row['bytes']):>10}  {versions}")
+    if chunks is not None:
+        lines.append(f"chunk store: {chunks['chunks']} chunks "
+                     f"({fmt_bytes(chunks['stored_bytes'])}), "
+                     f"{chunks['spares']} spares "
+                     f"({fmt_bytes(chunks['spare_bytes'])})")
     return "\n".join(lines)
 
 
@@ -213,7 +229,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             kwargs["daemons"] = daemons
         cluster, pool = _demo_pool(**kwargs)
         if args.command == "view":
-            print(format_view(view(pool)))
+            print(format_view(view(pool), chunk_inventory(pool)))
         elif args.command == "dump":
             image = dump(pool, args.model)
             with open(args.filename, "wb") as handle:

@@ -31,6 +31,7 @@ from repro.core.group import GroupStore
 from repro.core.index import ModelMeta, ModelTable, overlaps
 from repro.errors import ModelAlreadyRegistered, ModelNotFound, PortusError
 from repro.obs import Observability
+from repro.pmem.chunks import ChunkStore
 from repro.pmem.pool import PmemPool
 from repro.rdma.verbs import connect
 from repro.sim import Environment, Transfer
@@ -72,7 +73,7 @@ def repack(pool: PmemPool, table: Optional[ModelTable] = None,
         yield ModelMeta.open(pool, table.lookup(name))
 
     return _reclaim(table.names(), hold, table.drop, skip,
-                    GroupStore.open_or_create(pool))
+                    GroupStore.open_or_create(pool), ChunkStore.attach(pool))
 
 
 def repack_daemon(daemon,
@@ -97,17 +98,19 @@ def repack_daemon(daemon,
 
     return _reclaim(daemon.models(), hold,
                     lambda name, _meta: daemon.unregister_model(name), skip,
-                    daemon.groups)
+                    daemon.groups, ChunkStore.attach(daemon.pool))
 
 
 def _reclaim(names: List[str], hold,
              drop: Callable[[str, ModelMeta], int],
-             skip: Optional[List[str]], groups: GroupStore) -> RepackReport:
+             skip: Optional[List[str]], groups: GroupStore,
+             store: Optional[ChunkStore]) -> RepackReport:
     """The reclamation pass: keep each model's protected version (the
     one at its group's committed step, else its newest DONE one, see
     :meth:`VersionFlags.protected`) and drop the other; drop a model
-    that has none.  ``hold(name)`` holds a model for its step and yields
-    its meta; ``drop(name, meta)`` deletes a model and returns the bytes
+    that has none; then free the chunk *store*'s spares that no write
+    has taken.  ``hold(name)`` holds a model for its step and yields its
+    meta; ``drop(name, meta)`` deletes a model and returns the bytes
     freed; *groups* names each member's group."""
     skip_set = set(skip or ())
     report = RepackReport()
@@ -127,6 +130,8 @@ def _reclaim(names: List[str], hold,
         elif reclaimed:
             report.models_compacted.append(name)
         report.bytes_reclaimed += reclaimed
+    if store is not None:
+        report.bytes_reclaimed += store.free_spares()
     return report
 
 

@@ -7,16 +7,29 @@ tenants that share bytes share the extent and bump its reference count.
 
 The store's metadata is a single :class:`~repro.pmem.layout.CommittedRecord`
 (the *ChunkTable*) holding every ``(digest, addr, size, refcount)`` entry,
-so refcount updates are crash-atomic the same way the AllocTable is.  The
-write orderings keep every crash window leak-only:
+so refcount updates are crash-atomic the same way the AllocTable is.
 
-* new chunk: reserve the extent (AllocTable commit) and land the bytes
-  first, then commit the ChunkTable entry + refcounts in ONE record
-  write.  A crash in between leaves a committed extent no ChunkTable
-  entry references — fsck's leak scan reclaims it.
-* unref to zero: commit the entry's removal (decrement and unlink are
-  the same record write), then free the extent.  A crash in between
-  also only leaks.
+A checkpoint keeps its memory the way the paper's two version slots do
+(§III-D2): an orphan its commit displaces becomes a *spare* when the
+same commit wrote a new chunk of that size.  A spare keeps its entry at
+refcount 0, its extent and its MR; the next new chunk of that size
+lands in it instead of a fresh, unpinned extent.  A spare is never
+read: :meth:`ChunkStore.lookup` hides it, no manifest names it, and its
+bytes may be torn.
+
+The write orderings keep every crash window leak-only:
+
+* new chunk: reserve the extent (a spare: DRAM only; a fresh extent: an
+  AllocTable commit) and land the bytes first, then commit the ChunkTable
+  entry + refcounts in ONE record write, which also re-files a taken
+  spare under the new digest.  A crash in between leaves a fresh extent
+  no ChunkTable entry references — fsck's leak scan reclaims it — or a
+  spare that is still a spare.
+* unref to zero: commit the entry's removal, or its parking as a spare
+  (decrement and unlink are the same record write), then free the
+  removed extents.  A crash in between also only leaks.
+* freeing spares (repack, UNREGISTER, a full pool or ChunkTable): commit
+  their removal, then free their extents — leak-only the same way.
 
 Every mutating commit fires the ``chunkref.update`` crash hook before
 touching PMem, so the crash-point sweep can power-fail each refcount
@@ -28,6 +41,7 @@ boundary by name (the underlying record's ``record.write`` /
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PmemError, PoolExhausted
@@ -100,6 +114,15 @@ class ChunkStore:
         self.record = CommittedRecord(table_alloc, 0,
                                       store_slot_size(max_chunks))
         self._entries: Dict[bytes, ChunkEntry] = {}
+        #: Spares no write has taken, by the digest they are filed under.
+        self._spares: Dict[bytes, ChunkEntry] = {}
+        #: Spares a write has taken (:meth:`alloc_chunk`) and not yet
+        #: applied or released, by extent address.  DRAM only: after a
+        #: crash they are spares again.
+        self._taken: Dict[int, ChunkEntry] = {}
+        #: Fresh extents reserved for writes not yet applied or released;
+        #: each becomes one more entry at its apply.
+        self._fresh = 0
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -148,7 +171,10 @@ class ChunkStore:
         for i in range(count):
             digest, addr, size, refcount = _ENTRY.unpack_from(
                 payload, _STORE_HEADER.size + i * _ENTRY.size)
-            store._entries[digest] = ChunkEntry(digest, addr, size, refcount)
+            entry = ChunkEntry(digest, addr, size, refcount)
+            store._entries[digest] = entry
+            if refcount == 0:
+                store._spares[digest] = entry
         pool.__dict__["_chunk_store"] = store
         return store
 
@@ -181,11 +207,18 @@ class ChunkStore:
 
     # -- query -------------------------------------------------------------------
 
-    def lookup(self, digest: bytes) -> Optional[ChunkEntry]:
-        return self._entries.get(digest)
+    def lookup(self, digest: bytes,
+               spares: bool = False) -> Optional[ChunkEntry]:
+        """The live chunk filed under *digest*.  A spare is never a hit:
+        only fsck, which counts what manifests reference, asks for one
+        too (*spares*)."""
+        entry = self._entries.get(digest)
+        if entry is None or (entry.refcount == 0 and not spares):
+            return None
+        return entry
 
     def entries(self) -> List[ChunkEntry]:
-        """Committed chunks, digest-sorted."""
+        """Every ChunkTable entry, spares included, digest-sorted."""
         return sorted(self._entries.values(), key=lambda e: e.digest)
 
     def allocation_of(self, entry: ChunkEntry) -> Allocation:
@@ -197,14 +230,29 @@ class ChunkStore:
                 f"{entry.addr:#x} missing from AllocTable")
         return self.pool.allocator.allocation_for(record)
 
+    def taken(self, extent: Allocation) -> bool:
+        """Whether *extent* is a spare a write has taken."""
+        return extent.addr in self._taken
+
     @property
     def chunk_count(self) -> int:
-        return len(self._entries)
+        """Live chunks (spares excluded)."""
+        return len(self._entries) - self.spare_count
+
+    @property
+    def spare_count(self) -> int:
+        return len(self._spares) + len(self._taken)
 
     @property
     def stored_bytes(self) -> int:
-        """Physical bytes held by chunk extents (each counted once)."""
-        return sum(entry.size for entry in self._entries.values())
+        """Physical bytes held by live chunk extents (each counted once)."""
+        return sum(entry.size for entry in self._entries.values()
+                   if entry.refcount > 0)
+
+    @property
+    def spare_bytes(self) -> int:
+        return sum(entry.size for table in (self._spares, self._taken)
+                   for entry in table.values())
 
     @property
     def logical_bytes(self) -> int:
@@ -212,53 +260,115 @@ class ChunkStore:
         return sum(entry.size * entry.refcount
                    for entry in self._entries.values())
 
+    def inventory(self) -> Dict[str, int]:
+        """The store in numbers (``portusctl view``)."""
+        return {"chunks": self.chunk_count,
+                "stored_bytes": self.stored_bytes,
+                "spares": self.spare_count,
+                "spare_bytes": self.spare_bytes}
+
     # -- mutation ----------------------------------------------------------------
 
     def alloc_chunk(self, digest: bytes, size: int) -> Allocation:
         """Reserve the extent for a new chunk (bytes land before
-        :meth:`apply` makes the chunk visible)."""
-        if digest in self._entries:
+        :meth:`apply` makes the chunk visible): the spare filed under
+        *digest* if no write has taken it, else the lowest spare of
+        *size*, else a fresh extent.
+
+        A taken spare stays in the ChunkTable at refcount 0, so it keeps
+        its extent and its MR, and until :meth:`apply` or
+        :meth:`release` no other write gets it and nothing frees it.  A
+        fresh extent that finds the pool or the ChunkTable full frees
+        the other spares first (:meth:`free_spares`); only live chunks
+        and reserved extents refuse it.
+        """
+        if self.lookup(digest) is not None:
             raise PmemError(f"chunk {digest.hex()[:12]} already stored")
-        if len(self._entries) >= self.max_chunks:
-            raise PoolExhausted(f"ChunkTable full ({self.max_chunks})")
-        return self.pool.alloc(size, tag=chunk_tag(digest))
+        spare = self._spares.get(digest)
+        if spare is None or spare.size != size:
+            spare = min((entry for entry in self._spares.values()
+                         if entry.size == size),
+                        key=lambda entry: entry.addr, default=None)
+        if spare is not None:
+            del self._spares[spare.digest]
+            self._taken[spare.addr] = spare
+            return self.allocation_of(spare)
+        if len(self._entries) + self._fresh >= self.max_chunks:
+            self.free_spares()
+            if len(self._entries) + self._fresh >= self.max_chunks:
+                raise PoolExhausted(f"ChunkTable full ({self.max_chunks})")
+        try:
+            extent = self.pool.alloc(size, tag=chunk_tag(digest))
+        except PoolExhausted:
+            if not self.free_spares():
+                raise
+            extent = self.pool.alloc(size, tag=chunk_tag(digest))
+        self._fresh += 1
+        return extent
+
+    def release(self, extent: Allocation) -> None:
+        """Hand back an extent :meth:`alloc_chunk` reserved for a write
+        that will not apply it: a spare returns to the spare set (the
+        ChunkTable still names it, so it must not be freed), a fresh
+        extent is freed."""
+        spare = self._taken.pop(extent.addr, None)
+        if spare is not None:
+            self._spares[spare.digest] = spare
+            return
+        self._fresh -= 1
+        self.pool.free(extent)
 
     def apply(self, new: List[Tuple[bytes, Allocation, int]],
               shared: Dict[bytes, int]) -> None:
         """Commit a manifest's reference delta in one record write.
 
         *new* lists ``(digest, extent, initial_refcount)`` for chunks
-        whose bytes are already persisted in *extent*; *shared* maps
-        already-stored digests to their reference increment.  Inserting
-        and incrementing in a single commit means a crash never splits a
-        checkpoint's references.
+        whose bytes are already persisted in *extent* (from
+        :meth:`alloc_chunk`: a taken spare's entry is re-filed under the
+        new digest, in place); *shared* maps live digests to their
+        reference increment.  Inserting and incrementing in a single
+        commit means a crash never splits a checkpoint's references.
         """
         if not new and not shared:
             return
-        if len(self._entries) + len(new) > self.max_chunks:
-            raise PoolExhausted(f"ChunkTable full ({self.max_chunks})")
-        for digest, extent, refs in new:
-            if digest in self._entries:
+        taken = [self._taken.get(extent.addr) for _d, extent, _r in new]
+        vacated = {spare.digest for spare in taken if spare is not None}
+        if len({digest for digest, _e, _r in new}) != len(new):
+            raise PmemError("one chunk inserted twice")
+        for digest, _extent, refs in new:
+            if digest in self._entries and digest not in vacated:
                 raise PmemError(
                     f"chunk {digest.hex()[:12]} already stored")
             if refs <= 0:
                 raise PmemError(f"bad initial refcount {refs}")
-            self._entries[digest] = ChunkEntry(digest, extent.addr,
-                                               extent.size, refs)
+        if len(self._entries) + taken.count(None) > self.max_chunks:
+            raise PoolExhausted(f"ChunkTable full ({self.max_chunks})")
         for digest, delta in shared.items():
-            entry = self._entries.get(digest)
-            if entry is None:
+            if self.lookup(digest) is None:
                 raise PmemError(
                     f"increment of unknown chunk {digest.hex()[:12]}")
             if delta <= 0:
                 raise PmemError(f"bad refcount increment {delta}")
-            entry.refcount += delta
+        for (_digest, extent, _refs), spare in zip(new, taken):
+            if spare is None:
+                self._fresh -= 1
+            else:
+                del self._taken[extent.addr]
+                del self._entries[spare.digest]
+        for digest, extent, refs in new:
+            self._entries[digest] = ChunkEntry(digest, extent.addr,
+                                               extent.size, refs)
+        for digest, delta in shared.items():
+            self._entries[digest].refcount += delta
         self._commit("apply")
 
-    def unref(self, digests: Iterable[bytes]) -> List[Allocation]:
+    def unref(self, digests: Iterable[bytes],
+              spares: Optional[Counter] = None) -> List[Allocation]:
         """Drop one reference per digest occurrence; free orphaned chunks.
 
-        Decrement and unlink commit in the same record write; extents
+        *spares* counts, per size, the orphans to park as spares instead
+        (a checkpoint's commit: one per new chunk it wrote).  Decrement,
+        unlink and parking commit in the same record write; extents
         whose count reached zero are freed afterwards (crash window:
         leak-only).  Returns the freed allocations.
         """
@@ -270,7 +380,7 @@ class ChunkStore:
         # Validate everything before touching the in-DRAM map, so a
         # refused unref leaves no partial decrement behind.
         for digest, count in sorted(drops.items()):
-            entry = self._entries.get(digest)
+            entry = self.lookup(digest)
             if entry is None:
                 raise PmemError(
                     f"unref of unknown chunk {digest.hex()[:12]}")
@@ -278,21 +388,40 @@ class ChunkStore:
                 raise PmemError(
                     f"over-free of chunk {digest.hex()[:12]}: "
                     f"{entry.refcount} refs, dropping {count}")
+        keep = Counter(spares or ())
         doomed: List[ChunkEntry] = []
         for digest, count in sorted(drops.items()):
             entry = self._entries[digest]
             entry.refcount -= count
-            if entry.refcount == 0:
+            if entry.refcount > 0:
+                continue
+            if keep[entry.size] > 0:
+                keep[entry.size] -= 1
+                self._spares[digest] = entry
+            else:
                 doomed.append(entry)
+        return self._remove(doomed, "unref")
+
+    def free_spares(self) -> int:
+        """Free every spare no write has taken (repack, UNREGISTER, a
+        full pool or ChunkTable); returns the bytes freed."""
+        if not self._spares:
+            return 0
+        doomed = [self._spares[digest] for digest in sorted(self._spares)]
+        self._spares.clear()
+        return sum(allocation.size
+                   for allocation in self._remove(doomed, "reclaim"))
+
+    def _remove(self, doomed: List[ChunkEntry],
+                op: str) -> List[Allocation]:
+        """Commit the removal of *doomed* entries (and whatever else the
+        caller changed) in one record write, then free their extents."""
         for entry in doomed:
             del self._entries[entry.digest]
-        self._commit("unref")
-        freed: List[Allocation] = []
-        for entry in doomed:
-            allocation = self.pool.allocator.allocation_for(
-                self.pool.allocator.lookup(entry.addr))
+        self._commit(op)
+        freed = [self.allocation_of(entry) for entry in doomed]
+        for allocation in freed:
             self.pool.free(allocation)
-            freed.append(allocation)
         return freed
 
     def set_refcount(self, digest: bytes, refcount: int) -> None:
@@ -306,12 +435,9 @@ class ChunkStore:
             raise PmemError(f"unknown chunk {digest.hex()[:12]}")
         if refcount < 0:
             raise PmemError(f"bad refcount {refcount}")
+        self._spares.pop(digest, None)
         if refcount == 0:
-            del self._entries[entry.digest]
-            self._commit("repair")
-            allocation = self.pool.allocator.allocation_for(
-                self.pool.allocator.lookup(entry.addr))
-            self.pool.free(allocation)
+            self._remove([entry], "repair")
             return
         entry.refcount = refcount
         self._commit("repair")
@@ -322,6 +448,7 @@ class ChunkStore:
         if digest not in self._entries:
             raise PmemError(f"unknown chunk {digest.hex()[:12]}")
         del self._entries[digest]
+        self._spares.pop(digest, None)
         self._commit("repair")
 
     def __repr__(self) -> str:

@@ -22,7 +22,10 @@ invariant:
   a leak (crash between apply/commit and manifest GC — space only), a
   count *below* it is an over-free (a future unref would free bytes a
   restorable checkpoint still needs); manifests referencing chunks the
-  store does not hold demote their slot.
+  store does not hold demote their slot.  A refcount-0 entry no manifest
+  references is a *spare* — a displaced chunk kept allocated and pinned
+  for the next write: its extent is claimed and its bytes, which no
+  reader trusts, are not checked.
 
 :func:`fsck` is read-only; :func:`repair` applies each finding's safe
 repair action (demote untrustworthy slots, unlink missing extents, drop
@@ -39,6 +42,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import InvalidAddressError, PmemError, ReproError
 from repro.pmem.layout import CommittedRecord
 from repro.pmem.pool import PmemPool, _SUPER_SLOT
+from repro.units import fmt_bytes
 
 SEV_ERROR = "error"      # breaks recovery or restore correctness
 SEV_WARN = "warning"     # loses redundancy or space, not correctness
@@ -116,7 +120,8 @@ class FsckReport:
     def __init__(self) -> None:
         self.findings: List[Finding] = []
         self.checked: Dict[str, int] = {"models": 0, "extents": 0,
-                                        "records": 0}
+                                        "records": 0, "spares": 0,
+                                        "spare_bytes": 0}
 
     def add(self, finding: Finding) -> None:
         self.findings.append(finding)
@@ -140,7 +145,9 @@ class FsckReport:
     def describe(self) -> str:
         lines = [f"checked {self.checked['models']} models, "
                  f"{self.checked['extents']} extents, "
-                 f"{self.checked['records']} records"]
+                 f"{self.checked['records']} records, "
+                 f"{self.checked['spares']} spare chunks "
+                 f"({fmt_bytes(self.checked['spare_bytes'])})"]
         if self.clean:
             lines.append("clean: no findings")
         else:
@@ -327,6 +334,8 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
         walk.store = store
         walk.claim(store.table_alloc.addr, "<ChunkTable>")
         walk.check_torn(store.record, K_CHUNKTABLE_TORN, "ChunkTable")
+        report.checked["spares"] = store.spare_count
+        report.checked["spare_bytes"] = store.spare_bytes
 
     # Levels 2+3: per-model metadata, then each version's storage as
     # its layout verifies it.
@@ -369,7 +378,8 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
     # recomputed from reachability.  Stored > recomputed is a leak (a
     # crash window between apply/commit and manifest GC over-holds —
     # space only); stored < recomputed is an over-free (a future unref
-    # would free bytes a restorable checkpoint still needs).
+    # would free bytes a restorable checkpoint still needs).  A spare
+    # (0 stored, 0 reachable) is neither: its extent is claimed.
     if store is not None:
         for entry in store.entries():
             backing = allocator.lookup(entry.addr)

@@ -3,7 +3,7 @@ refcounts across versions/tenants, bit-exact restores."""
 
 import pytest
 
-from repro.core.repack import repack_live
+from repro.core.repack import repack, repack_daemon, repack_live
 from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.errors import PortusError
 from repro.harness.cluster import PaperCluster
@@ -261,3 +261,61 @@ def test_chunk_bytes_without_dedup_rejected(cluster):
         return True
 
     assert cluster.run(scenario)
+
+
+def test_spares_survive_a_quiescent_power_cycle_and_verify_clean():
+    """Four head-only dumps after a full one: each commit from the third
+    on keeps the displaced head chunks as spares.  A power failure
+    between operations keeps them as refcount-0 entries, and fsck claims
+    their extents instead of reporting leaks."""
+    cluster = PaperCluster(seed=7, ampere_nodes=0)
+
+    def scenario(env):
+        session = yield from _register(cluster, "m")
+        for step in range(1, 6):
+            session.model.update_step(step, only=None if step == 1 else HEAD)
+            yield from session.checkpoint(step)
+
+    cluster.run(scenario)
+    before = ChunkStore.attach(cluster.portus_pool).inventory()
+    assert before["spares"] == 2 and before["spare_bytes"] > 0
+    cluster.crash_server()
+    pool = PmemPool.open(cluster.server.pmem_devdax)
+    assert ChunkStore.attach(pool).inventory() == before
+    report = fsck(pool)
+    assert report.clean, report.describe()
+    assert (report.checked["spares"], report.checked["spare_bytes"]) == \
+        (before["spares"], before["spare_bytes"])
+
+
+def test_repack_and_unregister_free_every_spare(cluster):
+    """The offline and the online repack free the spares no write has
+    taken, and so does a dedup model's UNREGISTER: no byte stays held
+    for a checkpoint that will not come."""
+    def dumps(env, name, seed):
+        session = yield from _register(cluster, name, seed=seed)
+        for step in range(1, 4):
+            session.model.update_step(step, only=None if step == 1 else HEAD)
+            yield from session.checkpoint(step)
+        return session
+
+    cluster.run(lambda env: dumps(env, "m", 77))
+    cluster.kill_daemon()
+    pool = PmemPool.open(cluster.server.pmem_devdax)
+    spares = ChunkStore.attach(pool).spare_bytes
+    assert ChunkStore.attach(pool).spare_count == 2
+    assert repack(pool).bytes_reclaimed > spares
+    assert ChunkStore.attach(pool).spare_count == 0
+    pool.close()
+    cluster.restart_daemon()
+
+    session = cluster.run(lambda env: dumps(env, "n", 78))
+    store = ChunkStore.attach(cluster.portus_pool)
+    assert store.spare_count == 2
+    assert repack_daemon(cluster.daemon).bytes_reclaimed > spares
+    assert store.spare_count == 0
+    cluster.run(lambda env: dumps(env, "o", 79))
+    assert store.spare_count == 2
+    cluster.run(lambda env: session.unregister())
+    assert store.spare_count == 0
+    assert fsck(cluster.portus_pool).clean

@@ -6,10 +6,11 @@ import pytest
 
 from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.errors import (ModelAlreadyRegistered, ReproError, RkeyViolation,
-                          TenantQuotaExceeded)
+                          TenantQuotaExceeded, WorkRequestError)
 from repro.faults import FaultInjector
 from repro.harness.cluster import PaperCluster
 from repro.pmem.chunks import ChunkStore
+from repro.pmem.fsck import fsck
 from repro.rdma import connect
 from repro.rdma.nic import MR_PIN_NS_PER_BYTE, MR_REGISTER_LATENCY_NS
 from repro.units import kib, secs, usecs
@@ -264,7 +265,13 @@ def _dumps(session, steps):
 
 def _live_chunk_extents(cluster):
     store = ChunkStore.attach(cluster.portus_pool)
-    return [store.allocation_of(entry) for entry in store.entries()]
+    return [store.allocation_of(entry) for entry in store.entries()
+            if entry.refcount > 0]
+
+
+def _spares(cluster):
+    store = ChunkStore.attach(cluster.portus_pool)
+    return [entry for entry in store.entries() if entry.refcount == 0]
 
 
 def test_the_store_pins_exactly_its_live_chunks():
@@ -279,12 +286,17 @@ def test_the_store_pins_exactly_its_live_chunks():
 
     stored = cluster.run(scenario)
     live = _live_chunk_extents(cluster)
-    # Head-only dumps free the head chunks of the versions they
-    # overwrite; each freed extent's MR retires with it.
-    assert len(live) < stored
-    assert nic.registered_mrs == before + len(live)
+    store = ChunkStore.attach(cluster.portus_pool)
+    spares = [store.allocation_of(entry) for entry in _spares(cluster)]
+    # Head-only dumps displace the head chunks of the versions they
+    # overwrite; each stays a spare, allocated and pinned, for the next
+    # dump's head (one per new chunk), so the store holds fewer chunks
+    # than the dumps stored and every one of them keeps its MR.
+    assert len(spares) == 2
+    assert len(live) + len(spares) < stored
+    assert nic.registered_mrs == before + len(live) + len(spares)
     assert all(extent.mr is not None and extent.mr.valid
-               for extent in live)
+               for extent in live + spares)
 
 
 def test_a_chunk_freed_by_unref_refuses_its_rkey():
@@ -293,21 +305,153 @@ def test_a_chunk_freed_by_unref_refuses_its_rkey():
     def scenario(env):
         session = yield from cluster.portus_register(
             instance, dedup=True, chunk_bytes=CHUNK)
-        yield from _dumps(session, 2)
-        pinned = [(extent, extent.mr.rkey)
-                  for extent in _live_chunk_extents(cluster)]
-        # Step 3 overwrites step 1's slot: its head chunks lose their
-        # last reference and are freed.
-        session.model.update_step(3, only=HEAD)
-        yield from session.checkpoint(3)
-        freed = [(extent, rkey) for extent, rkey in pinned if extent.freed]
-        assert freed
-        for extent, rkey in freed:
+        yield from _dumps(session, 3)
+        store = ChunkStore.attach(cluster.portus_pool)
+        # Step 3 displaced step 1's head chunks, which stay as spares:
+        # their memory is still allocated, so their MRs live on.
+        extents = [store.allocation_of(entry) for entry in store.entries()]
+        assert _spares(cluster)
+        pinned = [(extent, extent.mr.rkey) for extent in extents]
+        # UNREGISTER unrefs both versions to zero and frees the spares:
+        # every chunk's memory is freed, and its MR with it.
+        yield from session.unregister()
+        assert all(extent.freed for extent, _rkey in pinned)
+        for extent, rkey in pinned:
             with pytest.raises(RkeyViolation):
                 yield from remote_read(cluster, rkey, extent.addr)
         return True
 
     assert cluster.run(scenario)
+
+
+def test_a_spare_keeps_its_mr_and_is_never_a_hit(monkeypatch):
+    """Step 3 displaces step 1's head chunks: each stays a spare, still
+    allocated and pinned (its rkey reads), yet no lookup finds it.  A
+    dump whose head returns to step 1's bytes names the spares' digests
+    and still pulls those bytes, each into the spare it names, and
+    registers nothing."""
+    cluster, instance = _dedup_cluster()
+
+    def scenario(env):
+        session = yield from cluster.portus_register(
+            instance, dedup=True, chunk_bytes=CHUNK)
+        yield from _dumps(session, 3)
+        store = ChunkStore.attach(cluster.portus_pool)
+        spares = {entry.digest: entry.addr for entry in _spares(cluster)}
+        assert len(spares) == 2
+        for digest, addr in spares.items():
+            assert store.lookup(digest) is None
+            extent = store.allocation_of(store.lookup(digest, spares=True))
+            assert not extent.freed and extent.mr.valid
+            yield from remote_read(cluster, extent.mr.rkey, addr)
+        pins = count_registrations(monkeypatch, cluster.server.nic)
+        session.model.update_step(1, only=HEAD)
+        reply = yield from session.checkpoint(4)
+        return spares, reply, store, pins
+
+    spares, reply, store, storage_pins = cluster.run(scenario)
+    assert reply["chunks_new"] == reply["chunks_recycled"] == 2
+    assert reply["bytes_pulled"] > 0
+    assert {digest: store.lookup(digest).addr for digest in spares} == spares
+    assert storage_pins == []
+    # Step 4's commit displaced step 2's head chunks in turn.
+    assert len(_spares(cluster)) == 2
+
+
+def test_a_restarted_daemon_registers_each_persisted_spare_once(
+        monkeypatch):
+    """Spares persist, their MRs die with the daemon: after a restart
+    each head-only dump takes the spares the previous commit parked,
+    registering each the first time a pull lands in it and never again,
+    so once the rotation comes back to a spare it re-pinned, a dump
+    emits no ``mr.register`` span."""
+    cluster = PaperCluster(seed=7, ampere_nodes=0, tracing=True)
+    instance = ModelInstance.materialize("m", SPECS, cluster.volta.gpus[0],
+                                         model_seed=77)
+
+    def dump(env):
+        session = yield from cluster.portus_register(
+            instance, dedup=True, chunk_bytes=CHUNK)
+        yield from _dumps(session, 3)
+
+    cluster.run(dump)
+    persisted = sorted(entry.addr for entry in _spares(cluster))
+    assert len(persisted) == 2
+    cluster.restart_daemon()
+    registered = count_registrations(monkeypatch, cluster.server.nic)
+
+    def dumps(env):
+        session = yield from cluster.portus_client().register(
+            instance, dedup=True, chunk_bytes=CHUNK)
+        rounds = []
+        for step in range(4, 8):
+            instance.update_step(step, only=HEAD)
+            start, pinned = env.now, len(registered)
+            reply = yield from session.checkpoint(step)
+            spans = [span for span in cluster.obs.tracer.named("mr.register")
+                     if span.start_ns >= start]
+            rounds.append((reply["chunks_recycled"],
+                           sorted(a.addr for a in registered[pinned:]),
+                           len(spans)))
+        return rounds
+
+    rounds = cluster.run(dumps)
+    assert [recycled for recycled, _addrs, _spans in rounds] == [2] * 4
+    assert rounds[0][1] == persisted
+    addrs = [addr for _recycled, pinned, _spans in rounds for addr in pinned]
+    assert len(addrs) == len(set(addrs)) == 6
+    assert [spans for _recycled, _addrs, spans in rounds] == [2, 2, 2, 0]
+
+
+def _new_head_digests(cluster):
+    """The digests the newest version holds and the other does not: the
+    head chunks its head-only dump wrote."""
+    layout = cluster.daemon.model_map["m"].meta.layout
+    newest = layout.meta.read_flags().newest_done()
+    older = set(layout.read_manifest(1 - newest))
+    return [digest for digest in layout.read_manifest(newest)
+            if digest not in older]
+
+
+def test_a_failed_pull_into_a_spare_gives_it_back(monkeypatch):
+    """A WR of a dump that took spares fails: the abort returns them to
+    the spare set — still allocated and pinned, not freed — fsck stays
+    clean, and the next dump takes the same spares and registers
+    nothing."""
+    cluster, instance = _dedup_cluster()
+    nic = cluster.server.nic
+
+    def hook(kind, label, _length):
+        return WorkRequestError(f"{label}: injected {kind} error")
+
+    def scenario(env):
+        session = yield from cluster.portus_register(
+            instance, dedup=True, chunk_bytes=CHUNK)
+        yield from _dumps(session, 3)
+        spares = sorted(entry.addr for entry in _spares(cluster))
+        instance.update_step(4, only=HEAD)
+        nic.fault_hook = hook
+        try:
+            with pytest.raises(ReproError):
+                yield from session.checkpoint(4)
+        finally:
+            nic.fault_hook = None
+        after = sorted(entry.addr for entry in _spares(cluster))
+        report = fsck(cluster.portus_pool)
+        pins = count_registrations(monkeypatch, nic)
+        reply = yield from session.checkpoint(4)
+        return spares, after, report, reply, pins
+
+    spares, after, report, reply, pins = cluster.run(scenario)
+    assert len(spares) == 2 and after == spares
+    assert report.clean, report.describe()
+    assert report.checked["spares"] == 2
+    assert cluster.obs.metrics.value("daemon.checkpoints_aborted") == 1
+    store = ChunkStore.attach(cluster.portus_pool)
+    assert reply["chunks_recycled"] == 2
+    assert sorted(store.allocation_of(store.lookup(digest)).addr
+                  for digest in _new_head_digests(cluster)) == spares
+    assert pins == []
 
 
 def test_a_dedup_restore_registers_nothing(monkeypatch):

@@ -248,3 +248,33 @@ def test_cli_stats_fleet_counts_survive_a_daemon_restart(capsys,
     assert completed["series"] == {"shard=server1": 2}
     health = clusters[0].shards[1].daemon.health_snapshot()
     assert health["counters"]["checkpoints_completed"] == 2
+
+
+def test_view_counts_the_chunk_stores_spares():
+    """Three dumps of a dedup model, the last two head-only: the third
+    displaces the first's head chunks, which stay as spares, and the
+    view's chunk-store line shows them."""
+    from repro.core.portusctl import chunk_inventory
+    from repro.dnn.tensor import ModelInstance, TensorSpec
+
+    cluster = PaperCluster(seed=11, ampere_nodes=0)
+    specs = [TensorSpec("backbone.weight", (256, 1024)),
+             TensorSpec("head.weight", (64, 1024))]
+    assert chunk_inventory(cluster.portus_pool) is None
+
+    def scenario(env):
+        instance = ModelInstance.materialize(
+            "tuned", specs, cluster.volta.gpus[0], model_seed=3)
+        session = yield from cluster.portus_register(
+            instance, dedup=True, chunk_bytes=256 * 1024)
+        for step in (1, 2, 3):
+            instance.update_step(step,
+                                 only=None if step == 1 else ["head.weight"])
+            yield from session.checkpoint(step)
+
+    cluster.run(scenario)
+    chunks = chunk_inventory(cluster.portus_pool)
+    assert chunks == {"chunks": 6, "stored_bytes": 1536 * 1024,
+                      "spares": 1, "spare_bytes": 256 * 1024}
+    text = format_view(view(cluster.portus_pool), chunks)
+    assert "chunk store: 6 chunks (1.50MiB), 1 spares (256.00KiB)" in text

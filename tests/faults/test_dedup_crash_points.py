@@ -9,9 +9,13 @@ every refcount persistence window:
 * first checkpoint — chunk extents allocated, bytes pulled, ``apply``;
 * delta checkpoint — shared increments plus fresh head chunks;
 * slot overwrite — the third checkpoint's post-commit ``unref`` of the
-  displaced manifest (decrement-then-free ordering);
+  displaced manifest, which parks its orphaned head chunk as a spare
+  (decrement-then-park ordering);
+* spare reuse — the fourth checkpoint pulls its head chunk into that
+  spare (no extent is allocated) and its ``apply`` re-files the spare
+  under the new digest, then its own ``unref`` parks the next one;
 * cross-tenant sharing — a second model, same base seed, bumping the
-  backbone refcounts without new extents;
+  backbone refcounts and writing its step-1 head into the spare;
 * unregister — both manifests unref'd, orphaned chunks freed.
 
 Power loss at each boundary must leave a pool that ``repair`` brings to
@@ -21,6 +25,7 @@ the newest acked checkpoint restores bit-exactly.
 
 import os
 import random
+import zlib
 
 import pytest
 
@@ -38,6 +43,7 @@ pytestmark = pytest.mark.chaos
 
 STRIDE = int(os.environ.get("PORTUS_CRASHPOINT_STRIDE", "1"))
 SEED = int(os.environ.get("PORTUS_CRASHPOINT_SEED", "13"))
+TRACE_PATH = os.environ.get("CHAOS_TRACE")
 
 CHUNK = 64 * 1024
 
@@ -88,7 +94,7 @@ class DedupEpisode:
                 session = yield from cluster.portus_client().register(
                     self.model, dedup=True, chunk_bytes=CHUNK)
                 plan = [(1, None), (2, ["head.weight"]),
-                        (3, ["head.weight"])]
+                        (3, ["head.weight"]), (4, ["head.weight"])]
                 for step, only in plan:
                     if recorder.fired:
                         return
@@ -179,14 +185,17 @@ def _boundary_schedule():
     episode = DedupEpisode(crash_at=None)
     episode.run_workload()
     assert episode.phase == "done"
-    assert episode.acked == [1, 2, 3]
+    assert episode.acked == [1, 2, 3, 4]
     return episode.recorder.boundaries
 
 
 def test_counting_pass_reaches_the_refcount_boundary():
     episode = DedupEpisode(crash_at=None)
     episode.run_workload()
-    assert episode.phase == "done" and episode.acked == [1, 2, 3]
+    assert episode.phase == "done" and episode.acked == [1, 2, 3, 4]
+    # The fourth dump and the tenant's dump each land their new head
+    # chunk in a spare: the spare windows are in the schedule.
+    assert episode.cluster.obs.metrics.value("daemon.chunks_recycled") == 2
     points = {line.split(":")[1] for line in episode.recorder.boundaries}
     assert points == {"record.write", "record.persist", "alloc.commit",
                       "free.release", "chunkref.update"}
@@ -202,7 +211,7 @@ def test_counting_pass_reaches_the_refcount_boundary():
 #: The counting pass's :func:`schedule_fingerprint` at the default seed.
 #: Re-pin only for a deliberate change to the metadata write order.
 PINNED_SCHEDULE = (
-    99, "fd5f8eb2ee5d2e6e637eb47f86ea251b7b24163c543678cbe320e1fdd481c46b")
+    105, "444722efa2f421c6c85b1048c1083e35346e85d55d32e1c3598be14e1f05b885")
 
 
 def test_dedup_boundary_schedule_is_deterministic():
@@ -214,16 +223,22 @@ def test_dedup_boundary_schedule_is_deterministic():
 
 def test_power_loss_at_every_dedup_boundary_recovers():
     schedule = _boundary_schedule()
-    swept = 0
+    outcomes = []
     for index in range(0, len(schedule), STRIDE):
         episode = DedupEpisode(crash_at=index)
         episode.run_workload()
         assert episode.recorder.fired is not None, \
             f"boundary {index} never fired (schedule drifted?)"
         assert episode.recorder.fired == schedule[index]
-        episode.recover_and_verify()
-        swept += 1
-    assert swept == len(range(0, len(schedule), STRIDE))
+        restored = episode.recover_and_verify()
+        outcomes.append(f"{schedule[index]}:restored={restored}")
+    assert len(outcomes) == len(range(0, len(schedule), STRIDE))
+    if TRACE_PATH:
+        crc = zlib.crc32("\n".join(outcomes).encode())
+        with open(TRACE_PATH, "a") as fh:
+            fh.write(f"dedup-crash seed={SEED} stride={STRIDE} "
+                     f"boundaries={len(schedule)} swept={len(outcomes)} "
+                     f"crc={crc:08x}\n")
 
 
 def test_crash_between_apply_and_manifest_leaves_only_leaks():
